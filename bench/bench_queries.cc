@@ -2,9 +2,10 @@
 // decode-everything oracle across a selectivity x dataset-size matrix.
 // Every timed pair is also checked for bitwise-equal answers, so this
 // doubles as a large-input differential smoke. The JSON lands in
-// BENCH_queries.json (schema gated by scripts/validate_bench.py); the
-// headline number is low_selectivity_speedup — block skipping must beat
-// full decompression when the query touches little of the data.
+// BENCH_queries.json (schema gated by scripts/validate_bench.py, which
+// requires the engine to beat full decompression in every cell); the
+// headline number is low_selectivity_speedup, the largest fleet's
+// low-selectivity cell.
 //
 //   bench_queries [--objects=64] [--queries=40] [--epsilon=30]
 //                 [--json-out=BENCH_queries.json]

@@ -49,8 +49,8 @@ STCOMP_CRASH_MATRIX_SEEDS=7,991 \
     --max-shards=4 --json-out=BENCH_fleet_scale.json
 # Query selectivity sweep (DESIGN.md §17): indexed engine vs the
 # decompress-everything oracle; every timed query is first checked for
-# bitwise answer equality, and the validator enforces the acceptance
-# headline (block skipping beats full decode on low-selectivity queries).
+# bitwise answer equality, and the validator requires the engine to beat
+# full decode in every selectivity x fleet-size cell.
 ./build/bench/bench_queries --objects=64 --queries=40 \
     --json-out=BENCH_queries.json
 # Network-ingest throughput (DESIGN.md §18): the full FleetClient ->

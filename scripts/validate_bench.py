@@ -121,6 +121,14 @@ def validate(path):
                     return fail(
                         path, f"bench_queries: bad cell '{key}': {value!r}"
                     )
+            # The engine must beat decoding everything at every
+            # selectivity, not only where most blocks can be skipped.
+            if entry["speedup"] <= 1.0:
+                return fail(
+                    path,
+                    f"bench_queries: {entry['objects']}-object {selectivity} "
+                    f"cell: speedup must exceed 1.0, got {entry['speedup']!r}",
+                )
             fraction = entry.get("decoded_block_fraction")
             if (
                 not isinstance(fraction, (int, float))

@@ -87,6 +87,7 @@ struct BoundingBox {
     return min.x <= o.max.x && max.x >= o.min.x && min.y <= o.max.y &&
            max.y >= o.min.y;
   }
+  friend bool operator==(const BoundingBox&, const BoundingBox&) = default;
 };
 
 // Distance from `p` to `box` (0 when p is inside or on the boundary).

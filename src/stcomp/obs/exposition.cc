@@ -120,7 +120,11 @@ std::string JsonLabels(const LabelSet& labels) {
       out += ",";
     }
     first = false;
-    out += "\"" + JsonEscape(key) + "\":\"" + JsonEscape(value) + "\"";
+    out += "\"";
+    out += JsonEscape(key);
+    out += "\":\"";
+    out += JsonEscape(value);
+    out += "\"";
   }
   out += "}";
   return out;

@@ -49,6 +49,7 @@ struct BlockSummary {
   bool OverlapsTime(double t0, double t1) const {
     return t_min <= t1 && t_max >= t0;
   }
+  friend bool operator==(const BlockSummary&, const BlockSummary&) = default;
 };
 
 // A summary whose extents are exactly the given storage-value point.

@@ -91,8 +91,8 @@ Status EncodePointsImpl(const TimedPoint* points, size_t count, Codec codec,
   return InternalError("unknown codec");
 }
 
-Result<std::vector<TimedPoint>> DecodePointsImpl(std::string_view* input,
-                                                 Codec codec, size_t count) {
+Status DecodePointsImpl(std::string_view* input, Codec codec, size_t count,
+                        std::vector<TimedPoint>* out) {
   // `count` comes off the wire; every point needs at least one byte per
   // field under either codec, so a count beyond the remaining payload is
   // corruption. Checking before reserve() keeps a flipped bit in the count
@@ -100,17 +100,16 @@ Result<std::vector<TimedPoint>> DecodePointsImpl(std::string_view* input,
   if (count > input->size()) {
     return DataLossError("point count exceeds frame payload");
   }
-  std::vector<TimedPoint> points;
-  points.reserve(count);
+  out->reserve(out->size() + count);
   switch (codec) {
     case Codec::kRaw:
       for (size_t i = 0; i < count; ++i) {
         STCOMP_ASSIGN_OR_RETURN(const double t, GetDouble(input));
         STCOMP_ASSIGN_OR_RETURN(const double x, GetDouble(input));
         STCOMP_ASSIGN_OR_RETURN(const double y, GetDouble(input));
-        points.emplace_back(t, x, y);
+        out->emplace_back(t, x, y);
       }
-      return points;
+      return Status::Ok();
     case Codec::kDelta: {
       int64_t t = 0;
       int64_t x = 0;
@@ -122,11 +121,11 @@ Result<std::vector<TimedPoint>> DecodePointsImpl(std::string_view* input,
         t += dt;
         x += dx;
         y += dy;
-        points.emplace_back(static_cast<double>(t) * kTimeQuantumS,
-                            static_cast<double>(x) * kCoordQuantumM,
-                            static_cast<double>(y) * kCoordQuantumM);
+        out->emplace_back(static_cast<double>(t) * kTimeQuantumS,
+                          static_cast<double>(x) * kCoordQuantumM,
+                          static_cast<double>(y) * kCoordQuantumM);
       }
-      return points;
+      return Status::Ok();
     }
   }
   return InternalError("unknown codec");
@@ -198,15 +197,21 @@ TimedPoint StorageValue(const TimedPoint& point, Codec codec) {
 
 Result<std::vector<TimedPoint>> DecodePoints(std::string_view* input,
                                              Codec codec, size_t count) {
+  std::vector<TimedPoint> points;
+  STCOMP_RETURN_IF_ERROR(DecodePointsInto(input, codec, count, &points));
+  return points;
+}
+
+Status DecodePointsInto(std::string_view* input, Codec codec, size_t count,
+                        std::vector<TimedPoint>* out) {
   const CodecMetrics& metrics = DecodeMetrics(codec);
   STCOMP_SCOPED_TIMER_SAMPLED(metrics.seconds);
   const size_t before = input->size();
-  STCOMP_ASSIGN_OR_RETURN(std::vector<TimedPoint> points,
-                          DecodePointsImpl(input, codec, count));
+  STCOMP_RETURN_IF_ERROR(DecodePointsImpl(input, codec, count, out));
   metrics.calls->Increment();
-  metrics.points->Increment(points.size());
+  metrics.points->Increment(count);
   metrics.bytes->Increment(before - input->size());
-  return points;
+  return Status::Ok();
 }
 
 Result<size_t> EncodedSize(const Trajectory& trajectory, Codec codec) {

@@ -16,6 +16,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "stcomp/common/result.h"
 #include "stcomp/core/trajectory.h"
@@ -60,6 +61,11 @@ TimedPoint StorageValue(const TimedPoint& point, Codec codec);
 // Decodes exactly `count` points from the front of `*input`, advancing it.
 Result<std::vector<TimedPoint>> DecodePoints(std::string_view* input,
                                              Codec codec, size_t count);
+
+// DecodePoints appending to `*out`, so a caller can reuse one buffer's
+// capacity across calls. On error `*out` may hold a partial decode.
+Status DecodePointsInto(std::string_view* input, Codec codec, size_t count,
+                        std::vector<TimedPoint>* out);
 
 // Encoded payload size in bytes (convenience for accounting).
 Result<size_t> EncodedSize(const Trajectory& trajectory, Codec codec);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <iterator>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -184,18 +185,28 @@ Result<Trajectory> PartitionedSegmentStore::Get(
 Result<QueryAnswer> PartitionedSegmentStore::Query(
     const QueryRequest& request) const {
   STCOMP_CHECK(open_);
+  const auto by_id = [](const QueryHit& a, const QueryHit& b) {
+    return a.id < b.id;
+  };
   QueryAnswer merged;
   for (const auto& shard : shards_) {
-    STCOMP_ASSIGN_OR_RETURN(const QueryAnswer answer,
-                            shard->Query(request));
+    STCOMP_ASSIGN_OR_RETURN(QueryAnswer answer, shard->Query(request));
     merged.error_bound_m = std::max(merged.error_bound_m,
                                     answer.error_bound_m);
     merged.stats.objects_considered += answer.stats.objects_considered;
     merged.stats.blocks_total += answer.stats.blocks_total;
     merged.stats.blocks_considered += answer.stats.blocks_considered;
     merged.stats.blocks_decoded += answer.stats.blocks_decoded;
-    merged.hits.insert(merged.hits.end(), answer.hits.begin(),
-                       answer.hits.end());
+    const size_t run = merged.hits.size();
+    merged.hits.insert(merged.hits.end(),
+                       std::make_move_iterator(answer.hits.begin()),
+                       std::make_move_iterator(answer.hits.end()));
+    if (request.type != QueryType::kNearest) {
+      // Set-query hits come back in id order and shards own disjoint ids,
+      // so merging the runs keeps the union sorted by id.
+      std::inplace_merge(merged.hits.begin(), merged.hits.begin() + run,
+                         merged.hits.end(), by_id);
+    }
   }
   if (request.type == QueryType::kNearest) {
     // Each shard returned its own top k; the global top k is within their
@@ -210,11 +221,6 @@ Result<QueryAnswer> PartitionedSegmentStore::Query(
     if (merged.hits.size() > request.k) {
       merged.hits.resize(request.k);
     }
-  } else {
-    std::sort(merged.hits.begin(), merged.hits.end(),
-              [](const QueryHit& a, const QueryHit& b) {
-                return a.id < b.id;
-              });
   }
   return merged;
 }
@@ -262,8 +268,10 @@ std::string PartitionedSegmentStore::DescribeRecovery() const {
   std::string out =
       StrFormat("partitioned store: %zu shards", shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
-    out += "\n" + ShardDirName(i) + ": " +
-           shards_[i]->last_recovery().Describe();
+    out += "\n";
+    out += ShardDirName(i);
+    out += ": ";
+    out += shards_[i]->last_recovery().Describe();
   }
   return out;
 }

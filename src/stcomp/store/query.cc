@@ -169,22 +169,6 @@ bool MinDistanceInSpan(const std::vector<TimedPoint>& points, double t0,
   return any;
 }
 
-// One candidate block's points plus its junction point (the next block's
-// first point), so the block's trailing segment is evaluated exactly once
-// — by the block that owns it.
-Result<std::vector<TimedPoint>> DecodeBlockWithJunction(
-    const TrajectoryStore& store, const std::string& id, size_t block_index,
-    size_t block_count) {
-  STCOMP_ASSIGN_OR_RETURN(std::vector<TimedPoint> points,
-                          store.DecodeBlock(id, block_index));
-  if (block_index + 1 < block_count) {
-    STCOMP_ASSIGN_OR_RETURN(const TimedPoint junction,
-                            store.DecodeBlockFirstPoint(id, block_index + 1));
-    points.push_back(junction);
-  }
-  return points;
-}
-
 Status ValidateWindow(const QueryRequest& request) {
   if (std::isnan(request.t0) || std::isnan(request.t1)) {
     return InvalidArgumentError("query window bounds must not be NaN");
@@ -341,15 +325,13 @@ Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
                        values.end());
       return values[request.k - 1];
     };
+    std::vector<TimedPoint> points;
     for (const NearestCandidate& candidate : candidates) {
       if (best.size() >= request.k && candidate.lower_bound > kth_bound()) {
         break;
       }
-      const auto& object = objects[candidate.object];
-      STCOMP_ASSIGN_OR_RETURN(
-          const std::vector<TimedPoint> points,
-          DecodeBlockWithJunction(store, object.id, candidate.block,
-                                  object.blocks.size()));
+      STCOMP_RETURN_IF_ERROR(store.DecodeBlockWithJunction(
+          objects[candidate.object].id, candidate.block, &points));
       ++answer.stats.blocks_decoded;
       double distance = 0.0;
       if (MinDistanceInSpan(points, t0, t1, request.point, &distance)) {
@@ -378,7 +360,7 @@ Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
     return answer;
   }
 
-  // Range / corridor: candidate blocks from the grid, then decode only
+  // Range / corridor: candidate blocks from the index, then decode only
   // those, ascending per object — skipped blocks provably hold no hits,
   // so the first match found is the object's earliest.
   SetPredicate pred;
@@ -391,24 +373,20 @@ Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
     pred.corridor = &request.corridor;
     pred.corridor_radius = request.radius_m + answer.error_bound_m;
     const std::vector<Vec2>& w = request.corridor;
-    const size_t segment_count = w.size() == 1 ? 1 : w.size() - 1;
-    for (size_t i = 0; i < segment_count; ++i) {
-      const Vec2 a = w[i];
-      const Vec2 b = w[w.size() == 1 ? i : i + 1];
-      const BoundingBox seg_box =
-          Inflate(BoundingBox{{std::min(a.x, b.x), std::min(a.y, b.y)},
-                              {std::max(a.x, b.x), std::max(a.y, b.y)}},
-                  pred.corridor_radius);
-      std::vector<SpatioTemporalIndex::Posting> partial =
-          index.CandidateBlocks(seg_box, t0, t1);
-      candidates.insert(candidates.end(), partial.begin(), partial.end());
+    BoundingBox reach{w.front(), w.front()};
+    for (const Vec2 waypoint : w) {
+      reach.min = {std::min(reach.min.x, waypoint.x),
+                   std::min(reach.min.y, waypoint.y)};
+      reach.max = {std::max(reach.max.x, waypoint.x),
+                   std::max(reach.max.y, waypoint.y)};
     }
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
+    candidates =
+        index.CandidateBlocks(Inflate(reach, pred.corridor_radius), t0, t1);
     // Tighten: a block survives only if it actually comes within the
-    // effective radius of some corridor segment, not merely within the
-    // segment's inflated bounding box.
+    // effective radius of some corridor segment. Coming that close implies
+    // meeting that segment's inflated bounding box, so the survivors are
+    // those of one box query per segment.
+    const size_t segment_count = w.size() == 1 ? 1 : w.size() - 1;
     std::erase_if(candidates, [&](const SpatioTemporalIndex::Posting& p) {
       const BlockSummary& block = objects[p.object].blocks[p.block];
       for (size_t i = 0; i < segment_count; ++i) {
@@ -423,6 +401,7 @@ Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
     });
   }
   answer.stats.blocks_considered = candidates.size();
+  std::vector<TimedPoint> points;
   for (size_t i = 0; i < candidates.size();) {
     const uint32_t object_ordinal = candidates[i].object;
     const auto& object = objects[object_ordinal];
@@ -433,10 +412,9 @@ Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
       if (hit) {
         continue;  // Later candidate blocks cannot beat an earlier hit.
       }
-      STCOMP_ASSIGN_OR_RETURN(
-          const std::vector<TimedPoint> points,
-          DecodeBlockWithJunction(store, object.id, candidates[i].block,
-                                  object.blocks.size()));
+      STCOMP_RETURN_IF_ERROR(
+          store.DecodeBlockWithJunction(object.id, candidates[i].block,
+                                        &points));
       ++answer.stats.blocks_decoded;
       hit = FirstHitInSpan(points, t0, t1, pred, &first_hit_t);
     }

@@ -136,8 +136,7 @@ std::string SegmentStore::IndexPath() const {
 const SpatioTemporalIndex& SegmentStore::Index() const {
   if (!index_fresh_ || index_ == nullptr) {
     index_ = std::make_unique<SpatioTemporalIndex>(
-        SpatioTemporalIndex::BuildFromStore(store_,
-                                            options_.index_cell_size_m));
+        SpatioTemporalIndex::BuildFromStore(store_));
     index_fresh_ = true;
   }
   return *index_;
@@ -268,8 +267,7 @@ Status SegmentStore::Recover() {
   }
   if (!recovery_.index_loaded) {
     index_ = std::make_unique<SpatioTemporalIndex>(
-        SpatioTemporalIndex::BuildFromStore(store_,
-                                            options_.index_cell_size_m));
+        SpatioTemporalIndex::BuildFromStore(store_));
     index_fresh_ = true;
     recovery_.index_rebuilt = true;
   }

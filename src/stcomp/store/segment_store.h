@@ -105,7 +105,6 @@ class SegmentStore {
     // scan. Queries work either way — recovery rebuilds a missing or
     // stale index from the store.
     bool persist_index = true;
-    double index_cell_size_m = kDefaultIndexCellSizeM;
   };
 
   SegmentStore();

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
-#include "stcomp/common/check.h"
 #include "stcomp/store/serialization.h"
 #include "stcomp/store/varint.h"
 
@@ -14,6 +12,8 @@ namespace {
 
 constexpr char kIndexMagic[4] = {'S', 'T', 'I', 'X'};
 constexpr uint8_t kIndexVersion = 1;
+// The v1 header's cell size: written as-is, checked on load, else unused.
+constexpr double kCellSizeM = 250.0;
 
 void PutCrc(uint32_t crc, std::string* out) {
   for (int i = 0; i < 4; ++i) {
@@ -23,78 +23,15 @@ void PutCrc(uint32_t crc, std::string* out) {
 
 }  // namespace
 
-SpatioTemporalIndex::SpatioTemporalIndex(double cell_size_m)
-    : cell_size_m_(cell_size_m) {
-  STCOMP_CHECK(std::isfinite(cell_size_m) && cell_size_m > 0.0);
-}
-
-SpatioTemporalIndex::CellKey SpatioTemporalIndex::KeyFor(
-    Vec2 position) const {
-  // Saturate before the cast: a fuzz-sized coordinate over a small cell
-  // produces a quotient outside int64 range, and that conversion is UB.
-  // Saturated keys stay ordered, which is all the grid walk needs.
-  const auto coord = [&](double value) -> int64_t {
-    const double cell = std::floor(value / cell_size_m_);
-    if (std::isnan(cell)) {
-      return 0;
-    }
-    if (cell <= -9.2e18) {
-      return std::numeric_limits<int64_t>::min();
-    }
-    if (cell >= 9.2e18) {
-      return std::numeric_limits<int64_t>::max();
-    }
-    return static_cast<int64_t>(cell);
-  };
-  return {coord(position.x), coord(position.y)};
-}
-
-void SpatioTemporalIndex::InsertPostings(uint32_t object_ordinal) {
-  const ObjectEntry& entry = objects_[object_ordinal];
-  for (uint32_t b = 0; b < entry.blocks.size(); ++b) {
-    const BlockSummary& block = entry.blocks[b];
-    const Posting posting{object_ordinal, b};
-    const CellKey lo = KeyFor(block.bounds.min);
-    const CellKey hi = KeyFor(block.bounds.max);
-    // Subtract as unsigned: with saturated keys the signed difference of
-    // int64 extremes overflows. Compare the gap itself (span - 1) so the
-    // full-int64 gap of 2^64-1 cannot wrap span back to zero and sneak a
-    // saturated block past the oversize cut.
-    const uint64_t gap_x =
-        static_cast<uint64_t>(hi.first) - static_cast<uint64_t>(lo.first);
-    const uint64_t gap_y =
-        static_cast<uint64_t>(hi.second) - static_cast<uint64_t>(lo.second);
-    if (gap_x >= kMaxCellsPerBlock || gap_y >= kMaxCellsPerBlock ||
-        (gap_x + 1) * (gap_y + 1) > kMaxCellsPerBlock) {
-      oversize_.push_back(posting);
-      ++total_postings_;
-      continue;
-    }
-    for (int64_t cx = lo.first; cx <= hi.first; ++cx) {
-      for (int64_t cy = lo.second; cy <= hi.second; ++cy) {
-        cells_[{cx, cy}].push_back(posting);
-        ++total_postings_;
-      }
-    }
-  }
-}
-
 SpatioTemporalIndex SpatioTemporalIndex::BuildFromStore(
-    const TrajectoryStore& store, double cell_size_m) {
-  SpatioTemporalIndex index(cell_size_m);
+    const TrajectoryStore& store) {
+  SpatioTemporalIndex index;
   store.VisitBlocks([&index](const std::string& id, size_t num_points,
                              const std::vector<BlockSummary>& blocks,
                              std::string_view payload) {
-    ObjectEntry entry;
-    entry.id = id;
-    entry.num_points = num_points;
-    entry.payload_crc = Crc32(payload);
-    entry.blocks = blocks;
-    index.objects_.push_back(std::move(entry));
+    index.objects_.push_back(
+        ObjectEntry{id, num_points, Crc32(payload), blocks});
   });
-  for (uint32_t i = 0; i < index.objects_.size(); ++i) {
-    index.InsertPostings(i);
-  }
   return index;
 }
 
@@ -102,45 +39,30 @@ std::vector<SpatioTemporalIndex::Posting>
 SpatioTemporalIndex::CandidateBlocks(const BoundingBox& box, double t0,
                                      double t1) const {
   std::vector<Posting> candidates;
-  const CellKey lo = KeyFor(box.min);
-  const CellKey hi = KeyFor(box.max);
-  // Walk only populated cells, jumping over empty key ranges with
-  // lower_bound. Iterating the integer cell range of the box instead
-  // (one probe per x-column) stalls for hours on a planet-sized query
-  // box over a metres-sized grid: cost must scale with the number of
-  // occupied cells, never with the area of the question.
-  for (auto it = cells_.lower_bound({lo.first, lo.second});
-       it != cells_.end() && it->first.first <= hi.first;) {
-    if (it->first.second < lo.second) {
-      it = cells_.lower_bound({it->first.first, lo.second});
-    } else if (it->first.second > hi.second) {
-      if (it->first.first == std::numeric_limits<int64_t>::max()) {
-        break;  // No next column to jump to.
+  for (uint32_t object = 0; object < objects_.size(); ++object) {
+    const std::vector<BlockSummary>& blocks = objects_[object].blocks;
+    // Both t_min and t_max are nondecreasing along the table (timestamps
+    // strictly increase and a block's t_max is its junction point's time),
+    // so the blocks overlapping [t0, t1] form one run: it starts at the
+    // first block ending at or after t0 and stops before the first block
+    // starting after t1.
+    auto it = std::partition_point(
+        blocks.begin(), blocks.end(),
+        [t0](const BlockSummary& block) { return block.t_max < t0; });
+    for (; it != blocks.end() && it->t_min <= t1; ++it) {
+      if (it->bounds.Intersects(box)) {
+        candidates.push_back(
+            {object, static_cast<uint32_t>(it - blocks.begin())});
       }
-      it = cells_.lower_bound({it->first.first + 1, lo.second});
-    } else {
-      candidates.insert(candidates.end(), it->second.begin(),
-                        it->second.end());
-      ++it;
     }
   }
-  candidates.insert(candidates.end(), oversize_.begin(), oversize_.end());
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-  // Exact summary-level filter: the grid may over-approximate (a block's
-  // box and the query box can share a cell without intersecting).
-  std::erase_if(candidates, [&](const Posting& p) {
-    const BlockSummary& block = objects_[p.object].blocks[p.block];
-    return !block.OverlapsTime(t0, t1) || !block.bounds.Intersects(box);
-  });
   return candidates;
 }
 
 std::string SpatioTemporalIndex::SerializeToString() const {
   std::string out(kIndexMagic, sizeof(kIndexMagic));
   out.push_back(static_cast<char>(kIndexVersion));
-  PutDouble(cell_size_m_, &out);
+  PutDouble(kCellSizeM, &out);
   PutVarint(objects_.size(), &out);
   for (const ObjectEntry& entry : objects_) {
     PutVarint(entry.id.size(), &out);
@@ -182,7 +104,7 @@ Result<SpatioTemporalIndex> SpatioTemporalIndex::LoadFromBuffer(
   if (!std::isfinite(cell_size) || cell_size <= 0.0) {
     return DataLossError("index with non-positive cell size");
   }
-  SpatioTemporalIndex index(cell_size);
+  SpatioTemporalIndex index;
   STCOMP_ASSIGN_OR_RETURN(const uint64_t object_count, GetVarint(&cursor));
   if (object_count > cursor.size()) {
     return DataLossError("index object count exceeds image");
@@ -216,13 +138,18 @@ Result<SpatioTemporalIndex> SpatioTemporalIndex::LoadFromBuffer(
     STCOMP_ASSIGN_OR_RETURN(
         entry.blocks, ParseSummaryTable(&cursor, block_count,
                                         entry.num_points));
+    // CandidateBlocks bisects on time; a table no store could have
+    // produced must not reach it.
+    for (size_t b = 1; b < entry.blocks.size(); ++b) {
+      if (entry.blocks[b].t_min < entry.blocks[b - 1].t_min ||
+          entry.blocks[b].t_max < entry.blocks[b - 1].t_max) {
+        return DataLossError("index summaries out of time order");
+      }
+    }
     index.objects_.push_back(std::move(entry));
   }
   if (!cursor.empty()) {
     return DataLossError("index image has trailing bytes");
-  }
-  for (uint32_t i = 0; i < index.objects_.size(); ++i) {
-    index.InsertPostings(i);
   }
   return index;
 }
@@ -233,14 +160,13 @@ bool SpatioTemporalIndex::Matches(const TrajectoryStore& store) const {
   store.VisitBlocks([&](const std::string& id, size_t num_points,
                         const std::vector<BlockSummary>& blocks,
                         std::string_view payload) {
-    (void)blocks;
     if (!ok || next >= objects_.size()) {
       ok = false;
       return;
     }
     const ObjectEntry& entry = objects_[next++];
     if (entry.id != id || entry.num_points != num_points ||
-        entry.payload_crc != Crc32(payload)) {
+        entry.blocks != blocks || entry.payload_crc != Crc32(payload)) {
       ok = false;
     }
   });

@@ -1,9 +1,9 @@
 // Persistent spatio-temporal index over a blocked trajectory store
-// (DESIGN.md §17). A uniform grid maps cells to (object, block) postings
-// built from the store's block summaries; range/corridor queries collect
-// candidate blocks from the covered cells and decode only those. The index
-// carries each object's full summary table, so kNN pruning and time-window
-// queries run off the index without touching payloads.
+// (DESIGN.md §17). The index carries each object's full block-summary
+// table; range/corridor queries find candidate blocks by bisecting each
+// table on time and testing the bounding boxes of the blocks in the
+// window, then decode only those. kNN pruning and time-window queries run
+// off the same tables without touching payloads.
 //
 // On-disk format (index.stidx, written by the segment store at
 // checkpoint):
@@ -14,17 +14,17 @@
 //     (block_summary.h)
 //   | crc32 (4 bytes, LE, over everything before it)
 //
-// The grid itself is rebuilt from the summaries on load — postings are
-// derived state and are never serialised. Matches() compares object ids,
-// point counts and payload CRCs against a live store, so a stale index
-// (even one with identical counts) is detected and rebuilt instead of
-// silently serving wrong candidates.
+// The cell size is a relic of the grid the index once kept: it is always
+// written as 250 and only checked to be finite and positive on load, so
+// v1 images stay byte-identical. Matches() compares object ids, point
+// counts, payload CRCs and summary tables against a live store, so a stale
+// index (even one with identical counts) is detected and rebuilt instead
+// of silently serving wrong candidates.
 
 #ifndef STCOMP_STORE_ST_INDEX_H_
 #define STCOMP_STORE_ST_INDEX_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,23 +36,14 @@
 
 namespace stcomp {
 
-// Default grid cell edge. Urban fleets move a few hundred metres per
-// 64-point block at typical sampling rates, so one block usually lands in
-// a handful of cells.
-inline constexpr double kDefaultIndexCellSizeM = 250.0;
-
-// A block whose bounding box covers more cells than this is kept on an
-// always-considered overflow list instead of being fanned out to every
-// cell — a bound on index size and build time against adversarial
-// (fuzzed) geometry, not a correctness carve-out.
-inline constexpr size_t kMaxCellsPerBlock = 4096;
-
 class SpatioTemporalIndex {
  public:
   struct ObjectEntry {
     std::string id;
     uint64_t num_points = 0;
     uint32_t payload_crc = 0;  // Crc32 of the encoded payload.
+    // Ordered by first_point; t_min and t_max are both nondecreasing
+    // (LoadFromBuffer rejects a table where either decreases).
     std::vector<BlockSummary> blocks;
   };
 
@@ -60,31 +51,19 @@ class SpatioTemporalIndex {
   struct Posting {
     uint32_t object = 0;
     uint32_t block = 0;
-    friend bool operator==(const Posting& a, const Posting& b) {
-      return a.object == b.object && a.block == b.block;
-    }
-    friend bool operator<(const Posting& a, const Posting& b) {
-      return a.object != b.object ? a.object < b.object : a.block < b.block;
-    }
+    friend bool operator==(const Posting&, const Posting&) = default;
   };
 
-  // Precondition (checked): cell_size_m > 0 and finite.
-  explicit SpatioTemporalIndex(double cell_size_m = kDefaultIndexCellSizeM);
-
   // Snapshots `store` into a fresh index.
-  static SpatioTemporalIndex BuildFromStore(
-      const TrajectoryStore& store,
-      double cell_size_m = kDefaultIndexCellSizeM);
+  static SpatioTemporalIndex BuildFromStore(const TrajectoryStore& store);
 
-  double cell_size_m() const { return cell_size_m_; }
   const std::vector<ObjectEntry>& objects() const { return objects_; }
-  size_t posting_count() const { return total_postings_; }
 
-  // Sorted, deduplicated postings whose block summaries overlap both
-  // [t0, t1] and `box`. A superset-free exact filter at summary
-  // granularity: every returned block really overlaps, and every block
-  // that overlaps is returned (the grid only narrows which summaries get
-  // tested).
+  // The blocks whose summaries overlap both [t0, t1] and `box`, ordered
+  // by (object, block) and free of duplicates — exactly what a test of
+  // every summary would return. Per object, a bisection on t_max finds
+  // the first block that ends at or after t0, and the scan stops at the
+  // first block that starts after t1.
   std::vector<Posting> CandidateBlocks(const BoundingBox& box, double t0,
                                        double t1) const;
 
@@ -92,26 +71,18 @@ class SpatioTemporalIndex {
   // logical content.
   std::string SerializeToString() const;
 
-  // Parses and validates a STIX image, rebuilding the grid; kDataLoss on
-  // any corruption (bad magic/version/CRC, invalid summaries, duplicate
+  // Parses and validates a STIX image; kDataLoss on any corruption (bad
+  // magic/version/CRC, invalid or out-of-time-order summaries, duplicate
   // or unordered ids, non-positive cell size).
   static Result<SpatioTemporalIndex> LoadFromBuffer(std::string_view data);
 
   // True when this index exactly describes `store`'s current contents:
-  // same object ids in order, same point counts, same payload CRCs.
+  // same object ids in order, same point counts, same payload CRCs, same
+  // summary tables.
   bool Matches(const TrajectoryStore& store) const;
 
  private:
-  using CellKey = std::pair<int64_t, int64_t>;
-
-  CellKey KeyFor(Vec2 position) const;
-  void InsertPostings(uint32_t object_ordinal);
-
-  double cell_size_m_;
   std::vector<ObjectEntry> objects_;  // Ascending by id (store map order).
-  std::map<CellKey, std::vector<Posting>> cells_;
-  std::vector<Posting> oversize_;  // Blocks spanning > kMaxCellsPerBlock.
-  size_t total_postings_ = 0;
 };
 
 }  // namespace stcomp

@@ -148,8 +148,9 @@ Result<const std::vector<BlockSummary>*> TrajectoryStore::BlockSummariesOf(
   return &entry->blocks;
 }
 
-Result<std::vector<TimedPoint>> TrajectoryStore::DecodeBlock(
-    std::string_view object_id, size_t block_index) const {
+Status TrajectoryStore::DecodeBlockWithJunction(
+    std::string_view object_id, size_t block_index,
+    std::vector<TimedPoint>* points) const {
   const Entry* entry = FindEntry(object_id);
   if (entry == nullptr) {
     return NotFoundError("object '" + std::string(object_id) +
@@ -158,28 +159,19 @@ Result<std::vector<TimedPoint>> TrajectoryStore::DecodeBlock(
   if (block_index >= entry->blocks.size()) {
     return OutOfRangeError("block index past the object's block count");
   }
+  const std::string_view encoded = entry->encoded;
   const BlockSummary& block = entry->blocks[block_index];
-  std::string_view slice = std::string_view(entry->encoded)
-                               .substr(block.byte_offset, block.byte_length);
-  return DecodePoints(&slice, codec_, block.count);
-}
-
-Result<TimedPoint> TrajectoryStore::DecodeBlockFirstPoint(
-    std::string_view object_id, size_t block_index) const {
-  const Entry* entry = FindEntry(object_id);
-  if (entry == nullptr) {
-    return NotFoundError("object '" + std::string(object_id) +
-                         "' not in store");
+  points->clear();
+  points->reserve(block.count + 1);
+  std::string_view slice =
+      encoded.substr(block.byte_offset, block.byte_length);
+  STCOMP_RETURN_IF_ERROR(DecodePointsInto(&slice, codec_, block.count, points));
+  if (block_index + 1 < entry->blocks.size()) {
+    const BlockSummary& next = entry->blocks[block_index + 1];
+    slice = encoded.substr(next.byte_offset, next.byte_length);
+    STCOMP_RETURN_IF_ERROR(DecodePointsInto(&slice, codec_, 1, points));
   }
-  if (block_index >= entry->blocks.size()) {
-    return OutOfRangeError("block index past the object's block count");
-  }
-  const BlockSummary& block = entry->blocks[block_index];
-  std::string_view slice = std::string_view(entry->encoded)
-                               .substr(block.byte_offset, block.byte_length);
-  STCOMP_ASSIGN_OR_RETURN(const std::vector<TimedPoint> points,
-                          DecodePoints(&slice, codec_, 1));
-  return points.front();
+  return Status::Ok();
 }
 
 void TrajectoryStore::VisitBlocks(

@@ -64,14 +64,15 @@ class TrajectoryStore {
   Result<const std::vector<BlockSummary>*> BlockSummariesOf(
       std::string_view object_id) const;
 
-  // Decodes one block's coded points (storage values; no junction point).
-  Result<std::vector<TimedPoint>> DecodeBlock(std::string_view object_id,
-                                              size_t block_index) const;
-
-  // Decodes only the first point of a block — the cheap junction lookup
-  // (a block's last segment ends at the next block's first point).
-  Result<TimedPoint> DecodeBlockFirstPoint(std::string_view object_id,
-                                           size_t block_index) const;
+  // Replaces `*points` with one block's coded points (storage values)
+  // followed by its junction point — the next block's first point, where
+  // the block's last segment ends — when a next block exists. A query
+  // passes the same buffer for every block, so decoding allocates only
+  // until the buffer has grown to a block. kNotFound for unknown ids,
+  // kOutOfRange for a block index past the object's block count.
+  Status DecodeBlockWithJunction(std::string_view object_id,
+                                 size_t block_index,
+                                 std::vector<TimedPoint>* points) const;
 
   // Visits every object's id, point count, summary table and encoded
   // payload in id order (the index builder's scan).
