@@ -29,7 +29,7 @@
 
 namespace stcomp {
 
-// Coded points per block. Small enough that a selective query decodes a
+// Coded points per block. Small enough that a selective query scans a
 // few dozen points per candidate block; large enough that the summary
 // table stays a tiny fraction of the payload.
 inline constexpr size_t kDefaultBlockPoints = 64;

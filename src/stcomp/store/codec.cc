@@ -189,10 +189,14 @@ TimedPoint StorageValue(const TimedPoint& point, Codec codec) {
   if (codec == Codec::kRaw) {
     return point;
   }
-  return TimedPoint(
-      std::round(point.t / kTimeQuantumS) * kTimeQuantumS,
-      std::round(point.position.x / kCoordQuantumM) * kCoordQuantumM,
-      std::round(point.position.y / kCoordQuantumM) * kCoordQuantumM);
+  // The decoder multiplies an int64, which has no negative zero; adding
+  // +0.0 turns a rounded -0.0 into +0.0 so the two agree bit for bit.
+  const auto on_grid = [](double value, double quantum) {
+    return (std::round(value / quantum) + 0.0) * quantum;
+  };
+  return TimedPoint(on_grid(point.t, kTimeQuantumS),
+                    on_grid(point.position.x, kCoordQuantumM),
+                    on_grid(point.position.y, kCoordQuantumM));
 }
 
 Result<std::vector<TimedPoint>> DecodePoints(std::string_view* input,

@@ -48,14 +48,15 @@ Status EncodePointSpan(const TimedPoint* points, size_t count, Codec codec,
 // existing chain (`previous == nullptr` restarts the chain, i.e. codes
 // the point absolute). Byte-identical to the corresponding slice of
 // EncodePointSpan over the same sequence — the store's O(1) append path
-// relies on that.
+// relies on that. Appends nothing when it fails.
 Status EncodeNextPoint(const TimedPoint* previous, const TimedPoint& point,
                        Codec codec, std::string* out);
 
-// The value the decoder will reconstruct for `point`: identity for kRaw,
-// the quantisation round-trip (1 ms / 1 cm grid) for kDelta. Block
-// summaries are computed over storage values so decoded points can never
-// escape their block's declared bounds.
+// The value the decoder will reconstruct for `point`, bit for bit:
+// identity for kRaw, the quantisation round-trip (1 ms / 1 cm grid) for
+// kDelta. Block summaries are computed over storage values so decoded
+// points can never escape their block's declared bounds, and the store
+// keeps every object's storage values resident for queries.
 TimedPoint StorageValue(const TimedPoint& point, Codec codec);
 
 // Decodes exactly `count` points from the front of `*input`, advancing it.

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <span>
+#include <utility>
 
 #include "stcomp/common/strings.h"
 #include "stcomp/obs/exposition.h"
@@ -111,11 +112,12 @@ struct SetPredicate {
   }
 };
 
-// Scans `points` (a full object or one block plus its junction) for the
-// first predicate match; `base_t_known` guards the single-point case.
-// Returns true and the clipped start time of the first matching segment.
-bool FirstHitInSpan(const std::vector<TimedPoint>& points, double t0,
-                    double t1, const SetPredicate& pred, double* first_hit_t) {
+// Scans `points` (a full object, or one block plus its junction) for the
+// first predicate match; a single point is tested as a degenerate
+// segment. Returns true and the clipped start time of the first matching
+// segment.
+bool FirstHitInSpan(std::span<const TimedPoint> points, double t0, double t1,
+                    const SetPredicate& pred, double* first_hit_t) {
   if (points.size() == 1) {
     const TimedPoint& p = points[0];
     if (p.t < t0 || p.t > t1) {
@@ -143,7 +145,7 @@ bool FirstHitInSpan(const std::vector<TimedPoint>& points, double t0,
 
 // Minimum distance from `query` to the clipped polyline over `points`;
 // false when no segment overlaps the window.
-bool MinDistanceInSpan(const std::vector<TimedPoint>& points, double t0,
+bool MinDistanceInSpan(std::span<const TimedPoint> points, double t0,
                        double t1, Vec2 query, double* min_distance) {
   bool any = false;
   double best = kUnboundedHigh;
@@ -167,6 +169,72 @@ bool MinDistanceInSpan(const std::vector<TimedPoint>& points, double t0,
     *min_distance = best;
   }
   return any;
+}
+
+// The part of a block's points whose segments overlap [t0, t1]. Segment
+// i runs from points[i] to points[i + 1]; times strictly increase, so the
+// overlapping segments run from the first one ending at or after t0 to
+// the last one starting at or before t1. Fewer than two points come back
+// unchanged, and an empty span means no segment overlaps, so the span
+// helpers above test exactly the segments their window clip would keep.
+std::span<const TimedPoint> SegmentsInWindow(std::span<const TimedPoint> points,
+                                             double t0, double t1) {
+  if (points.size() < 2) {
+    return points;
+  }
+  const auto first =
+      std::partition_point(points.begin() + 1, points.end(),
+                           [t0](const TimedPoint& p) { return p.t < t0; }) -
+      1;
+  const auto stop =
+      std::partition_point(first, points.end() - 1,
+                           [t1](const TimedPoint& p) { return p.t <= t1; });
+  if (stop == first) {
+    return {};
+  }
+  return {first, stop + 1};
+}
+
+// One block's points plus its junction (the next block's first point,
+// where the block's last segment ends), sliced from the object's
+// resident storage values. kOutOfRange when the summary reaches past
+// them, i.e. the index does not describe the store.
+Result<std::span<const TimedPoint>> BlockPoints(
+    std::span<const TimedPoint> points, const BlockSummary& block) {
+  if (block.first_point > points.size() ||
+      block.count > points.size() - block.first_point) {
+    return OutOfRangeError("block summary reaches past the object's points");
+  }
+  const size_t available = points.size() - block.first_point;
+  return points.subspan(block.first_point,
+                        std::min<size_t>(block.count + size_t{1}, available));
+}
+
+// Keeps `top` the k smallest (distance, object ordinal) pairs offered so
+// far, ascending, with one entry per object holding its smallest distance.
+// O(k) per offer; once full, top->back() is the k-th best distance.
+void OfferNearest(std::pair<double, uint32_t> offer, size_t k,
+                  std::vector<std::pair<double, uint32_t>>* top) {
+  auto it = std::find_if(top->begin(), top->end(), [&offer](const auto& e) {
+    return e.second == offer.second;
+  });
+  if (it != top->end()) {
+    if (offer.first >= it->first) {
+      return;
+    }
+    it->first = offer.first;
+  } else if (top->size() < k) {
+    top->push_back(offer);
+    it = top->end() - 1;
+  } else if (offer < top->back()) {
+    top->back() = offer;
+    it = top->end() - 1;
+  } else {
+    return;
+  }
+  for (; it != top->begin() && *it < *(it - 1); --it) {
+    std::iter_swap(it, it - 1);
+  }
 }
 
 Status ValidateWindow(const QueryRequest& request) {
@@ -293,13 +361,12 @@ Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
     };
     std::vector<NearestCandidate> candidates;
     for (uint32_t o = 0; o < objects.size(); ++o) {
-      for (uint32_t b = 0; b < objects[o].blocks.size(); ++b) {
-        const BlockSummary& block = objects[o].blocks[b];
-        if (!block.OverlapsTime(t0, t1)) {
-          continue;
-        }
+      const std::vector<BlockSummary>& blocks = objects[o].blocks;
+      const auto [begin, end] = BlocksOverlappingTime(blocks, t0, t1);
+      for (size_t b = begin; b < end; ++b) {
         candidates.push_back(NearestCandidate{
-            PointToBoxDistance(request.point, block.bounds), o, b});
+            PointToBoxDistance(request.point, blocks[b].bounds), o,
+            static_cast<uint32_t>(b)});
       }
     }
     std::sort(candidates.begin(), candidates.end(),
@@ -311,48 +378,29 @@ Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
                                             : a.block < b.block;
               });
     answer.stats.blocks_considered = candidates.size();
-    std::map<uint32_t, double> best;
-    const auto kth_bound = [&best, &request]() {
-      if (best.size() < request.k) {
-        return kUnboundedHigh;
-      }
-      std::vector<double> values;
-      values.reserve(best.size());
-      for (const auto& [object, distance] : best) {
-        values.push_back(distance);
-      }
-      std::nth_element(values.begin(), values.begin() + (request.k - 1),
-                       values.end());
-      return values[request.k - 1];
-    };
-    std::vector<TimedPoint> points;
+    std::vector<std::pair<double, uint32_t>> top;
+    // Each object's resident points, looked up on its first candidate.
+    std::vector<std::span<const TimedPoint>> resident(objects.size());
     for (const NearestCandidate& candidate : candidates) {
-      if (best.size() >= request.k && candidate.lower_bound > kth_bound()) {
+      if (top.size() == request.k && candidate.lower_bound > top.back().first) {
         break;
       }
-      STCOMP_RETURN_IF_ERROR(store.DecodeBlockWithJunction(
-          objects[candidate.object].id, candidate.block, &points));
+      const auto& object = objects[candidate.object];
+      std::span<const TimedPoint>& points = resident[candidate.object];
+      if (points.empty()) {
+        STCOMP_ASSIGN_OR_RETURN(points, store.StoragePoints(object.id));
+      }
+      STCOMP_ASSIGN_OR_RETURN(
+          const std::span<const TimedPoint> block,
+          BlockPoints(points, object.blocks[candidate.block]));
       ++answer.stats.blocks_decoded;
       double distance = 0.0;
-      if (MinDistanceInSpan(points, t0, t1, request.point, &distance)) {
-        const auto it = best.find(candidate.object);
-        if (it == best.end()) {
-          best.emplace(candidate.object, distance);
-        } else {
-          it->second = std::min(it->second, distance);
-        }
+      if (MinDistanceInSpan(SegmentsInWindow(block, t0, t1), t0, t1,
+                            request.point, &distance)) {
+        OfferNearest({distance, candidate.object}, request.k, &top);
       }
     }
-    std::vector<std::pair<double, uint32_t>> ranked;
-    ranked.reserve(best.size());
-    for (const auto& [object, distance] : best) {
-      ranked.emplace_back(distance, object);
-    }
-    std::sort(ranked.begin(), ranked.end());
-    if (ranked.size() > request.k) {
-      ranked.resize(request.k);
-    }
-    for (const auto& [distance, object] : ranked) {
+    for (const auto& [distance, object] : top) {
       answer.hits.push_back(QueryHit{objects[object].id, 0.0, distance});
     }
     Metrics().blocks_considered->Increment(answer.stats.blocks_considered);
@@ -360,9 +408,10 @@ Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
     return answer;
   }
 
-  // Range / corridor: candidate blocks from the index, then decode only
-  // those, ascending per object — skipped blocks provably hold no hits,
-  // so the first match found is the object's earliest.
+  // Range / corridor: candidate blocks from the index, then scan only
+  // those blocks' resident points, ascending per object — skipped blocks
+  // provably hold no hits, so the first match found is the object's
+  // earliest.
   SetPredicate pred;
   pred.type = request.type;
   std::vector<SpatioTemporalIndex::Posting> candidates;
@@ -401,10 +450,11 @@ Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
     });
   }
   answer.stats.blocks_considered = candidates.size();
-  std::vector<TimedPoint> points;
   for (size_t i = 0; i < candidates.size();) {
     const uint32_t object_ordinal = candidates[i].object;
     const auto& object = objects[object_ordinal];
+    STCOMP_ASSIGN_OR_RETURN(const std::span<const TimedPoint> points,
+                            store.StoragePoints(object.id));
     bool hit = false;
     double first_hit_t = 0.0;
     for (; i < candidates.size() && candidates[i].object == object_ordinal;
@@ -412,11 +462,12 @@ Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
       if (hit) {
         continue;  // Later candidate blocks cannot beat an earlier hit.
       }
-      STCOMP_RETURN_IF_ERROR(
-          store.DecodeBlockWithJunction(object.id, candidates[i].block,
-                                        &points));
+      STCOMP_ASSIGN_OR_RETURN(
+          const std::span<const TimedPoint> block,
+          BlockPoints(points, object.blocks[candidates[i].block]));
       ++answer.stats.blocks_decoded;
-      hit = FirstHitInSpan(points, t0, t1, pred, &first_hit_t);
+      hit = FirstHitInSpan(SegmentsInWindow(block, t0, t1), t0, t1, pred,
+                           &first_hit_t);
     }
     if (hit) {
       answer.hits.push_back(QueryHit{object.id, first_hit_t, 0.0});

@@ -1,10 +1,11 @@
-// Queries over the compressed store (DESIGN.md §17), evaluated directly
-// on the blocked codec stream: block summaries (block_summary.h) and the
-// spatio-temporal index (st_index.h) narrow the search to candidate
-// blocks, and only those are decoded. Four query types:
+// Queries over the compressed store (DESIGN.md §17): block summaries
+// (block_summary.h) and the spatio-temporal index (st_index.h) narrow the
+// search to candidate blocks, and only those blocks' points are read —
+// from the store's resident storage values, bisected on time, without
+// decoding the payload. Four query types:
 //
 //   kTimeWindow — objects whose motion overlaps [t0, t1] (index-only; no
-//                 payload decode at all).
+//                 points read at all).
 //   kRange      — objects whose motion during [t0, t1] enters an axis-
 //                 aligned box.
 //   kCorridor   — objects whose motion during [t0, t1] comes within
@@ -22,10 +23,11 @@
 //
 // RunQuery (index-accelerated) and BruteForceQuery (decode everything;
 // the oracle) produce bitwise-identical hits for the same store and
-// request: both walk the same decoded storage values through the same
-// clipping and predicate helpers, and skipped blocks provably contain no
-// hits (a block's summary covers its points plus the junction point, so
-// every polyline segment lies within exactly one block's extents). The
+// request: the resident storage values equal the decoded payload bit for
+// bit, both sides walk them through the same clipping and predicate
+// helpers, and skipped blocks and segments provably contain no hits (a
+// block's summary covers its points plus the junction point, so every
+// polyline segment lies within exactly one block's extents). The
 // differential test suite holds this equality across algorithms, shard
 // counts and seeded fleets.
 
@@ -85,6 +87,8 @@ struct QueryStats {
   uint64_t objects_considered = 0;
   uint64_t blocks_total = 0;      // Blocks owned by considered objects.
   uint64_t blocks_considered = 0; // Candidates after the summary filter.
+  // Candidate blocks whose points were scanned (the name predates the
+  // resident points; nothing is decoded any more).
   uint64_t blocks_decoded = 0;
 };
 

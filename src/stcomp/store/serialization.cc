@@ -93,7 +93,8 @@ Result<std::string> SerializeTrajectoryBlocked(const Trajectory& trajectory,
   return SerializeBlockedFrame(trajectory.name(), codec, blocks, payload);
 }
 
-Result<Trajectory> DeserializeTrajectory(std::string_view* input) {
+Result<Trajectory> DeserializeTrajectory(std::string_view* input,
+                                         Codec* codec_out) {
   const std::string_view frame_start = *input;
   if (input->size() < 6) {
     return DataLossError("trajectory frame truncated");
@@ -135,12 +136,11 @@ Result<Trajectory> DeserializeTrajectory(std::string_view* input) {
         return DataLossError("block payload exceeds frame payload");
       }
       std::string_view slice = input->substr(0, block.byte_length);
-      STCOMP_ASSIGN_OR_RETURN(std::vector<TimedPoint> decoded,
-                              DecodePoints(&slice, codec, block.count));
+      STCOMP_RETURN_IF_ERROR(
+          DecodePointsInto(&slice, codec, block.count, &points));
       if (!slice.empty()) {
         return DataLossError("block payload longer than its coded points");
       }
-      points.insert(points.end(), decoded.begin(), decoded.end());
       input->remove_prefix(block.byte_length);
     }
   }
@@ -161,11 +161,15 @@ Result<Trajectory> DeserializeTrajectory(std::string_view* input) {
   STCOMP_ASSIGN_OR_RETURN(Trajectory trajectory,
                           Trajectory::FromPoints(std::move(points)));
   trajectory.set_name(std::move(name));
+  if (codec_out != nullptr) {
+    *codec_out = codec;
+  }
   return trajectory;
 }
 
 std::vector<Trajectory> ScanTrajectoryFrames(std::string_view image,
-                                             FrameScanStats* stats) {
+                                             FrameScanStats* stats,
+                                             std::vector<Codec>* codecs) {
   FrameScanStats local;
   if (stats == nullptr) {
     stats = &local;
@@ -176,9 +180,13 @@ std::vector<Trajectory> ScanTrajectoryFrames(std::string_view image,
   while (!cursor.empty()) {
     const size_t offset = static_cast<size_t>(cursor.data() - image.data());
     std::string_view attempt = cursor;
-    Result<Trajectory> frame = DeserializeTrajectory(&attempt);
+    Codec codec = Codec::kRaw;
+    Result<Trajectory> frame = DeserializeTrajectory(&attempt, &codec);
     if (frame.ok()) {
       frames.push_back(*std::move(frame));
+      if (codecs != nullptr) {
+        codecs->push_back(codec);
+      }
       ++stats->frames_good;
       cursor = attempt;
       continue;

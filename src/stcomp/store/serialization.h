@@ -55,8 +55,9 @@ Result<std::string> SerializeTrajectoryBlocked(
 
 // Parses one framed trajectory (either version) from the front of
 // `*input`, advancing it (multiple frames may be concatenated in one
-// buffer/file).
-Result<Trajectory> DeserializeTrajectory(std::string_view* input);
+// buffer/file). `codec` (may be null) receives the frame's codec.
+Result<Trajectory> DeserializeTrajectory(std::string_view* input,
+                                         Codec* codec = nullptr);
 
 // Salvaging frame scan (DESIGN.md §13). Strict decoding (above) turns one
 // flipped bit into kDataLoss for the whole image; the scanner instead
@@ -71,9 +72,11 @@ struct FrameScanStats {
   std::vector<std::string> log;  // One human-readable line per skip.
 };
 
-// Returns every decodable frame in order. `stats` may be null.
-std::vector<Trajectory> ScanTrajectoryFrames(std::string_view image,
-                                             FrameScanStats* stats);
+// Returns every decodable frame in order. `stats` may be null; `codecs`
+// (may be null) receives each returned frame's codec, in the same order.
+std::vector<Trajectory> ScanTrajectoryFrames(
+    std::string_view image, FrameScanStats* stats,
+    std::vector<Codec>* codecs = nullptr);
 
 Status WriteTrajectoryFile(const Trajectory& trajectory, Codec codec,
                            const std::string& path);

@@ -23,6 +23,18 @@ void PutCrc(uint32_t crc, std::string* out) {
 
 }  // namespace
 
+std::pair<size_t, size_t> BlocksOverlappingTime(
+    const std::vector<BlockSummary>& blocks, double t0, double t1) {
+  const auto begin = std::partition_point(
+      blocks.begin(), blocks.end(),
+      [t0](const BlockSummary& block) { return block.t_max < t0; });
+  const auto end = std::partition_point(
+      begin, blocks.end(),
+      [t1](const BlockSummary& block) { return block.t_min <= t1; });
+  return {static_cast<size_t>(begin - blocks.begin()),
+          static_cast<size_t>(end - blocks.begin())};
+}
+
 SpatioTemporalIndex SpatioTemporalIndex::BuildFromStore(
     const TrajectoryStore& store) {
   SpatioTemporalIndex index;
@@ -41,18 +53,10 @@ SpatioTemporalIndex::CandidateBlocks(const BoundingBox& box, double t0,
   std::vector<Posting> candidates;
   for (uint32_t object = 0; object < objects_.size(); ++object) {
     const std::vector<BlockSummary>& blocks = objects_[object].blocks;
-    // Both t_min and t_max are nondecreasing along the table (timestamps
-    // strictly increase and a block's t_max is its junction point's time),
-    // so the blocks overlapping [t0, t1] form one run: it starts at the
-    // first block ending at or after t0 and stops before the first block
-    // starting after t1.
-    auto it = std::partition_point(
-        blocks.begin(), blocks.end(),
-        [t0](const BlockSummary& block) { return block.t_max < t0; });
-    for (; it != blocks.end() && it->t_min <= t1; ++it) {
-      if (it->bounds.Intersects(box)) {
-        candidates.push_back(
-            {object, static_cast<uint32_t>(it - blocks.begin())});
+    const auto [begin, end] = BlocksOverlappingTime(blocks, t0, t1);
+    for (size_t block = begin; block < end; ++block) {
+      if (blocks[block].bounds.Intersects(box)) {
+        candidates.push_back({object, static_cast<uint32_t>(block)});
       }
     }
   }

@@ -2,8 +2,8 @@
 // (DESIGN.md §17). The index carries each object's full block-summary
 // table; range/corridor queries find candidate blocks by bisecting each
 // table on time and testing the bounding boxes of the blocks in the
-// window, then decode only those. kNN pruning and time-window queries run
-// off the same tables without touching payloads.
+// window, then read only those blocks' points. kNN pruning and
+// time-window queries run off the same tables.
 //
 // On-disk format (index.stidx, written by the segment store at
 // checkpoint):
@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "stcomp/common/result.h"
@@ -35,6 +36,15 @@
 #include "stcomp/store/trajectory_store.h"
 
 namespace stcomp {
+
+// The blocks of one object's summary table whose time spans overlap
+// [t0, t1], as a [begin, end) index range. Timestamps strictly increase
+// and a block's t_max is its junction point's time, so t_min and t_max
+// are both nondecreasing along a table and those blocks form one run:
+// from the first block ending at or after t0 to the last starting at or
+// before t1. Two bisections find it.
+std::pair<size_t, size_t> BlocksOverlappingTime(
+    const std::vector<BlockSummary>& blocks, double t0, double t1);
 
 class SpatioTemporalIndex {
  public:
@@ -61,9 +71,8 @@ class SpatioTemporalIndex {
 
   // The blocks whose summaries overlap both [t0, t1] and `box`, ordered
   // by (object, block) and free of duplicates — exactly what a test of
-  // every summary would return. Per object, a bisection on t_max finds
-  // the first block that ends at or after t0, and the scan stops at the
-  // first block that starts after t1.
+  // every summary would return. Per object, only the blocks of
+  // BlocksOverlappingTime are tested against the box.
   std::vector<Posting> CandidateBlocks(const BoundingBox& box, double t0,
                                        double t1) const;
 

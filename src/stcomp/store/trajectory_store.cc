@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "stcomp/common/check.h"
+#include "stcomp/common/strings.h"
 #include "stcomp/core/interpolation.h"
 #include "stcomp/obs/metrics.h"
 #include "stcomp/obs/timer.h"
@@ -35,6 +36,20 @@ const StoreMetrics& Metrics() {
   return *kMetrics;
 }
 
+// `trajectory` mapped to storage values under the same name;
+// kInvalidArgument when two fixes collapse onto one stored time.
+Result<Trajectory> ToStorageValues(const Trajectory& trajectory, Codec codec) {
+  std::vector<TimedPoint> points;
+  points.reserve(trajectory.size());
+  for (const TimedPoint& point : trajectory.points()) {
+    points.push_back(StorageValue(point, codec));
+  }
+  STCOMP_ASSIGN_OR_RETURN(Trajectory mapped,
+                          Trajectory::FromPoints(std::move(points)));
+  mapped.set_name(trajectory.name());
+  return mapped;
+}
+
 }  // namespace
 
 Status TrajectoryStore::EncodeInto(const Trajectory& trajectory,
@@ -44,9 +59,17 @@ Status TrajectoryStore::EncodeInto(const Trajectory& trajectory,
       entry->blocks,
       EncodeBlocked(trajectory.points().data(), trajectory.size(), codec_,
                     kDefaultBlockPoints, &entry->encoded));
-  entry->num_points = trajectory.size();
-  entry->name = trajectory.name();
-  entry->decoded = trajectory;
+  return Status::Ok();
+}
+
+Status TrajectoryStore::EntryFromFrame(Trajectory frame, Codec frame_codec,
+                                       Entry* entry) const {
+  STCOMP_RETURN_IF_ERROR(EncodeInto(frame, entry));
+  if (frame_codec == Codec::kRaw && codec_ == Codec::kDelta) {
+    STCOMP_ASSIGN_OR_RETURN(entry->decoded, ToStorageValues(frame, codec_));
+  } else {
+    entry->decoded = std::move(frame);
+  }
   return Status::Ok();
 }
 
@@ -63,6 +86,7 @@ Status TrajectoryStore::Insert(const std::string& object_id,
   }
   Entry entry;
   STCOMP_RETURN_IF_ERROR(EncodeInto(trajectory, &entry));
+  STCOMP_ASSIGN_OR_RETURN(entry.decoded, ToStorageValues(trajectory, codec_));
   entries_.emplace(object_id, std::move(entry));
   Metrics().inserts->Increment();
   return Status::Ok();
@@ -72,49 +96,51 @@ Status TrajectoryStore::Append(const std::string& object_id,
                                const TimedPoint& point) {
   STCOMP_SCOPED_TIMER_SAMPLED(Metrics().append_seconds);
   Metrics().appends->Increment();
-  auto it = entries_.find(object_id);
-  if (it == entries_.end()) {
-    Trajectory fresh;
-    STCOMP_RETURN_IF_ERROR(fresh.Append(point));
-    fresh.set_name(object_id);
-    Entry entry;
-    STCOMP_RETURN_IF_ERROR(EncodeInto(fresh, &entry));
-    entries_.emplace(object_id, std::move(entry));
-    return Status::Ok();
+  const auto it = entries_.find(object_id);
+  Entry fresh;
+  Entry& entry = it == entries_.end() ? fresh : it->second;
+  Trajectory& decoded = entry.decoded;
+  const TimedPoint storage = StorageValue(point, codec_);
+  if (!decoded.empty() && storage.t <= decoded.back().t) {
+    return InvalidArgumentError(StrFormat(
+        "appended timestamp %.6f stores as %.6f, not after the object's "
+        "last stored time %.6f",
+        point.t, storage.t, decoded.back().t));
   }
-  Entry& entry = it->second;
-  STCOMP_RETURN_IF_ERROR(entry.decoded.Append(point));
   // Appends are incremental: only the new point's bytes are encoded, so
   // live tracking is O(1) per fix. When the tail block is full, a new
   // block starts with a fresh chain — byte- and summary-identical to a
-  // bulk EncodeInto of the whole point sequence.
-  const Trajectory& decoded = entry.decoded;
-  const size_t n = decoded.size();
-  const TimedPoint storage = StorageValue(point, codec_);
+  // bulk EncodeInto of the whole point sequence. Encoding comes first, so
+  // a point the codec refuses leaves the entry untouched.
+  const bool new_block = entry.blocks.empty() ||
+                         entry.blocks.back().count >= kDefaultBlockPoints;
   const size_t before = entry.encoded.size();
-  if (entry.blocks.empty() || entry.blocks.back().count >= kDefaultBlockPoints) {
+  STCOMP_RETURN_IF_ERROR(EncodeNextPoint(new_block ? nullptr : &decoded.back(),
+                                         point, codec_, &entry.encoded));
+  const auto bytes = static_cast<uint32_t>(entry.encoded.size() - before);
+  if (new_block) {
     if (!entry.blocks.empty()) {
       // The new point is the previous block's junction: its last segment
       // ends here.
       ExtendBlockSummary(&entry.blocks.back(), storage);
     }
     BlockSummary block = MakeBlockSummary(storage);
-    block.first_point = n - 1;
+    block.first_point = decoded.size();
     block.byte_offset = before;
-    STCOMP_RETURN_IF_ERROR(
-        EncodeNextPoint(nullptr, point, codec_, &entry.encoded));
     block.count = 1;
-    block.byte_length = static_cast<uint32_t>(entry.encoded.size() - before);
+    block.byte_length = bytes;
     entry.blocks.push_back(block);
   } else {
-    STCOMP_RETURN_IF_ERROR(
-        EncodeNextPoint(&decoded[n - 2], point, codec_, &entry.encoded));
     BlockSummary& block = entry.blocks.back();
     ++block.count;
-    block.byte_length += static_cast<uint32_t>(entry.encoded.size() - before);
+    block.byte_length += bytes;
     ExtendBlockSummary(&block, storage);
   }
-  entry.num_points = n;
+  STCOMP_CHECK_OK(decoded.Append(storage));
+  if (it == entries_.end()) {
+    decoded.set_name(object_id);
+    entries_.emplace(object_id, std::move(fresh));
+  }
   return Status::Ok();
 }
 
@@ -124,17 +150,17 @@ Result<Trajectory> TrajectoryStore::Get(const std::string& object_id) const {
     return NotFoundError("object '" + object_id + "' not in store");
   }
   std::vector<TimedPoint> points;
-  points.reserve(entry->num_points);
+  points.reserve(entry->decoded.size());
   std::string_view cursor = entry->encoded;
   // Each block is its own chain; decode block by block.
   for (const BlockSummary& block : entry->blocks) {
-    STCOMP_ASSIGN_OR_RETURN(std::vector<TimedPoint> decoded,
-                            DecodePoints(&cursor, codec_, block.count));
-    points.insert(points.end(), decoded.begin(), decoded.end());
+    STCOMP_RETURN_IF_ERROR(
+        DecodePointsInto(&cursor, codec_, block.count, &points));
   }
   STCOMP_ASSIGN_OR_RETURN(Trajectory trajectory,
                           Trajectory::FromPoints(std::move(points)));
-  trajectory.set_name(entry->name.empty() ? object_id : entry->name);
+  const std::string& name = entry->decoded.name();
+  trajectory.set_name(name.empty() ? object_id : name);
   return trajectory;
 }
 
@@ -148,30 +174,14 @@ Result<const std::vector<BlockSummary>*> TrajectoryStore::BlockSummariesOf(
   return &entry->blocks;
 }
 
-Status TrajectoryStore::DecodeBlockWithJunction(
-    std::string_view object_id, size_t block_index,
-    std::vector<TimedPoint>* points) const {
+Result<std::span<const TimedPoint>> TrajectoryStore::StoragePoints(
+    std::string_view object_id) const {
   const Entry* entry = FindEntry(object_id);
   if (entry == nullptr) {
     return NotFoundError("object '" + std::string(object_id) +
                          "' not in store");
   }
-  if (block_index >= entry->blocks.size()) {
-    return OutOfRangeError("block index past the object's block count");
-  }
-  const std::string_view encoded = entry->encoded;
-  const BlockSummary& block = entry->blocks[block_index];
-  points->clear();
-  points->reserve(block.count + 1);
-  std::string_view slice =
-      encoded.substr(block.byte_offset, block.byte_length);
-  STCOMP_RETURN_IF_ERROR(DecodePointsInto(&slice, codec_, block.count, points));
-  if (block_index + 1 < entry->blocks.size()) {
-    const BlockSummary& next = entry->blocks[block_index + 1];
-    slice = encoded.substr(next.byte_offset, next.byte_length);
-    STCOMP_RETURN_IF_ERROR(DecodePointsInto(&slice, codec_, 1, points));
-  }
-  return Status::Ok();
+  return std::span<const TimedPoint>(entry->decoded.points());
 }
 
 void TrajectoryStore::VisitBlocks(
@@ -179,7 +189,7 @@ void TrajectoryStore::VisitBlocks(
                              const std::vector<BlockSummary>& blocks,
                              std::string_view payload)>& fn) const {
   for (const auto& [id, entry] : entries_) {
-    fn(id, entry.num_points, entry.blocks, entry.encoded);
+    fn(id, entry.decoded.size(), entry.blocks, entry.encoded);
   }
 }
 
@@ -222,7 +232,7 @@ Result<Trajectory> TrajectoryStore::TimeSlice(const std::string& object_id,
   const double lo = std::max(t0, decoded.front().t);
   const double hi = std::min(t1, decoded.back().t);
   Trajectory slice;
-  slice.set_name(decoded.name());
+  slice.set_name(object_id);
   if (lo == hi) {
     STCOMP_ASSIGN_OR_RETURN(const Vec2 at, decoded.PositionAt(lo));
     STCOMP_CHECK_OK(slice.Append(TimedPoint(lo, at)));
@@ -282,16 +292,18 @@ Status TrajectoryStore::LoadFromBuffer(std::string_view data) {
   std::string_view cursor = data;
   std::map<std::string, Entry, std::less<>> loaded;
   while (!cursor.empty()) {
-    STCOMP_ASSIGN_OR_RETURN(const Trajectory trajectory,
-                            DeserializeTrajectory(&cursor));
-    if (trajectory.name().empty()) {
+    Codec frame_codec = codec_;
+    STCOMP_ASSIGN_OR_RETURN(Trajectory trajectory,
+                            DeserializeTrajectory(&cursor, &frame_codec));
+    std::string id = trajectory.name();
+    if (id.empty()) {
       return DataLossError("stored trajectory frame without an object id");
     }
     Entry entry;
-    STCOMP_RETURN_IF_ERROR(EncodeInto(trajectory, &entry));
-    if (!loaded.emplace(trajectory.name(), std::move(entry)).second) {
-      return DataLossError("duplicate object id '" + trajectory.name() +
-                           "' in store file");
+    STCOMP_RETURN_IF_ERROR(
+        EntryFromFrame(std::move(trajectory), frame_codec, &entry));
+    if (!loaded.emplace(id, std::move(entry)).second) {
+      return DataLossError("duplicate object id '" + id + "' in store file");
     }
   }
   entries_ = std::move(loaded);
@@ -305,16 +317,19 @@ Status TrajectoryStore::SalvageFromBuffer(std::string_view data,
     stats = &local;
   }
   std::map<std::string, Entry, std::less<>> loaded;
-  for (Trajectory& trajectory : ScanTrajectoryFrames(data, stats)) {
-    if (trajectory.name().empty()) {
+  std::vector<Codec> codecs;
+  std::vector<Trajectory> frames = ScanTrajectoryFrames(data, stats, &codecs);
+  for (size_t i = 0; i < frames.size(); ++i) {
+    std::string id = frames[i].name();
+    if (id.empty()) {
       stats->log.push_back("dropped frame without an object id");
       continue;
     }
     Entry entry;
-    STCOMP_RETURN_IF_ERROR(EncodeInto(trajectory, &entry));
-    if (!loaded.emplace(trajectory.name(), std::move(entry)).second) {
-      stats->log.push_back("dropped duplicate object id '" +
-                           trajectory.name() + "'");
+    STCOMP_RETURN_IF_ERROR(
+        EntryFromFrame(std::move(frames[i]), codecs[i], &entry));
+    if (!loaded.emplace(id, std::move(entry)).second) {
+      stats->log.push_back("dropped duplicate object id '" + id + "'");
     }
   }
   entries_ = std::move(loaded);

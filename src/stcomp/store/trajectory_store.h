@@ -1,15 +1,18 @@
 // An in-memory moving-object trajectory store — the database-side substrate
 // the paper's introduction motivates (storage of <t, x, y> streams for
-// fleets of objects). Trajectories are held delta-encoded; queries decode
-// on demand. Supports per-object append (the live-tracking path), time-
-// interval slicing with interpolated boundary positions, bounding-box
-// search and storage accounting.
+// fleets of objects). Trajectories are held delta-encoded as the durable
+// form, next to a resident array of the same points as storage values
+// (what decoding the payload yields) that queries read without decoding.
+// Supports per-object append (the live-tracking path), time-interval
+// slicing with interpolated boundary positions, bounding-box search and
+// storage accounting.
 
 #ifndef STCOMP_STORE_TRAJECTORY_STORE_H_
 #define STCOMP_STORE_TRAJECTORY_STORE_H_
 
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,24 +33,31 @@ class TrajectoryStore {
   Codec codec() const { return codec_; }
 
   // Inserts a whole trajectory under `object_id`; kAlreadyExists if the id
-  // is taken.
+  // is taken, kInvalidArgument if two fixes share a stored time (kDelta
+  // keeps time to 1 ms), kOutOfRange if the codec refuses a value.
   Status Insert(const std::string& object_id, const Trajectory& trajectory);
 
-  // Appends one fix to an object, creating it if missing. The fix must be
-  // after the object's last timestamp.
+  // Appends one fix to an object, creating it if missing. The fix's stored
+  // time must be after the object's last stored time (kInvalidArgument
+  // otherwise); a fix the codec refuses is kOutOfRange. A refused fix
+  // leaves the object unchanged.
   Status Append(const std::string& object_id, const TimedPoint& point);
 
+  // Decodes the object's payload.
   Result<Trajectory> Get(const std::string& object_id) const;
   Status Remove(const std::string& object_id);
   std::vector<std::string> ObjectIds() const;
   size_t object_count() const { return entries_.size(); }
 
-  // Object position at time t (kOutOfRange outside its interval).
+  // Object position at time t (kOutOfRange outside its interval). This and
+  // TimeSlice / ObjectsInBox read the storage values, so they answer the
+  // same before and after a save and reload.
   Result<Vec2> PositionAt(const std::string& object_id, double t) const;
 
   // The object's movement during [t0, t1] clipped to its interval, with
-  // interpolated boundary points; kNotFound for unknown ids, kOutOfRange
-  // for empty overlap. Precondition (checked): t0 <= t1.
+  // interpolated boundary points, named after the object; kNotFound for
+  // unknown ids, kOutOfRange for empty overlap. Precondition (checked):
+  // t0 <= t1.
   Result<Trajectory> TimeSlice(const std::string& object_id, double t0,
                                double t1) const;
 
@@ -57,22 +67,19 @@ class TrajectoryStore {
   // Block-level access for the query layer (DESIGN.md §17). Payloads are
   // stored as independently-decodable blocks of at most
   // kDefaultBlockPoints coded points with per-block summaries; queries
-  // consult summaries first and decode only candidate blocks.
+  // consult summaries first and then read only candidate blocks' points.
 
   // The object's block summaries, ordered by first_point; kNotFound for
   // unknown ids. The pointer stays valid until the next mutation.
   Result<const std::vector<BlockSummary>*> BlockSummariesOf(
       std::string_view object_id) const;
 
-  // Replaces `*points` with one block's coded points (storage values)
-  // followed by its junction point — the next block's first point, where
-  // the block's last segment ends — when a next block exists. A query
-  // passes the same buffer for every block, so decoding allocates only
-  // until the buffer has grown to a block. kNotFound for unknown ids,
-  // kOutOfRange for a block index past the object's block count.
-  Status DecodeBlockWithJunction(std::string_view object_id,
-                                 size_t block_index,
-                                 std::vector<TimedPoint>* points) const;
+  // The object's points as storage values, bitwise equal to Get()'s
+  // decode of the payload. Block b holds points [first_point, first_point
+  // + count) and its junction, the point after them. kNotFound for
+  // unknown ids. The span stays valid until the next mutation.
+  Result<std::span<const TimedPoint>> StoragePoints(
+      std::string_view object_id) const;
 
   // Visits every object's id, point count, summary table and encoded
   // payload in id order (the index builder's scan).
@@ -113,13 +120,20 @@ class TrajectoryStore {
   struct Entry {
     std::string encoded;  // Concatenated independently-coded block payloads.
     std::vector<BlockSummary> blocks;  // Parallel summary table.
-    size_t num_points = 0;
-    std::string name;
-    // Decode cache for the append path (kept in sync with `encoded`).
+    // The points as storage values, named like the stored trajectory:
+    // exactly what decoding `encoded` yields. Insert and Append map their
+    // input through StorageValue(); a frame decoded in the store's codec
+    // already holds storage values and is moved in. Every mutation keeps
+    // it in step with `encoded` and `blocks`.
     Trajectory decoded;
   };
 
+  // Encodes `trajectory` into the entry's payload and summary table.
   Status EncodeInto(const Trajectory& trajectory, Entry* entry) const;
+  // The whole load step for one decoded frame: encode, then move the
+  // points in (or map them, for a kRaw frame in a kDelta store).
+  Status EntryFromFrame(Trajectory frame, Codec frame_codec,
+                        Entry* entry) const;
   const Entry* FindEntry(std::string_view object_id) const;
 
   Codec codec_;

@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "stcomp/obs/metrics.h"
 #include "stcomp/store/codec.h"
 #include "stcomp/store/trajectory_store.h"
 #include "test_util.h"
@@ -94,8 +93,7 @@ TEST(BlockSummaryTest, IncrementalAppendMatchesBulkInsert) {
 }
 
 // Storage-value containment: a decoded point never escapes the extents of
-// the block that owns it, and neither does the junction point decoded
-// after it.
+// the block that owns it, and neither does the junction point after it.
 TEST(BlockSummaryTest, DecodedPointsStayInsideBlockExtents) {
   const Trajectory walk = testutil::RandomWalk(180, 3);
   for (const Codec codec : {Codec::kRaw, Codec::kDelta}) {
@@ -104,22 +102,22 @@ TEST(BlockSummaryTest, DecodedPointsStayInsideBlockExtents) {
     Result<const std::vector<BlockSummary>*> blocks =
         store.BlockSummariesOf("veh");
     ASSERT_TRUE(blocks.ok());
-    std::vector<TimedPoint> points;
+    const Result<Trajectory> decoded = store.Get("veh");
+    ASSERT_TRUE(decoded.ok());
+    const std::vector<TimedPoint>& points = decoded->points();
     for (size_t b = 0; b < (*blocks)->size(); ++b) {
       const BlockSummary& summary = (**blocks)[b];
-      ASSERT_TRUE(store.DecodeBlockWithJunction("veh", b, &points).ok());
       const bool has_junction = b + 1 < (*blocks)->size();
-      ASSERT_EQ(points.size(), summary.count + (has_junction ? 1u : 0u));
-      for (const TimedPoint& point : points) {
-        EXPECT_GE(point.t, summary.t_min);
-        EXPECT_LE(point.t, summary.t_max);
-        EXPECT_TRUE(summary.bounds.Contains(point.position));
+      const size_t end =
+          summary.first_point + summary.count + (has_junction ? 1u : 0u);
+      ASSERT_LE(end, points.size());
+      for (size_t i = summary.first_point; i < end; ++i) {
+        EXPECT_GE(points[i].t, summary.t_min);
+        EXPECT_LE(points[i].t, summary.t_max);
+        EXPECT_TRUE(summary.bounds.Contains(points[i].position));
       }
     }
-    EXPECT_EQ(store.DecodeBlockWithJunction("veh", (*blocks)->size(), &points)
-                  .code(),
-              StatusCode::kOutOfRange);
-    EXPECT_EQ(store.DecodeBlockWithJunction("nope", 0, &points).code(),
+    EXPECT_EQ(store.StoragePoints("nope").status().code(),
               StatusCode::kNotFound);
   }
 }
@@ -127,8 +125,7 @@ TEST(BlockSummaryTest, DecodedPointsStayInsideBlockExtents) {
 // The junction invariant: block b's extents also cover the first point of
 // block b+1, so the segment crossing the boundary lies entirely inside
 // block b's summary. This is what makes skipping non-candidate blocks
-// sound for segment-based predicates. The decode counters see one call
-// for the block and one for its junction.
+// sound for segment-based predicates.
 TEST(BlockSummaryTest, JunctionPointCoveredByPrecedingBlock) {
   const Trajectory walk = testutil::RandomWalk(200, 29);
   TrajectoryStore store;  // kDelta
@@ -137,26 +134,16 @@ TEST(BlockSummaryTest, JunctionPointCoveredByPrecedingBlock) {
       store.BlockSummariesOf("veh");
   ASSERT_TRUE(blocks.ok());
   ASSERT_GT((*blocks)->size(), 1u);
-  const obs::LabelSet delta{{"codec", "delta"}};
-  obs::Counter* const calls = obs::MetricsRegistry::Global().GetCounter(
-      "stcomp_store_decode_calls_total", delta);
-  obs::Counter* const decoded = obs::MetricsRegistry::Global().GetCounter(
-      "stcomp_store_decode_points_total", delta);
-  std::vector<TimedPoint> points;
-  std::vector<TimedPoint> next;
+  const Result<Trajectory> decoded = store.Get("veh");
+  ASSERT_TRUE(decoded.ok());
   for (size_t b = 0; b + 1 < (*blocks)->size(); ++b) {
     const BlockSummary& summary = (**blocks)[b];
-    const uint64_t calls_before = calls->value();
-    const uint64_t decoded_before = decoded->value();
-    ASSERT_TRUE(store.DecodeBlockWithJunction("veh", b, &points).ok());
-    EXPECT_EQ(calls->value() - calls_before, 2u);
-    EXPECT_EQ(decoded->value() - decoded_before, summary.count + 1u);
-    ASSERT_TRUE(store.DecodeBlockWithJunction("veh", b + 1, &next).ok());
-    ASSERT_EQ(points.size(), summary.count + 1u);
-    const TimedPoint& junction = points.back();
-    EXPECT_EQ(junction, next.front());
+    const BlockSummary& next = (**blocks)[b + 1];
+    ASSERT_EQ(summary.first_point + summary.count, next.first_point);
+    const TimedPoint& junction = (*decoded)[next.first_point];
     EXPECT_GE(junction.t, summary.t_min);
     EXPECT_LE(junction.t, summary.t_max);
+    EXPECT_EQ(junction.t, summary.t_max);
     EXPECT_TRUE(summary.bounds.Contains(junction.position));
   }
 }

@@ -8,8 +8,10 @@
 
 #include "stcomp/store/query.h"
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -110,6 +112,82 @@ std::vector<QueryRequest> RequestMix(uint64_t seed, double declared_error_m) {
   return requests;
 }
 
+// Requests whose window starts or ends exactly on a bisection edge of
+// `store` — a stored point's time, a block's t_min or t_max — or is that
+// single instant, with boxes, corridors and query points placed at the
+// stored position there; plus nearest requests asking for more objects
+// than the store holds.
+std::vector<QueryRequest> EdgeRequests(const TrajectoryStore& store,
+                                       uint64_t seed,
+                                       double declared_error_m) {
+  Rng rng(seed);
+  std::vector<TimedPoint> anchors;
+  for (const std::string& id : store.ObjectIds()) {
+    const std::span<const TimedPoint> points = *store.StoragePoints(id);
+    for (const BlockSummary& block : **store.BlockSummariesOf(id)) {
+      const size_t last =
+          std::min<size_t>(block.first_point + block.count, points.size() - 1);
+      anchors.push_back(points[block.first_point]);  // t_min.
+      anchors.push_back(points[last]);                // t_max.
+    }
+    if (!points.empty()) {
+      anchors.push_back(points[rng.NextBelow(points.size())]);
+    }
+  }
+  std::vector<QueryRequest> requests;
+  for (int i = 0; i < 24 && !anchors.empty(); ++i) {
+    const TimedPoint& anchor = anchors[rng.NextBelow(anchors.size())];
+    const double span = rng.NextUniform(1.0, 400.0);
+    QueryRequest request;
+    request.declared_error_m = declared_error_m;
+    switch (i % 3) {
+      case 0:
+        request.t0 = anchor.t;
+        request.t1 = anchor.t + span;
+        break;
+      case 1:
+        request.t0 = anchor.t - span;
+        request.t1 = anchor.t;
+        break;
+      default:
+        request.t0 = anchor.t;
+        request.t1 = anchor.t;
+        break;
+    }
+    const Vec2 offset{rng.NextUniform(-300.0, 300.0),
+                      rng.NextUniform(-300.0, 300.0)};
+    const Vec2 at = anchor.position + offset;
+    const double half = rng.NextUniform(1.0, 400.0);
+    QueryRequest range = request;
+    range.type = QueryType::kRange;
+    range.box = {at - Vec2{half, half}, at + Vec2{half, half}};
+    requests.push_back(range);
+    QueryRequest corridor = request;
+    corridor.type = QueryType::kCorridor;
+    corridor.radius_m = rng.NextUniform(1.0, 300.0);
+    corridor.corridor = {at, at + Vec2{rng.NextUniform(-800.0, 800.0),
+                                       rng.NextUniform(-800.0, 800.0)}};
+    requests.push_back(corridor);
+    QueryRequest nearest = request;
+    nearest.type = QueryType::kNearest;
+    nearest.point = at;
+    nearest.k = 1 + static_cast<size_t>(i % 4);
+    requests.push_back(nearest);
+  }
+  QueryRequest crowd;
+  crowd.type = QueryType::kNearest;
+  crowd.k = store.object_count() + 3;
+  crowd.declared_error_m = declared_error_m;
+  requests.push_back(crowd);
+  if (!anchors.empty()) {
+    crowd.t0 = anchors.front().t;
+    crowd.t1 = anchors.front().t + 250.0;
+    crowd.point = anchors.back().position;
+    requests.push_back(crowd);
+  }
+  return requests;
+}
+
 void ExpectSameAnswer(const QueryAnswer& engine, const QueryAnswer& oracle,
                       const QueryRequest& request, const std::string& label) {
   EXPECT_EQ(engine.error_bound_m, oracle.error_bound_m) << label;
@@ -133,8 +211,13 @@ void RunDifferential(const TrajectoryStore& store, uint64_t request_seed,
                      double declared_error_m, const std::string& label) {
   const SpatioTemporalIndex index = SpatioTemporalIndex::BuildFromStore(store);
   ASSERT_TRUE(index.Matches(store));
-  for (const QueryRequest& request :
-       RequestMix(request_seed, declared_error_m)) {
+  std::vector<QueryRequest> requests =
+      RequestMix(request_seed, declared_error_m);
+  for (QueryRequest& request :
+       EdgeRequests(store, request_seed + 1, declared_error_m)) {
+    requests.push_back(std::move(request));
+  }
+  for (const QueryRequest& request : requests) {
     const Result<QueryAnswer> engine = RunQuery(store, index, request);
     const Result<QueryAnswer> oracle = BruteForceQuery(store, request);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
@@ -267,6 +350,29 @@ TEST(QueryOracleTest, SegmentStoreQueryTracksMutations) {
   ASSERT_TRUE(oracle.ok());
   ExpectSameAnswer(*answer, *oracle, everywhere, "post-mutation");
   std::filesystem::remove_all(dir);
+}
+
+// RunQuery's precondition is an index that describes the store. One that
+// describes longer objects than the store holds must come back as an
+// error, never as a read past the resident points.
+TEST(QueryOracleTest, StaleIndexIsAnError) {
+  TrajectoryStore longer;
+  ASSERT_TRUE(longer.Insert("veh", testutil::RandomWalk(200, 3)).ok());
+  const SpatioTemporalIndex index = SpatioTemporalIndex::BuildFromStore(longer);
+  TrajectoryStore shorter;
+  ASSERT_TRUE(shorter.Insert("veh", testutil::RandomWalk(10, 3)).ok());
+  ASSERT_FALSE(index.Matches(shorter));
+  QueryRequest range;
+  range.type = QueryType::kRange;
+  range.box = {{-1e7, -1e7}, {1e7, 1e7}};
+  QueryRequest nearest;
+  nearest.type = QueryType::kNearest;
+  for (const QueryRequest& request : {range, nearest}) {
+    EXPECT_EQ(RunQuery(shorter, index, request).status().code(),
+              StatusCode::kOutOfRange);
+    EXPECT_EQ(RunQuery(TrajectoryStore(), index, request).status().code(),
+              StatusCode::kNotFound);
+  }
 }
 
 TEST(QueryOracleTest, ErrorBoundAccountsForCodecQuantisation) {

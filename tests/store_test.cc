@@ -1,8 +1,16 @@
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <filesystem>
+#include <limits>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "stcomp/store/codec.h"
+#include "stcomp/store/segment_store.h"
 #include "stcomp/store/serialization.h"
 #include "stcomp/store/trajectory_store.h"
 #include "stcomp/store/varint.h"
@@ -14,6 +22,44 @@ namespace {
 using testutil::Line;
 using testutil::RandomWalk;
 using testutil::Traj;
+
+std::string FreshDir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "store_test_" + name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+// To the last bit, sign of zero included.
+void ExpectBitwiseEqual(std::span<const TimedPoint> a,
+                        std::span<const TimedPoint> b,
+                        const std::string& label) {
+  ASSERT_EQ(a.size(), b.size()) << label;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(Bits(a[i].t), Bits(b[i].t)) << label << " point " << i;
+    EXPECT_EQ(Bits(a[i].position.x), Bits(b[i].position.x))
+        << label << " point " << i;
+    EXPECT_EQ(Bits(a[i].position.y), Bits(b[i].position.y))
+        << label << " point " << i;
+  }
+}
+
+// The resident storage values queries read must be exactly what decoding
+// the payload yields, for every object.
+void ExpectResidentMatchesPayload(const TrajectoryStore& store,
+                                  const std::string& label) {
+  ASSERT_GT(store.object_count(), 0u) << label;
+  for (const std::string& id : store.ObjectIds()) {
+    const Result<std::span<const TimedPoint>> resident =
+        store.StoragePoints(id);
+    const Result<Trajectory> decoded = store.Get(id);
+    ASSERT_TRUE(resident.ok()) << label << " " << id;
+    ASSERT_TRUE(decoded.ok()) << label << " " << id << ": "
+                              << decoded.status();
+    ExpectBitwiseEqual(*resident, decoded->points(), label + " " + id);
+  }
+}
 
 TEST(VarintTest, RoundTripBoundaries) {
   for (uint64_t value : std::vector<uint64_t>{0, 1, 127, 128, 16383, 16384,
@@ -278,6 +324,203 @@ TEST(TrajectoryStoreTest, StorageAccounting) {
   ASSERT_TRUE(raw.Insert("t", trajectory).ok());
   EXPECT_LT(delta.StorageBytes(), raw.StorageBytes() / 2);
   EXPECT_EQ(raw.StorageBytes(), 24u * trajectory.size());
+}
+
+// Fixes whose coordinates round to zero from below: the decoder cannot
+// produce -0.0, so neither may the storage value.
+const std::vector<TimedPoint> kSignedZeroFixes = {
+    {2000.0, -0.004, -0.001}, {2001.0, 0.003, -0.0049}, {2002.0, -1e-9, 7.0}};
+
+void FillStore(TrajectoryStore* store) {
+  ASSERT_TRUE(store->Insert("inserted", RandomWalk(150, 17)).ok());
+  // 200 appends cross two block boundaries (64 points per block).
+  const Trajectory appended = RandomWalk(200, 19);
+  for (const TimedPoint& point : appended.points()) {
+    ASSERT_TRUE(store->Append("appended", point).ok());
+  }
+  for (const TimedPoint& point : kSignedZeroFixes) {
+    ASSERT_TRUE(store->Append("signs", point).ok());
+  }
+}
+
+TEST(TrajectoryStoreTest, StoragePointsMatchDecodedPayload) {
+  for (const Codec codec : {Codec::kRaw, Codec::kDelta}) {
+    const std::string name = codec == Codec::kRaw ? "raw" : "delta";
+    TrajectoryStore store(codec);
+    FillStore(&store);
+    ExpectResidentMatchesPayload(store, name + " in memory");
+    EXPECT_EQ(store.StoragePoints("ghost").status().code(),
+              StatusCode::kNotFound);
+
+    // Loading the other codec's image: a kRaw frame's off-grid values
+    // must still land on a kDelta store's grid.
+    TrajectoryStore other(codec == Codec::kRaw ? Codec::kDelta : Codec::kRaw);
+    FillStore(&other);
+    const Result<std::string> image = other.SerializeToString();
+    ASSERT_TRUE(image.ok());
+    TrajectoryStore loaded(codec);
+    ASSERT_TRUE(loaded.LoadFromBuffer(*image).ok());
+    ExpectResidentMatchesPayload(loaded, name + " loaded other codec");
+    TrajectoryStore salvaged(codec);
+    ASSERT_TRUE(salvaged.SalvageFromBuffer(*image, nullptr).ok());
+    ExpectResidentMatchesPayload(salvaged, name + " salvaged other codec");
+
+    SegmentStore::Options options;
+    options.codec = codec;
+    const std::string dir = FreshDir("resident_" + name);
+    {
+      SegmentStore durable(options);
+      ASSERT_TRUE(durable.Open(dir).ok());
+      ASSERT_TRUE(durable.Insert("inserted", RandomWalk(150, 17)).ok());
+      const Trajectory appended = RandomWalk(200, 19);
+      for (const TimedPoint& point : appended.points()) {
+        ASSERT_TRUE(durable.Append("appended", point).ok());
+      }
+      for (const TimedPoint& point : kSignedZeroFixes) {
+        ASSERT_TRUE(durable.Append("signs", point).ok());
+      }
+      ASSERT_TRUE(durable.Commit().ok());
+    }
+    {
+      SegmentStore replayed(options);
+      ASSERT_TRUE(replayed.Open(dir).ok());
+      EXPECT_GT(replayed.last_recovery().wal_records_replayed, 0u);
+      ExpectResidentMatchesPayload(replayed.store(), name + " WAL replay");
+      ASSERT_TRUE(replayed.Checkpoint().ok());
+    }
+    SegmentStore reloaded(options);
+    ASSERT_TRUE(reloaded.Open(dir).ok());
+    EXPECT_FALSE(reloaded.last_recovery().segment_loaded.empty());
+    ExpectResidentMatchesPayload(reloaded.store(), name + " segment reload");
+    // The durable store holds what the in-memory one does, bit for bit.
+    for (const std::string& id : store.ObjectIds()) {
+      ExpectBitwiseEqual(*reloaded.store().StoragePoints(id),
+                         *store.StoragePoints(id), name + " " + id);
+    }
+    std::filesystem::remove_all(dir);
+  }
+}
+
+// Point and slice reads answer from storage values, so a checkpoint and
+// reopen (which reloads the quantised payload) moves nothing.
+TEST(TrajectoryStoreTest, PositionAtAndTimeSliceSurviveReload) {
+  const Trajectory walk = RandomWalk(150, 23);
+  std::vector<double> probes;
+  for (size_t i = 0; i + 1 < walk.size(); i += 7) {
+    probes.push_back(walk[i].t);
+    probes.push_back(walk[i].t + 0.37 * (walk[i + 1].t - walk[i].t));
+  }
+  struct Answers {
+    std::vector<Vec2> positions;
+    std::vector<Trajectory> slices;
+  };
+  const auto read = [&probes](const TrajectoryStore& store) {
+    Answers answers;
+    for (size_t i = 0; i < probes.size(); ++i) {
+      const Result<Vec2> at = store.PositionAt("veh", probes[i]);
+      EXPECT_TRUE(at.ok()) << at.status();
+      answers.positions.push_back(at.ok() ? *at : Vec2());
+      const double t1 = probes[(i + 5) % probes.size()];
+      const Result<Trajectory> slice = store.TimeSlice(
+          "veh", std::min(probes[i], t1), std::max(probes[i], t1));
+      EXPECT_TRUE(slice.ok()) << slice.status();
+      answers.slices.push_back(slice.ok() ? *slice : Trajectory());
+    }
+    return answers;
+  };
+  const std::string dir = FreshDir("reload_reads");
+  Answers before;
+  {
+    SegmentStore durable;  // kDelta.
+    ASSERT_TRUE(durable.Open(dir).ok());
+    ASSERT_TRUE(durable.Insert("veh", walk).ok());
+    before = read(durable.store());
+    ASSERT_TRUE(durable.Checkpoint().ok());
+  }
+  SegmentStore reopened;
+  ASSERT_TRUE(reopened.Open(dir).ok());
+  const Answers after = read(reopened.store());
+  ASSERT_EQ(before.positions.size(), after.positions.size());
+  for (size_t i = 0; i < before.positions.size(); ++i) {
+    EXPECT_EQ(Bits(before.positions[i].x), Bits(after.positions[i].x))
+        << "probe t=" << probes[i];
+    EXPECT_EQ(Bits(before.positions[i].y), Bits(after.positions[i].y))
+        << "probe t=" << probes[i];
+    EXPECT_EQ(before.slices[i].name(), after.slices[i].name());
+    ExpectBitwiseEqual(before.slices[i].points(), after.slices[i].points(),
+                       "slice from t=" + std::to_string(probes[i]));
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// kDelta keeps time to 1 ms: two fixes inside one quantum would share a
+// stored time, leaving the object undecodable. Both write paths refuse the
+// second one up front, and the object then survives a checkpoint.
+TEST(TrajectoryStoreTest, FixesInsideOneTimeQuantumAreRefused) {
+  TrajectoryStore store;  // kDelta.
+  ASSERT_TRUE(store.Append("veh", {1.0001, 0.0, 0.0}).ok());
+  EXPECT_EQ(store.Append("veh", {1.0004, 1.0, 1.0}).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(store.Append("veh", {2.0, 2.0, 2.0}).ok());
+  const Result<Trajectory> veh = store.Get("veh");
+  ASSERT_TRUE(veh.ok()) << veh.status();
+  EXPECT_EQ(veh->size(), 2u);
+  EXPECT_EQ(store.Insert("pair", Traj({{1.0001, 0, 0}, {1.0004, 1, 1}}))
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.Get("pair").status().code(), StatusCode::kNotFound);
+
+  TrajectoryStore raw(Codec::kRaw);  // Keeps time exactly: both fit.
+  ASSERT_TRUE(raw.Append("veh", {1.0001, 0.0, 0.0}).ok());
+  EXPECT_TRUE(raw.Append("veh", {1.0004, 1.0, 1.0}).ok());
+
+  const std::string dir = FreshDir("one_quantum");
+  {
+    SegmentStore durable;  // kDelta.
+    ASSERT_TRUE(durable.Open(dir).ok());
+    ASSERT_TRUE(durable.Append("veh", {1.0001, 0.0, 0.0}).ok());
+    EXPECT_EQ(durable.Append("veh", {1.0004, 1.0, 1.0}).code(),
+              StatusCode::kInvalidArgument);
+    ASSERT_TRUE(durable.Append("veh", {2.0, 2.0, 2.0}).ok());
+    EXPECT_EQ(durable.Insert("pair", Traj({{1.0001, 0, 0}, {1.0004, 1, 1}}))
+                  .code(),
+              StatusCode::kInvalidArgument);
+    ASSERT_TRUE(durable.Checkpoint().ok());
+  }
+  SegmentStore reopened;
+  ASSERT_TRUE(reopened.Open(dir).ok());
+  EXPECT_EQ(reopened.last_recovery().segment_frames_salvaged, 0u)
+      << reopened.last_recovery().Describe();
+  const Result<Trajectory> recovered = reopened.store().Get("veh");
+  ASSERT_TRUE(recovered.ok()) << reopened.last_recovery().Describe();
+  EXPECT_EQ(recovered->size(), 2u);
+  EXPECT_EQ(reopened.store().object_count(), 1u);
+  std::filesystem::remove_all(dir);
+}
+
+// A fix the codec refuses (out of the quantised range, or a NaN time)
+// must leave the object exactly as it was, so later valid fixes append.
+TEST(TrajectoryStoreTest, RefusedAppendLeavesObjectUsable) {
+  TrajectoryStore store;  // kDelta.
+  ASSERT_TRUE(store.Append("veh", {1.0, 10.0, 20.0}).ok());
+  EXPECT_EQ(store.Append("veh", {2.0, 1e30, 0.0}).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(
+      store
+          .Append("veh", {std::numeric_limits<double>::quiet_NaN(), 5.0, 5.0})
+          .code(),
+      StatusCode::kOutOfRange);
+  ASSERT_TRUE(store.Append("veh", {2.0, 30.0, 40.0}).ok());
+  const Result<Trajectory> veh = store.Get("veh");
+  ASSERT_TRUE(veh.ok()) << veh.status();
+  EXPECT_EQ(veh->size(), 2u);
+  EXPECT_EQ(store.PositionAt("veh", 2.0).value(), Vec2(30.0, 40.0));
+  ExpectResidentMatchesPayload(store, "after refused appends");
+  // A refused first fix creates nothing.
+  EXPECT_EQ(store.Append("ghost", {0.0, 1e30, 0.0}).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(store.Get("ghost").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(store.object_count(), 1u);
 }
 
 }  // namespace
