@@ -75,16 +75,14 @@ int Orientation(Vec2 a, Vec2 b, Vec2 c) {
   return 0;
 }
 
-// Whether `p` (known collinear with [a, b]) lies within the segment's
-// coordinate ranges.
-bool CollinearOnSegment(Vec2 a, Vec2 b, Vec2 p) {
-  return std::min(a.x, b.x) <= p.x && p.x <= std::max(a.x, b.x) &&
-         std::min(a.y, b.y) <= p.y && p.y <= std::max(a.y, b.y);
-}
-
 }  // namespace
 
 bool SegmentsIntersect(Vec2 a, Vec2 b, Vec2 c, Vec2 d) {
+  const BoundingBox ab = SegmentBounds(a, b);
+  const BoundingBox cd = SegmentBounds(c, d);
+  if (!ab.Intersects(cd)) {
+    return false;
+  }
   const int o1 = Orientation(a, b, c);
   const int o2 = Orientation(a, b, d);
   const int o3 = Orientation(c, d, a);
@@ -92,19 +90,10 @@ bool SegmentsIntersect(Vec2 a, Vec2 b, Vec2 c, Vec2 d) {
   if (o1 != o2 && o3 != o4) {
     return true;
   }
-  if (o1 == 0 && CollinearOnSegment(a, b, c)) {
-    return true;
-  }
-  if (o2 == 0 && CollinearOnSegment(a, b, d)) {
-    return true;
-  }
-  if (o3 == 0 && CollinearOnSegment(c, d, a)) {
-    return true;
-  }
-  if (o4 == 0 && CollinearOnSegment(c, d, b)) {
-    return true;
-  }
-  return false;
+  // An endpoint collinear with the other segment touches it when it lies
+  // within that segment's box.
+  return (o1 == 0 && ab.Contains(c)) || (o2 == 0 && ab.Contains(d)) ||
+         (o3 == 0 && cd.Contains(a)) || (o4 == 0 && cd.Contains(b));
 }
 
 double SegmentToSegmentDistance(Vec2 a, Vec2 b, Vec2 c, Vec2 d) {
@@ -120,6 +109,9 @@ double SegmentToSegmentDistance(Vec2 a, Vec2 b, Vec2 c, Vec2 d) {
 }
 
 bool SegmentIntersectsBox(Vec2 a, Vec2 b, const BoundingBox& box) {
+  if (!SegmentBounds(a, b).Intersects(box)) {
+    return false;
+  }
   if (box.Contains(a) || box.Contains(b)) {
     return true;
   }

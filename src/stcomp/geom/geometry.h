@@ -4,7 +4,9 @@
 #ifndef STCOMP_GEOM_GEOMETRY_H_
 #define STCOMP_GEOM_GEOMETRY_H_
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace stcomp {
 
@@ -90,11 +92,52 @@ struct BoundingBox {
   friend bool operator==(const BoundingBox&, const BoundingBox&) = default;
 };
 
+// Bounding box of the closed segment [a, b] (the point a when a == b).
+inline BoundingBox SegmentBounds(Vec2 a, Vec2 b) {
+  return BoundingBox{{std::min(a.x, b.x), std::min(a.y, b.y)},
+                     {std::max(a.x, b.x), std::max(a.y, b.y)}};
+}
+
+// True when `a` and `b` are provably farther apart than `r`: every
+// distance the predicates below compute between a segment or point inside
+// one box and a segment, point or box edge inside the other comes out
+// greater than r. A few subtractions and comparisons decide it, so a
+// caller can skip the exact test for such a pair without changing its
+// answer.
+//
+// The largest axis gap g between the boxes never exceeds their exact
+// distance; it must beat r by a rounding margin of (|r| + M) * 1e-12, M
+// the largest coordinate magnitude in either box. With e = 2^-53: a
+// computed distance is |p - Lerp(c, d, u)|, p an input point and u
+// clamped to [0, 1]. Lerp's rounded point lies within 6eM of its
+// segment's box, and the subtraction, the norm and g itself each lose at
+// most 4eM, a unit in the last place of a value no larger than 2M. So a
+// computed distance is at least g - 18eM, and 18e is 1/500 of 1e-12.
+// The |r| term keeps the margin from vanishing when it is added to a
+// large r; the absolute floor (the smallest normal double) covers
+// subnormal coordinates, whose rounding is absolute rather than relative.
+inline bool BoxesFartherThan(const BoundingBox& a, const BoundingBox& b,
+                             double r) {
+  const double gap = std::max(std::max(a.min.x - b.max.x, b.min.x - a.max.x),
+                              std::max(a.min.y - b.max.y, b.min.y - a.max.y));
+  const double magnitude = std::max(
+      std::max(std::max(std::abs(a.min.x), std::abs(a.max.x)),
+               std::max(std::abs(a.min.y), std::abs(a.max.y))),
+      std::max(std::max(std::abs(b.min.x), std::abs(b.max.x)),
+               std::max(std::abs(b.min.y), std::abs(b.max.y))));
+  return gap > r + (std::abs(r) + magnitude) * 1e-12 +
+                   std::numeric_limits<double>::min();
+}
+
 // Distance from `p` to `box` (0 when p is inside or on the boundary).
 double PointToBoxDistance(Vec2 p, const BoundingBox& box);
 
 // True when the closed segments [a, b] and [c, d] share at least one
-// point (touching endpoints and collinear overlap count).
+// point (touching endpoints and collinear overlap count). Segments whose
+// bounding boxes are disjoint never intersect: a shared point lies in
+// both boxes, so that check is exact and runs first. It also keeps
+// rounded orientation signs from reporting far-apart, nearly collinear
+// segments as crossing.
 bool SegmentsIntersect(Vec2 a, Vec2 b, Vec2 c, Vec2 d);
 
 // Minimum distance between the closed segments [a, b] and [c, d]
@@ -102,7 +145,8 @@ bool SegmentsIntersect(Vec2 a, Vec2 b, Vec2 c, Vec2 d);
 double SegmentToSegmentDistance(Vec2 a, Vec2 b, Vec2 c, Vec2 d);
 
 // True when the closed segment [a, b] has at least one point inside or on
-// the boundary of `box`.
+// the boundary of `box`; false at once when the segment's bounding box
+// misses `box`.
 bool SegmentIntersectsBox(Vec2 a, Vec2 b, const BoundingBox& box);
 
 // Minimum distance between the closed segment [a, b] and `box`

@@ -84,6 +84,10 @@ struct SetPredicate {
   BoundingBox box;
   const std::vector<Vec2>* corridor = nullptr;
   double corridor_radius = 0.0;
+  // Bounding box of each corridor leg, the waypoint itself for a
+  // one-waypoint corridor: a leg provably farther than the radius from a
+  // segment's box (BoxesFartherThan) is skipped without its exact test.
+  std::vector<BoundingBox> legs;
 
   bool Matches(const ClippedSegment& seg) const {
     switch (type) {
@@ -93,13 +97,16 @@ struct SetPredicate {
         return SegmentIntersectsBox(seg.pa, seg.pb, box);
       case QueryType::kCorridor: {
         const std::vector<Vec2>& w = *corridor;
+        const BoundingBox bounds = SegmentBounds(seg.pa, seg.pb);
         if (w.size() == 1) {
-          return PointToSegmentDistance(w[0], seg.pa, seg.pb) <=
-                 corridor_radius;
+          return !BoxesFartherThan(legs[0], bounds, corridor_radius) &&
+                 PointToSegmentDistance(w[0], seg.pa, seg.pb) <=
+                     corridor_radius;
         }
         for (size_t i = 0; i + 1 < w.size(); ++i) {
-          if (SegmentToSegmentDistance(seg.pa, seg.pb, w[i], w[i + 1]) <=
-              corridor_radius) {
+          if (!BoxesFartherThan(legs[i], bounds, corridor_radius) &&
+              SegmentToSegmentDistance(seg.pa, seg.pb, w[i], w[i + 1]) <=
+                  corridor_radius) {
             return true;
           }
         }
@@ -111,6 +118,26 @@ struct SetPredicate {
     return false;
   }
 };
+
+// The set predicate of `request` widened by `error_bound_m`; RunQuery and
+// BruteForceQuery both evaluate this one.
+SetPredicate MakeSetPredicate(const QueryRequest& request,
+                              double error_bound_m) {
+  SetPredicate pred;
+  pred.type = request.type;
+  if (request.type == QueryType::kRange) {
+    pred.box = Inflate(request.box, error_bound_m);
+  } else if (request.type == QueryType::kCorridor) {
+    const std::vector<Vec2>& w = request.corridor;
+    pred.corridor = &w;
+    pred.corridor_radius = request.radius_m + error_bound_m;
+    const size_t leg_count = w.size() == 1 ? 1 : w.size() - 1;
+    for (size_t i = 0; i < leg_count; ++i) {
+      pred.legs.push_back(SegmentBounds(w[i], w[w.size() == 1 ? i : i + 1]));
+    }
+  }
+  return pred;
+}
 
 // Scans `points` (a full object, or one block plus its junction) for the
 // first predicate match; a single point is tested as a degenerate
@@ -412,37 +439,35 @@ Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
   // those blocks' resident points, ascending per object — skipped blocks
   // provably hold no hits, so the first match found is the object's
   // earliest.
-  SetPredicate pred;
-  pred.type = request.type;
+  const SetPredicate pred = MakeSetPredicate(request, answer.error_bound_m);
   std::vector<SpatioTemporalIndex::Posting> candidates;
   if (request.type == QueryType::kRange) {
-    pred.box = Inflate(request.box, answer.error_bound_m);
     candidates = index.CandidateBlocks(pred.box, t0, t1);
   } else {
-    pred.corridor = &request.corridor;
-    pred.corridor_radius = request.radius_m + answer.error_bound_m;
-    const std::vector<Vec2>& w = request.corridor;
-    BoundingBox reach{w.front(), w.front()};
-    for (const Vec2 waypoint : w) {
-      reach.min = {std::min(reach.min.x, waypoint.x),
-                   std::min(reach.min.y, waypoint.y)};
-      reach.max = {std::max(reach.max.x, waypoint.x),
-                   std::max(reach.max.y, waypoint.y)};
+    BoundingBox reach = pred.legs.front();
+    for (const BoundingBox& leg : pred.legs) {
+      reach.min = {std::min(reach.min.x, leg.min.x),
+                   std::min(reach.min.y, leg.min.y)};
+      reach.max = {std::max(reach.max.x, leg.max.x),
+                   std::max(reach.max.y, leg.max.y)};
     }
     candidates =
         index.CandidateBlocks(Inflate(reach, pred.corridor_radius), t0, t1);
     // Tighten: a block survives only if it actually comes within the
     // effective radius of some corridor segment. Coming that close implies
     // meeting that segment's inflated bounding box, so the survivors are
-    // those of one box query per segment.
-    const size_t segment_count = w.size() == 1 ? 1 : w.size() - 1;
+    // those of one box query per segment. A leg whose box is provably
+    // farther than the radius from the block's box is skipped first.
+    const std::vector<Vec2>& w = request.corridor;
     std::erase_if(candidates, [&](const SpatioTemporalIndex::Posting& p) {
-      const BlockSummary& block = objects[p.object].blocks[p.block];
-      for (size_t i = 0; i < segment_count; ++i) {
+      const BoundingBox& bounds = objects[p.object].blocks[p.block].bounds;
+      for (size_t i = 0; i < pred.legs.size(); ++i) {
+        if (BoxesFartherThan(pred.legs[i], bounds, pred.corridor_radius)) {
+          continue;
+        }
         const Vec2 a = w[i];
         const Vec2 b = w[w.size() == 1 ? i : i + 1];
-        if (SegmentToBoxDistance(a, b, block.bounds) <=
-            pred.corridor_radius) {
+        if (SegmentToBoxDistance(a, b, bounds) <= pred.corridor_radius) {
           return false;
         }
       }
@@ -485,14 +510,7 @@ Result<QueryAnswer> BruteForceQuery(const TrajectoryStore& store,
   answer.error_bound_m = QueryErrorBound(request, store.codec());
   const double t0 = request.t0;
   const double t1 = request.t1;
-  SetPredicate pred;
-  pred.type = request.type;
-  if (request.type == QueryType::kRange) {
-    pred.box = Inflate(request.box, answer.error_bound_m);
-  } else if (request.type == QueryType::kCorridor) {
-    pred.corridor = &request.corridor;
-    pred.corridor_radius = request.radius_m + answer.error_bound_m;
-  }
+  const SetPredicate pred = MakeSetPredicate(request, answer.error_bound_m);
   std::vector<std::pair<double, std::string>> nearest;
   for (const std::string& id : store.ObjectIds()) {
     STCOMP_ASSIGN_OR_RETURN(const Trajectory trajectory, store.Get(id));

@@ -259,7 +259,10 @@ Status WalWriter::Commit() {
   }
   // Records as a child of whatever pipeline span is open (e.g. a sampled
   // fleet.push) so the durable-write leg shows up in the object's tree.
-  STCOMP_TRACE_SPAN("wal.commit", PathTail(path_));
+  // A shard worker's group commit runs outside any span; as a root it is
+  // head-sampled like the pushes it serves, so commits cannot crowd the
+  // sampled trees out of the trace ring.
+  STCOMP_TRACE_SPAN_SAMPLED("wal.commit", PathTail(path_));
   [[maybe_unused]] const size_t batch_records = staged_.size();
   staged_.push_back(EncodeWalFrame(WalRecord::Commit()));
   for (const std::string& frame : staged_) {

@@ -415,6 +415,36 @@ TEST(QueryOracleTest, DeclaredErrorWidensMatches) {
   ExpectSameAnswer(*answer, *oracle, request, "widened");
 }
 
+// A segment 3,156 m from a corridor leg on nearly the same line: every
+// orientation sign of the crossing test comes from rounding. Without the
+// bounding-box check in SegmentsIntersect the oracle's predicate reported
+// the pair as intersecting, while the engine's block tightening (exact
+// against axis-aligned box edges) dropped the block, so the two disagreed.
+TEST(QueryOracleTest, FarApartNearlyCollinearSegmentIsNoCorridorHit) {
+  TrajectoryStore store(Codec::kRaw);
+  ASSERT_TRUE(store
+                  .Insert("veh",
+                          testutil::Traj(
+                              {{0.0, -4916.6883744880261, -1691.179513080715},
+                               {10.0, -3837.8248405584513,
+                                1479.7326689710667}}))
+                  .ok());
+  const SpatioTemporalIndex index = SpatioTemporalIndex::BuildFromStore(store);
+  QueryRequest request;
+  request.type = QueryType::kCorridor;
+  request.t0 = 0.0;
+  request.t1 = 10.0;
+  request.radius_m = 50.0;
+  request.corridor = {{-2821.1565090990844, 4467.8455265710936},
+                      {-1916.6883744880261, 7126.1882512247848}};
+  const Result<QueryAnswer> engine = RunQuery(store, index, request);
+  const Result<QueryAnswer> oracle = BruteForceQuery(store, request);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  EXPECT_TRUE(engine->hits.empty());
+  EXPECT_TRUE(oracle->hits.empty());
+}
+
 TEST(QueryValidationTest, RejectsMalformedRequests) {
   QueryRequest request;
   EXPECT_TRUE(ValidateQuery(request).ok());

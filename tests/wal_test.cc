@@ -2,10 +2,12 @@
 
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "stcomp/obs/trace.h"
 #include "stcomp/store/durable_file.h"
 #include "stcomp/store/serialization.h"
 #include "stcomp/store/trajectory_store.h"
@@ -171,6 +173,39 @@ TEST(WalWriterTest, CommitMakesBatchDurableAndDeathIsSticky) {
   WalScanStats stats;
   EXPECT_EQ(ScanWal(*image, &stats).size(), 1u);
 }
+
+#if STCOMP_METRICS_ENABLED
+// A group commit outside any span (a shard worker's) is a head-sampled
+// root: 1 in the sampling period records, so commits cannot crowd the
+// sampled push trees out of the trace ring. A commit nested in a recorded
+// span still records as its child (AdminServerTest covers that tree).
+TEST(WalWriterTest, RootCommitsAreHeadSampled) {
+  const std::string dir = ::testing::TempDir() + "wal_sampled_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const uint64_t previous_period = obs::TraceBuffer::SetSampledRootPeriod(64);
+  // A fresh thread starts its sampling tick at zero: commits 0 and 64
+  // record.
+  std::thread([&dir] {
+    WalWriter writer;
+    ASSERT_TRUE(writer.Open(dir + "/sampled.stwal").ok());
+    for (int i = 0; i < 128; ++i) {
+      ASSERT_TRUE(writer.Append(AppendRecord("a", i, 0.0, 0.0)).ok());
+      ASSERT_TRUE(writer.Commit().ok());
+    }
+  }).join();
+  obs::TraceBuffer::SetSampledRootPeriod(previous_period);
+  size_t recorded = 0;
+  for (const obs::TraceEvent& event : obs::TraceBuffer::Global().Snapshot()) {
+    if (event.name == "wal.commit" && event.detail == "sampled.stwal") {
+      EXPECT_EQ(event.parent_id, 0u);
+      ++recorded;
+    }
+  }
+  EXPECT_EQ(recorded, 2u);
+  std::filesystem::remove_all(dir);
+}
+#endif  // STCOMP_METRICS_ENABLED
 
 TEST(TrajectoryFrameScanTest, SalvagesAllButTheCorruptFrame) {
   TrajectoryStore store(Codec::kRaw);
