@@ -316,6 +316,10 @@ FrameScan ScanNetFrame(std::string_view buffer, size_t max_payload,
     ++length_bytes;
     ++cursor;
     if ((byte & 0x80) == 0) {
+      if (!IsCanonicalVarintEnd(byte, length_bytes - 1)) {
+        *error = DataLossError("non-canonical payload length varint");
+        return FrameScan::kError;
+      }
       break;
     }
   }

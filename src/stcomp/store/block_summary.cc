@@ -30,6 +30,23 @@ void ExtendBlockSummary(BlockSummary* summary,
                                    storage_point.position.y);
 }
 
+void SetBlockExtents(std::span<const TimedPoint> points, Codec codec,
+                     BlockSummary* block) {
+  const auto storage = [codec](const TimedPoint& point) {
+    return codec == Codec::kRaw ? point : StorageValue(point, codec);
+  };
+  const TimedPoint head = storage(points[block->first_point]);
+  block->t_min = block->t_max = head.t;
+  block->bounds.min = block->bounds.max = head.position;
+  // Junction: the next block's first point ends this block's last
+  // segment, so it belongs to this block's extents too.
+  const size_t end =
+      std::min<size_t>(block->first_point + block->count + 1, points.size());
+  for (size_t i = block->first_point + 1; i < end; ++i) {
+    ExtendBlockSummary(block, storage(points[i]));
+  }
+}
+
 Result<std::vector<BlockSummary>> EncodeBlocked(const TimedPoint* points,
                                                 size_t count, Codec codec,
                                                 size_t block_points,
@@ -41,21 +58,14 @@ Result<std::vector<BlockSummary>> EncodeBlocked(const TimedPoint* points,
   const size_t base_offset = out->size();
   for (size_t first = 0; first < count; first += block_points) {
     const size_t n = std::min(block_points, count - first);
-    BlockSummary summary = MakeBlockSummary(StorageValue(points[first], codec));
+    BlockSummary summary;
     summary.first_point = first;
     summary.byte_offset = out->size() - base_offset;
     const size_t before = out->size();
     STCOMP_RETURN_IF_ERROR(EncodePointSpan(points + first, n, codec, out));
     summary.count = static_cast<uint32_t>(n);
     summary.byte_length = static_cast<uint32_t>(out->size() - before);
-    for (size_t i = 1; i < n; ++i) {
-      ExtendBlockSummary(&summary, StorageValue(points[first + i], codec));
-    }
-    // Junction: the next block's first point ends this block's last
-    // segment, so it belongs to this block's extents too.
-    if (first + n < count) {
-      ExtendBlockSummary(&summary, StorageValue(points[first + n], codec));
-    }
+    SetBlockExtents({points, count}, codec, &summary);
     blocks.push_back(summary);
   }
   return blocks;

@@ -18,6 +18,7 @@
 #define STCOMP_STORE_BLOCK_SUMMARY_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -57,6 +58,14 @@ BlockSummary MakeBlockSummary(const TimedPoint& storage_point);
 
 // Extends `summary`'s extents to cover a storage-value point.
 void ExtendBlockSummary(BlockSummary* summary, const TimedPoint& storage_point);
+
+// Sets `block`'s extents to cover its points, points[first_point,
+// first_point + count), plus its junction points[first_point + count] when
+// there is one, each mapped through StorageValue(., codec). EncodeBlocked
+// summarises every block through this; a caller whose points already are
+// storage values passes Codec::kRaw, whose mapping is the identity.
+void SetBlockExtents(std::span<const TimedPoint> points, Codec codec,
+                     BlockSummary* block);
 
 // Encodes `count` points into blocks of at most `block_points`, appending
 // the concatenated per-block payloads to `out` and returning the summary

@@ -9,6 +9,7 @@
 #include "stcomp/common/strings.h"
 #include "stcomp/obs/flight_recorder.h"
 #include "stcomp/obs/metrics.h"
+#include "stcomp/obs/timer.h"
 #include "stcomp/obs/trace.h"
 #include "stcomp/store/durable_file.h"
 #include "stcomp/store/serialization.h"
@@ -22,13 +23,15 @@ constexpr std::string_view kIndexFileName = "index.stidx";
 constexpr std::string_view kSegmentPrefix = "seg-";
 constexpr std::string_view kSegmentSuffix = ".stseg";
 
-// Process-wide recovery series: recoveries across all store directories
-// are one operational signal (DESIGN.md §13).
+// Process-wide recovery and checkpoint series: recoveries and
+// checkpoints across all store directories are one operational signal
+// each (DESIGN.md §13).
 struct WalMetrics {
   obs::Counter* replayed;
   obs::Counter* salvaged;
   obs::Counter* torn_tail;
   obs::Histogram* recovery_seconds;
+  obs::Histogram* checkpoint_seconds;
 };
 
 const WalMetrics& Metrics() {
@@ -39,6 +42,8 @@ const WalMetrics& Metrics() {
         registry.GetCounter("stcomp_wal_salvaged_total"),
         registry.GetCounter("stcomp_wal_torn_tail_total"),
         registry.GetHistogram("stcomp_wal_recovery_seconds", {},
+                              obs::LatencyBucketsSeconds()),
+        registry.GetHistogram("stcomp_checkpoint_seconds", {},
                               obs::LatencyBucketsSeconds())};
   }();
   return *kMetrics;
@@ -337,6 +342,7 @@ Status SegmentStore::Commit() {
 Status SegmentStore::Checkpoint() {
   STCOMP_CHECK(open_);
   STCOMP_TRACE_SPAN("segment_store.checkpoint", dir_);
+  STCOMP_SCOPED_TIMER(Metrics().checkpoint_seconds);
   // Seal staged records first so the snapshot is a superset of everything
   // ever acknowledged as committed.
   STCOMP_RETURN_IF_ERROR(wal_.Commit());

@@ -14,25 +14,54 @@ constexpr char kMagic[4] = {'S', 'T', 'C', 'T'};
 constexpr uint8_t kVersion = 1;
 constexpr uint8_t kVersionBlocked = 2;
 
-std::array<uint32_t, 256> BuildCrcTable() {
-  std::array<uint32_t, 256> table{};
+// kCrcTables[0] is the bytewise table of the reflected IEEE polynomial;
+// kCrcTables[k][i] is the register after byte i is followed by k zero
+// bytes, so one step folds eight input bytes with eight lookups.
+constexpr std::array<std::array<uint32_t, 256>, 8> BuildCrcTables() {
+  std::array<std::array<uint32_t, 256>, 8> tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1) ^ ((crc & 1u) ? 0xedb88320u : 0u);
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t previous = tables[k - 1][i];
+      tables[k][i] = (previous >> 8) ^ tables[0][previous & 0xffu];
+    }
+  }
+  return tables;
+}
+
+constexpr std::array<std::array<uint32_t, 256>, 8> kCrcTables =
+    BuildCrcTables();
+
+// Four bytes as a little-endian word, whatever the host byte order.
+uint32_t LoadLe32(const unsigned char* bytes) {
+  return static_cast<uint32_t>(bytes[0]) |
+         (static_cast<uint32_t>(bytes[1]) << 8) |
+         (static_cast<uint32_t>(bytes[2]) << 16) |
+         (static_cast<uint32_t>(bytes[3]) << 24);
 }
 
 }  // namespace
 
 uint32_t Crc32(std::string_view data) {
-  static const std::array<uint32_t, 256> kTable = BuildCrcTable();
+  const auto* bytes = reinterpret_cast<const unsigned char*>(data.data());
+  size_t size = data.size();
   uint32_t crc = 0xffffffffu;
-  for (char c : data) {
-    crc = (crc >> 8) ^ kTable[(crc ^ static_cast<uint8_t>(c)) & 0xffu];
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const uint32_t low = crc ^ LoadLe32(bytes);
+    const uint32_t high = LoadLe32(bytes + 4);
+    crc = kCrcTables[7][low & 0xffu] ^ kCrcTables[6][(low >> 8) & 0xffu] ^
+          kCrcTables[5][(low >> 16) & 0xffu] ^ kCrcTables[4][low >> 24] ^
+          kCrcTables[3][high & 0xffu] ^ kCrcTables[2][(high >> 8) & 0xffu] ^
+          kCrcTables[1][(high >> 16) & 0xffu] ^ kCrcTables[0][high >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    crc = (crc >> 8) ^ kCrcTables[0][(crc ^ *bytes) & 0xffu];
   }
   return crc ^ 0xffffffffu;
 }
@@ -94,7 +123,7 @@ Result<std::string> SerializeTrajectoryBlocked(const Trajectory& trajectory,
 }
 
 Result<Trajectory> DeserializeTrajectory(std::string_view* input,
-                                         Codec* codec_out) {
+                                         FrameLayout* layout) {
   const std::string_view frame_start = *input;
   if (input->size() < 6) {
     return DataLossError("trajectory frame truncated");
@@ -121,16 +150,19 @@ Result<Trajectory> DeserializeTrajectory(std::string_view* input,
   input->remove_prefix(name_size);
   STCOMP_ASSIGN_OR_RETURN(const uint64_t count, GetVarint(input));
   std::vector<TimedPoint> points;
+  std::vector<BlockSummary> blocks;
+  std::string_view payload;
   if (version == kVersion) {
     STCOMP_ASSIGN_OR_RETURN(points, DecodePoints(input, codec, count));
   } else {
     STCOMP_ASSIGN_OR_RETURN(const uint64_t block_count, GetVarint(input));
-    STCOMP_ASSIGN_OR_RETURN(const std::vector<BlockSummary> blocks,
+    STCOMP_ASSIGN_OR_RETURN(blocks,
                             ParseSummaryTable(input, block_count, count));
     if (count > input->size()) {
       return DataLossError("point count exceeds frame payload");
     }
     points.reserve(count);
+    const std::string_view payload_start = *input;
     for (const BlockSummary& block : blocks) {
       if (block.byte_length > input->size()) {
         return DataLossError("block payload exceeds frame payload");
@@ -143,6 +175,8 @@ Result<Trajectory> DeserializeTrajectory(std::string_view* input,
       }
       input->remove_prefix(block.byte_length);
     }
+    payload =
+        payload_start.substr(0, payload_start.size() - input->size());
   }
   if (input->size() < 4) {
     return DataLossError("trajectory frame truncated before CRC");
@@ -161,15 +195,17 @@ Result<Trajectory> DeserializeTrajectory(std::string_view* input,
   STCOMP_ASSIGN_OR_RETURN(Trajectory trajectory,
                           Trajectory::FromPoints(std::move(points)));
   trajectory.set_name(std::move(name));
-  if (codec_out != nullptr) {
-    *codec_out = codec;
+  if (layout != nullptr) {
+    layout->codec = codec;
+    layout->blocks = std::move(blocks);
+    layout->payload = payload;
   }
   return trajectory;
 }
 
-std::vector<Trajectory> ScanTrajectoryFrames(std::string_view image,
-                                             FrameScanStats* stats,
-                                             std::vector<Codec>* codecs) {
+std::vector<Trajectory> ScanTrajectoryFrames(
+    std::string_view image, FrameScanStats* stats,
+    std::vector<FrameLayout>* layouts) {
   FrameScanStats local;
   if (stats == nullptr) {
     stats = &local;
@@ -180,12 +216,13 @@ std::vector<Trajectory> ScanTrajectoryFrames(std::string_view image,
   while (!cursor.empty()) {
     const size_t offset = static_cast<size_t>(cursor.data() - image.data());
     std::string_view attempt = cursor;
-    Codec codec = Codec::kRaw;
-    Result<Trajectory> frame = DeserializeTrajectory(&attempt, &codec);
+    FrameLayout layout;
+    Result<Trajectory> frame = DeserializeTrajectory(
+        &attempt, layouts != nullptr ? &layout : nullptr);
     if (frame.ok()) {
       frames.push_back(*std::move(frame));
-      if (codecs != nullptr) {
-        codecs->push_back(codec);
+      if (layouts != nullptr) {
+        layouts->push_back(std::move(layout));
       }
       ++stats->frames_good;
       cursor = attempt;

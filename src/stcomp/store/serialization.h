@@ -32,7 +32,8 @@
 
 namespace stcomp {
 
-// CRC-32 (IEEE 802.3 polynomial, reflected).
+// CRC-32 (IEEE 802.3 polynomial, reflected), computed eight bytes per
+// step (slicing-by-8); the same value as the bytewise table form.
 uint32_t Crc32(std::string_view data);
 
 Result<std::string> SerializeTrajectory(const Trajectory& trajectory,
@@ -53,11 +54,21 @@ Result<std::string> SerializeTrajectoryBlocked(
     const Trajectory& trajectory, Codec codec,
     size_t block_points = kDefaultBlockPoints);
 
+// How a parsed frame stores its points: the codec, and for a v2 frame
+// its summary table as written and the concatenated block payloads the
+// points were decoded from. A v1 frame leaves `blocks` and `payload`
+// empty. `payload` views the parsed buffer.
+struct FrameLayout {
+  Codec codec = Codec::kRaw;
+  std::vector<BlockSummary> blocks;
+  std::string_view payload;
+};
+
 // Parses one framed trajectory (either version) from the front of
 // `*input`, advancing it (multiple frames may be concatenated in one
-// buffer/file). `codec` (may be null) receives the frame's codec.
+// buffer/file). `layout` (may be null) receives how the frame stores it.
 Result<Trajectory> DeserializeTrajectory(std::string_view* input,
-                                         Codec* codec = nullptr);
+                                         FrameLayout* layout = nullptr);
 
 // Salvaging frame scan (DESIGN.md §13). Strict decoding (above) turns one
 // flipped bit into kDataLoss for the whole image; the scanner instead
@@ -72,11 +83,11 @@ struct FrameScanStats {
   std::vector<std::string> log;  // One human-readable line per skip.
 };
 
-// Returns every decodable frame in order. `stats` may be null; `codecs`
-// (may be null) receives each returned frame's codec, in the same order.
+// Returns every decodable frame in order. `stats` may be null; `layouts`
+// (may be null) receives each returned frame's layout, in the same order.
 std::vector<Trajectory> ScanTrajectoryFrames(
     std::string_view image, FrameScanStats* stats,
-    std::vector<Codec>* codecs = nullptr);
+    std::vector<FrameLayout>* layouts = nullptr);
 
 Status WriteTrajectoryFile(const Trajectory& trajectory, Codec codec,
                            const std::string& path);

@@ -50,6 +50,22 @@ Result<Trajectory> ToStorageValues(const Trajectory& trajectory, Codec codec) {
   return mapped;
 }
 
+// Whether `blocks` cut `num_points` points the way the store does: every
+// block but the last holds kDefaultBlockPoints points, the last the rest.
+// A v1 frame has no blocks, so it qualifies only when empty.
+bool IsStoreBlocked(const std::vector<BlockSummary>& blocks,
+                    size_t num_points) {
+  size_t first = 0;
+  for (const BlockSummary& block : blocks) {
+    if (first >= num_points ||
+        block.count != std::min(kDefaultBlockPoints, num_points - first)) {
+      return false;
+    }
+    first += block.count;
+  }
+  return first == num_points;
+}
+
 }  // namespace
 
 Status TrajectoryStore::EncodeInto(const Trajectory& trajectory,
@@ -62,10 +78,21 @@ Status TrajectoryStore::EncodeInto(const Trajectory& trajectory,
   return Status::Ok();
 }
 
-Status TrajectoryStore::EntryFromFrame(Trajectory frame, Codec frame_codec,
+Status TrajectoryStore::EntryFromFrame(Trajectory frame, FrameLayout layout,
                                        Entry* entry) const {
+  if (layout.codec == codec_ && IsStoreBlocked(layout.blocks, frame.size())) {
+    // Extents over the decoded points as they are (kRaw maps nothing):
+    // they are this store's storage values, what Get() decodes.
+    entry->encoded.assign(layout.payload);
+    entry->blocks = std::move(layout.blocks);
+    for (BlockSummary& block : entry->blocks) {
+      SetBlockExtents(frame.points(), Codec::kRaw, &block);
+    }
+    entry->decoded = std::move(frame);
+    return Status::Ok();
+  }
   STCOMP_RETURN_IF_ERROR(EncodeInto(frame, entry));
-  if (frame_codec == Codec::kRaw && codec_ == Codec::kDelta) {
+  if (layout.codec == Codec::kRaw && codec_ == Codec::kDelta) {
     STCOMP_ASSIGN_OR_RETURN(entry->decoded, ToStorageValues(frame, codec_));
   } else {
     entry->decoded = std::move(frame);
@@ -292,16 +319,16 @@ Status TrajectoryStore::LoadFromBuffer(std::string_view data) {
   std::string_view cursor = data;
   std::map<std::string, Entry, std::less<>> loaded;
   while (!cursor.empty()) {
-    Codec frame_codec = codec_;
+    FrameLayout layout;
     STCOMP_ASSIGN_OR_RETURN(Trajectory trajectory,
-                            DeserializeTrajectory(&cursor, &frame_codec));
+                            DeserializeTrajectory(&cursor, &layout));
     std::string id = trajectory.name();
     if (id.empty()) {
       return DataLossError("stored trajectory frame without an object id");
     }
     Entry entry;
     STCOMP_RETURN_IF_ERROR(
-        EntryFromFrame(std::move(trajectory), frame_codec, &entry));
+        EntryFromFrame(std::move(trajectory), std::move(layout), &entry));
     if (!loaded.emplace(id, std::move(entry)).second) {
       return DataLossError("duplicate object id '" + id + "' in store file");
     }
@@ -317,8 +344,8 @@ Status TrajectoryStore::SalvageFromBuffer(std::string_view data,
     stats = &local;
   }
   std::map<std::string, Entry, std::less<>> loaded;
-  std::vector<Codec> codecs;
-  std::vector<Trajectory> frames = ScanTrajectoryFrames(data, stats, &codecs);
+  std::vector<FrameLayout> layouts;
+  std::vector<Trajectory> frames = ScanTrajectoryFrames(data, stats, &layouts);
   for (size_t i = 0; i < frames.size(); ++i) {
     std::string id = frames[i].name();
     if (id.empty()) {
@@ -327,7 +354,7 @@ Status TrajectoryStore::SalvageFromBuffer(std::string_view data,
     }
     Entry entry;
     STCOMP_RETURN_IF_ERROR(
-        EntryFromFrame(std::move(frames[i]), codecs[i], &entry));
+        EntryFromFrame(std::move(frames[i]), std::move(layouts[i]), &entry));
     if (!loaded.emplace(id, std::move(entry)).second) {
       stats->log.push_back("dropped duplicate object id '" + id + "'");
     }

@@ -130,9 +130,13 @@ class TrajectoryStore {
 
   // Encodes `trajectory` into the entry's payload and summary table.
   Status EncodeInto(const Trajectory& trajectory, Entry* entry) const;
-  // The whole load step for one decoded frame: encode, then move the
-  // points in (or map them, for a kRaw frame in a kDelta store).
-  Status EntryFromFrame(Trajectory frame, Codec frame_codec,
+  // The whole load step for one decoded frame. A frame in the store's
+  // codec, cut into blocks the way the store cuts them, keeps its block
+  // payloads: they are the bytes its points were decoded from. Any other
+  // frame is re-encoded. Either way the points are moved in (or mapped,
+  // for a kRaw frame in a kDelta store) and the summary extents are
+  // computed from them, never taken from the frame's table.
+  Status EntryFromFrame(Trajectory frame, FrameLayout layout,
                         Entry* entry) const;
   const Entry* FindEntry(std::string_view object_id) const;
 

@@ -19,6 +19,9 @@ Result<uint64_t> GetVarint(std::string_view* input) {
     const uint8_t byte = static_cast<uint8_t>((*input)[i]);
     value |= static_cast<uint64_t>(byte & 0x7f) << shift;
     if ((byte & 0x80) == 0) {
+      if (!IsCanonicalVarintEnd(byte, i)) {
+        return DataLossError("non-canonical varint");
+      }
       input->remove_prefix(i + 1);
       return value;
     }

@@ -3,6 +3,7 @@
 #ifndef STCOMP_STORE_VARINT_H_
 #define STCOMP_STORE_VARINT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -14,9 +15,17 @@ namespace stcomp {
 // Appends `value` to `out` as base-128 varint (1-10 bytes).
 void PutVarint(uint64_t value, std::string* out);
 
-// Reads a varint from the front of `*input`, advancing it.
-// Fails with kDataLoss on truncation or overlong (> 10 byte) encodings.
+// Reads a varint from the front of `*input`, advancing it. Only the
+// canonical form PutVarint writes is accepted: kDataLoss on truncation,
+// on more than 10 bytes, and on IsCanonicalVarintEnd failures.
 Result<uint64_t> GetVarint(std::string_view* input);
+
+// Whether `byte`, the final byte of a varint at 0-based position `index`,
+// ends the shortest encoding of its value: a zero after a continuation
+// byte pads the value with zero bits, and a 10th byte holds only bit 63.
+constexpr bool IsCanonicalVarintEnd(uint8_t byte, size_t index) {
+  return (byte != 0 || index == 0) && (index < 9 || byte <= 0x01);
+}
 
 // Zigzag mapping so small-magnitude signed deltas stay short.
 constexpr uint64_t ZigZagEncode(int64_t value) {

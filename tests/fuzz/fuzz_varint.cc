@@ -1,6 +1,6 @@
-// Fuzzes the varint/zigzag/double primitives with round-trip properties:
-// every value decoded from arbitrary bytes must re-encode canonically and
-// decode back to itself.
+// Fuzzes the varint/zigzag/double primitives: every value decoded from
+// arbitrary bytes must have been read from its canonical encoding, i.e.
+// the bytes consumed are exactly what the matching Put writes for it.
 
 #include <cstdlib>
 #include <string>
@@ -18,20 +18,20 @@ int FuzzVarint(const uint8_t* data, size_t size) {
   const std::string_view input(reinterpret_cast<const char*>(data), size);
   std::string_view cursor = input;
   while (true) {
+    const std::string_view before = cursor;
     const stcomp::Result<uint64_t> value = stcomp::GetVarint(&cursor);
     if (!value.ok()) {
       break;
     }
     std::string reencoded;
     stcomp::PutVarint(*value, &reencoded);
-    std::string_view check = reencoded;
-    const stcomp::Result<uint64_t> again = stcomp::GetVarint(&check);
-    if (!again.ok() || *again != *value || !check.empty()) {
-      std::abort();  // Round-trip broken: a real bug, make the fuzzer stop.
+    if (before.substr(0, before.size() - cursor.size()) != reencoded) {
+      std::abort();  // A non-canonical read: a real bug, stop the fuzzer.
     }
   }
   cursor = input;
   while (true) {
+    const std::string_view before = cursor;
     const stcomp::Result<int64_t> value = stcomp::GetSignedVarint(&cursor);
     if (!value.ok()) {
       break;
@@ -41,9 +41,7 @@ int FuzzVarint(const uint8_t* data, size_t size) {
     }
     std::string reencoded;
     stcomp::PutSignedVarint(*value, &reencoded);
-    std::string_view check = reencoded;
-    const stcomp::Result<int64_t> again = stcomp::GetSignedVarint(&check);
-    if (!again.ok() || *again != *value || !check.empty()) {
+    if (before.substr(0, before.size() - cursor.size()) != reencoded) {
       std::abort();
     }
   }

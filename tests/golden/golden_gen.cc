@@ -107,6 +107,23 @@ int main(int argc, char** argv) {
   WriteFile(corpus_dir / "store" / "unnamed_frame",
             stcomp::SerializeTrajectory(unnamed, stcomp::Codec::kRaw).value());
   WriteFile(corpus_dir / "store" / "truncated", raw.substr(0, 10));
+  // Load keeps a frame's block payloads only when it is cut the store's
+  // way (DESIGN.md §13): two-point blocks take the re-encode path, and a
+  // store-cut frame whose table claims wider extents than its points
+  // takes the kept path with the extents recomputed.
+  WriteFile(corpus_dir / "store" / "two_point_blocks", delta_blocked);
+  std::string payload;
+  std::vector<stcomp::BlockSummary> wide =
+      stcomp::EncodeBlocked(trajectory.points().data(), trajectory.size(),
+                            stcomp::Codec::kDelta, stcomp::kDefaultBlockPoints,
+                            &payload)
+          .value();
+  wide[0].t_min -= 60.0;
+  wide[0].bounds.max.x += 1000.0;
+  WriteFile(corpus_dir / "store" / "wide_table_extents",
+            stcomp::SerializeBlockedFrame(trajectory.name(),
+                                          stcomp::Codec::kDelta, wide, payload)
+                .value());
 
   // Spatio-temporal index seed corpus (fuzz_query_index.cc): STIX images
   // built from real stores, the empty index, and a torn prefix. The replay

@@ -203,6 +203,63 @@ TEST(NetFrameCodec, HugeDeclaredPayloadIsTruncationNotOverflow) {
   }
 }
 
+// `body` with its CRC re-stamped, so the varint under test is the frame's
+// only fault.
+std::string WithCrc(std::string body) {
+  const uint32_t crc = Crc32(body);
+  for (int shift = 0; shift < 32; shift += 8) {
+    body.push_back(static_cast<char>((crc >> shift) & 0xff));
+  }
+  return body;
+}
+
+std::string Header(NetMessageType type) {
+  std::string header(kNetMagic, sizeof(kNetMagic));
+  header.push_back(static_cast<char>(kNetProtocolVersion));
+  header.push_back(static_cast<char>(type));
+  return header;
+}
+
+TEST(NetFrameCodec, NonCanonicalVarintsAreDataLoss) {
+  // Bye's zero payload length padded to `80 00`.
+  const std::string padded_length =
+      WithCrc(Header(NetMessageType::kBye) + std::string("\x80\x00", 2));
+  // A length whose 10th byte carries bits above 63.
+  std::string high_bits = Header(NetMessageType::kBye);
+  high_bits.append(9, '\xff');
+  high_bits.push_back('\x7f');
+  high_bits = WithCrc(high_bits + "junk");
+  for (const std::string& frame : {padded_length, high_bits}) {
+    size_t frame_size = 0;
+    Status error;
+    EXPECT_EQ(ScanNetFrame(frame, kNetMaxPayloadBytes, &frame_size, &error),
+              FrameScan::kError);
+    EXPECT_EQ(error.code(), StatusCode::kDataLoss) << error.ToString();
+    std::string_view input = frame;
+    EXPECT_EQ(DecodeNetFrame(&input).status().code(), StatusCode::kDataLoss);
+  }
+  // HelloAck(7, 19) with session id 7 padded to `87 00` inside the
+  // payload: the scan frames it, the decoder refuses it.
+  const std::string padded_field =
+      WithCrc(Header(NetMessageType::kHelloAck) + '\x03' +
+              std::string("\x87\x00\x13", 3));
+  size_t frame_size = 0;
+  Status error;
+  EXPECT_EQ(ScanNetFrame(padded_field, kNetMaxPayloadBytes, &frame_size,
+                         &error),
+            FrameScan::kFrame);
+  std::string_view input = padded_field;
+  EXPECT_EQ(DecodeNetFrame(&input).status().code(), StatusCode::kDataLoss);
+  // The canonical spellings of both frames decode.
+  const std::string canonical_bye =
+      WithCrc(Header(NetMessageType::kBye) + '\x00');
+  EXPECT_EQ(canonical_bye, EncodeNetFrame(NetFrame::Bye()));
+  const std::string canonical_ack =
+      WithCrc(Header(NetMessageType::kHelloAck) + '\x02' +
+              std::string("\x07\x13", 2));
+  EXPECT_EQ(canonical_ack, EncodeNetFrame(NetFrame::HelloAck(7, 19)));
+}
+
 TEST(NetFrameReader, ReassemblesTornDelivery) {
   // Feed a multi-frame stream one byte at a time — the worst TCP can do —
   // and expect exactly the original frame sequence.

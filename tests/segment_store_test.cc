@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "stcomp/obs/metrics.h"
 #include "stcomp/store/durable_file.h"
 #include "test_util.h"
 
@@ -187,6 +188,24 @@ TEST(SegmentStoreTest, FsckReportsFrameHealth) {
   }
   EXPECT_FALSE(SegmentStore::Fsck(dir + "/nonexistent").ok());
 }
+
+#if STCOMP_METRICS_ENABLED
+TEST(SegmentStoreTest, EachCheckpointObservesOneLatency) {
+  obs::Histogram* const checkpoint_seconds =
+      obs::MetricsRegistry::Global().GetHistogram(
+          "stcomp_checkpoint_seconds", {}, obs::LatencyBucketsSeconds());
+  const std::string dir = FreshDir("checkpoint_metric");
+  SegmentStore store(RawOptions());
+  ASSERT_TRUE(store.Open(dir).ok());
+  const uint64_t before = checkpoint_seconds->count();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(store.Append("obj", TimedPoint(1.0 + i, 0.0, 0.0)).ok());
+    ASSERT_TRUE(store.Checkpoint().ok());
+    EXPECT_EQ(checkpoint_seconds->count(), before + i + 1);
+  }
+  std::filesystem::remove_all(dir);
+}
+#endif  // STCOMP_METRICS_ENABLED
 
 TEST(SegmentStoreTest, OpenOnEmptyDirectoryIsClean) {
   const std::string dir = FreshDir("empty");

@@ -1,14 +1,18 @@
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
+#include <random>
 #include <span>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "stcomp/obs/metrics.h"
+#include "stcomp/store/block_summary.h"
 #include "stcomp/store/codec.h"
 #include "stcomp/store/segment_store.h"
 #include "stcomp/store/serialization.h"
@@ -237,6 +241,37 @@ TEST(Crc32Test, KnownVector) {
   EXPECT_EQ(Crc32(""), 0u);
 }
 
+// Crc32 steps eight bytes at a time; it must equal the bytewise table
+// form (kept here as the reference) at every length and alignment, tail
+// bytes included.
+TEST(Crc32Test, MatchesBytewiseReference) {
+  std::array<uint32_t, 256> table{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xedb88320u : 0u);
+    }
+    table[i] = crc;
+  }
+  constexpr size_t kMaxLength = 4096;
+  std::mt19937 rng(20261017);
+  std::string bytes(kMaxLength + 8, '\0');
+  for (char& byte : bytes) {
+    byte = static_cast<char>(rng() & 0xffu);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    // The reference register after the first `length` bytes from offset.
+    uint32_t reference = 0xffffffffu;
+    for (size_t length = 0; length <= kMaxLength; ++length) {
+      ASSERT_EQ(Crc32(std::string_view(bytes).substr(offset, length)),
+                reference ^ 0xffffffffu)
+          << "offset " << offset << " length " << length;
+      const auto next = static_cast<uint8_t>(bytes[offset + length]);
+      reference = (reference >> 8) ^ table[(reference ^ next) & 0xffu];
+    }
+  }
+}
+
 TEST(TrajectoryStoreTest, InsertGetRemove) {
   TrajectoryStore store;
   const Trajectory trajectory = RandomWalk(40, 10);
@@ -398,6 +433,135 @@ TEST(TrajectoryStoreTest, StoragePointsMatchDecodedPayload) {
                          *store.StoragePoints(id), name + " " + id);
     }
     std::filesystem::remove_all(dir);
+  }
+}
+
+// Every entry holds what EncodeBlocked writes for its storage values: the
+// payload and summary table a fresh encode of its resident points gives.
+void ExpectEncodedFromStoragePoints(const TrajectoryStore& store,
+                                    const std::string& label) {
+  ASSERT_GT(store.object_count(), 0u) << label;
+  store.VisitBlocks([&](const std::string& id, size_t num_points,
+                        const std::vector<BlockSummary>& blocks,
+                        std::string_view payload) {
+    const std::span<const TimedPoint> points = *store.StoragePoints(id);
+    ASSERT_EQ(num_points, points.size()) << label << " " << id;
+    std::string encoded;
+    const Result<std::vector<BlockSummary>> expected =
+        EncodeBlocked(points.data(), points.size(), store.codec(),
+                      kDefaultBlockPoints, &encoded);
+    ASSERT_TRUE(expected.ok()) << label << " " << id << ": "
+                               << expected.status();
+    EXPECT_EQ(payload, encoded) << label << " " << id;
+    EXPECT_EQ(blocks, *expected) << label << " " << id;
+  });
+}
+
+std::string Image(const TrajectoryStore& store) {
+  const Result<std::string> image = store.SerializeToString();
+  EXPECT_TRUE(image.ok()) << image.status();
+  return image.ok() ? *image : std::string();
+}
+
+// Loading an image in the store's own codec keeps each frame's block
+// payloads, so the loaded store writes the same image back.
+TEST(TrajectoryStoreTest, LoadKeepsPayloadsByteForByte) {
+  for (const Codec codec : {Codec::kRaw, Codec::kDelta}) {
+    const std::string name = codec == Codec::kRaw ? "raw" : "delta";
+    TrajectoryStore store(codec);
+    FillStore(&store);
+    ExpectEncodedFromStoragePoints(store, name + " in memory");
+    const std::string image = Image(store);
+
+    TrajectoryStore loaded(codec);
+    ASSERT_TRUE(loaded.LoadFromBuffer(image).ok());
+    EXPECT_EQ(Image(loaded), image) << name;
+    ExpectEncodedFromStoragePoints(loaded, name + " loaded");
+    ExpectResidentMatchesPayload(loaded, name + " loaded");
+
+    TrajectoryStore salvaged(codec);
+    FrameScanStats stats;
+    ASSERT_TRUE(salvaged.SalvageFromBuffer(image, &stats).ok());
+    EXPECT_EQ(stats.frames_good, store.object_count());
+    EXPECT_EQ(Image(salvaged), image) << name;
+    ExpectEncodedFromStoragePoints(salvaged, name + " salvaged");
+    ExpectResidentMatchesPayload(salvaged, name + " salvaged");
+  }
+}
+
+uint64_t EncodeCalls(Codec codec) {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("stcomp_store_encode_calls_total",
+                  {{"codec", codec == Codec::kRaw ? "raw" : "delta"}})
+      ->value();
+}
+
+// Keeping payloads means loading encodes nothing; a re-encode would count
+// one encode call per block.
+TEST(TrajectoryStoreTest, LoadingOwnCodecImageEncodesNothing) {
+  for (const Codec codec : {Codec::kRaw, Codec::kDelta}) {
+    TrajectoryStore store(codec);
+    FillStore(&store);
+    const std::string image = Image(store);
+    const uint64_t before = EncodeCalls(codec);
+    TrajectoryStore loaded(codec);
+    ASSERT_TRUE(loaded.LoadFromBuffer(image).ok());
+    TrajectoryStore salvaged(codec);
+    ASSERT_TRUE(salvaged.SalvageFromBuffer(image, nullptr).ok());
+    EXPECT_EQ(EncodeCalls(codec), before)
+        << (codec == Codec::kRaw ? "raw" : "delta");
+  }
+}
+
+// Frames the store does not keep as they are load exactly as a re-encode
+// of their decoded points would: what Insert of those points holds.
+TEST(TrajectoryStoreTest, OtherFramesLoadAsAReencode) {
+  Trajectory walk = RandomWalk(150, 29);
+  walk.set_name("veh");
+  // Cut the store's way, but the table claims wider extents than the
+  // points have; the kept payload must still get the true extents.
+  std::string payload;
+  std::vector<BlockSummary> wide =
+      EncodeBlocked(walk.points().data(), walk.size(), Codec::kDelta,
+                    kDefaultBlockPoints, &payload)
+          .value();
+  for (BlockSummary& block : wide) {
+    block.t_min -= 60.0;
+    block.bounds.max.x += 1000.0;
+  }
+  struct Case {
+    std::string label;
+    Codec store_codec;
+    std::string frame;
+  };
+  const std::vector<Case> cases = {
+      {"v1 frame", Codec::kDelta,
+       SerializeTrajectory(walk, Codec::kDelta).value()},
+      {"kRaw frame in a kDelta store", Codec::kDelta,
+       SerializeTrajectoryBlocked(walk, Codec::kRaw).value()},
+      {"two-point blocks", Codec::kDelta,
+       SerializeTrajectoryBlocked(walk, Codec::kDelta, 2).value()},
+      {"wide table extents", Codec::kDelta,
+       SerializeBlockedFrame("veh", Codec::kDelta, wide, payload).value()},
+  };
+  for (const Case& c : cases) {
+    std::string_view cursor = c.frame;
+    const Result<Trajectory> decoded = DeserializeTrajectory(&cursor);
+    ASSERT_TRUE(decoded.ok()) << c.label << ": " << decoded.status();
+    TrajectoryStore expected(c.store_codec);
+    ASSERT_TRUE(expected.Insert("veh", *decoded).ok()) << c.label;
+    const std::string expected_image = Image(expected);
+
+    TrajectoryStore loaded(c.store_codec);
+    ASSERT_TRUE(loaded.LoadFromBuffer(c.frame).ok()) << c.label;
+    TrajectoryStore salvaged(c.store_codec);
+    ASSERT_TRUE(salvaged.SalvageFromBuffer(c.frame, nullptr).ok()) << c.label;
+    for (const TrajectoryStore* store : {&loaded, &salvaged}) {
+      EXPECT_EQ(Image(*store), expected_image) << c.label;
+      ExpectEncodedFromStoragePoints(*store, c.label);
+      ExpectBitwiseEqual(*store->StoragePoints("veh"),
+                         *expected.StoragePoints("veh"), c.label);
+    }
   }
 }
 

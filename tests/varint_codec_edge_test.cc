@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -56,6 +57,58 @@ TEST(VarintEdgeTest, OverlongEncodingRejected) {
   const std::string overlong(11, '\x80');
   std::string_view cursor = overlong;
   EXPECT_EQ(GetVarint(&cursor).status().code(), StatusCode::kDataLoss);
+}
+
+// A lenient reader decodes each of these to a value, but none is the
+// encoding PutVarint writes for it.
+TEST(VarintEdgeTest, NonCanonicalEncodingsRejected) {
+  std::string high_bits(9, '\xff');
+  high_bits.push_back('\x7f');  // UINT64_MAX plus bits above 63.
+  std::string bit_64(9, '\x80');
+  bit_64.push_back('\x02');  // 2^64 does not fit.
+  const std::vector<std::string> non_canonical = {
+      std::string("\x80\x00", 2),      // 0 padded with a zero group.
+      std::string("\x81\x80\x00", 3),  // 1 padded with two.
+      high_bits,
+      bit_64,
+  };
+  for (const std::string& bytes : non_canonical) {
+    std::string_view cursor = bytes;
+    EXPECT_EQ(GetVarint(&cursor).status().code(), StatusCode::kDataLoss)
+        << bytes.size() << " bytes";
+    EXPECT_EQ(cursor.size(), bytes.size()) << "consumed input on failure";
+    cursor = bytes;
+    EXPECT_EQ(GetSignedVarint(&cursor).status().code(),
+              StatusCode::kDataLoss);
+  }
+  // The canonical 10-byte form of UINT64_MAX ends in 01.
+  std::string max(9, '\xff');
+  max.push_back('\x01');
+  std::string_view cursor = max;
+  EXPECT_EQ(GetVarint(&cursor).value(), UINT64_MAX);
+  EXPECT_TRUE(cursor.empty());
+}
+
+// A trajectory frame whose only fault is a padded varint: every other
+// byte is what the writer emits, and the CRC is re-stamped over it.
+TEST(VarintEdgeTest, FrameWithPaddedVarintIsDataLoss) {
+  Trajectory trajectory = Traj({{0.0, 0.0, 0.0}, {1.0, 2.0, 3.0}});
+  trajectory.set_name("veh");
+  const std::string frame =
+      SerializeTrajectory(trajectory, Codec::kDelta).value();
+  // "STCT" | version | codec | name length | name | ... | crc32.
+  ASSERT_EQ(frame[6], '\x03');
+  std::string padded = frame.substr(0, 6) + std::string("\x83\x00", 2) +
+                       frame.substr(7, frame.size() - 7 - 4);
+  const uint32_t crc = Crc32(padded);
+  for (int shift = 0; shift < 32; shift += 8) {
+    padded.push_back(static_cast<char>((crc >> shift) & 0xff));
+  }
+  std::string_view cursor = padded;
+  EXPECT_EQ(DeserializeTrajectory(&cursor).status().code(),
+            StatusCode::kDataLoss);
+  cursor = frame;
+  EXPECT_TRUE(DeserializeTrajectory(&cursor).ok());
 }
 
 TEST(VarintEdgeTest, SignedExtremesRoundTrip) {
