@@ -31,7 +31,6 @@
 #include "stcomp/gps/gpx.h"
 #include "stcomp/gps/nmea.h"
 #include "stcomp/gps/plt.h"
-#include "stcomp/geom/kernels.h"
 #include "stcomp/obs/exposition.h"
 #include "stcomp/obs/flight_recorder.h"
 #include "stcomp/obs/trace.h"
@@ -42,16 +41,6 @@
 #include "stcomp/stream/sharded_fleet.h"
 
 namespace {
-
-// --stats companion line (stderr, like the run summary, so stdout stays
-// parseable): which batched-kernel backend served this process.
-void PrintKernelBackend() {
-  std::fprintf(
-      stderr, "kernel backend: %s%s\n",
-      stcomp::kernels::BackendName(stcomp::kernels::KernelDispatch::Active()),
-      stcomp::kernels::ScalarKernelsForced() ? " (scalar forced by env)"
-                                             : "");
-}
 
 stcomp::Result<stcomp::Trajectory> ReadAny(const std::string& path) {
   const std::string lower = stcomp::AsciiLower(path);
@@ -307,7 +296,6 @@ int Run(int argc, char** argv) {
     std::printf("%s: paper threshold sweep over %s\n%s", algorithm.c_str(),
                 flags.positional()[0].c_str(), table.ToString().c_str());
     if (stats) {
-      PrintKernelBackend();
       std::fputs(
           stcomp::obs::RenderMetrics(
               stcomp::obs::MetricsRegistry::Global().Snapshot(), *format)
@@ -378,7 +366,6 @@ int Run(int argc, char** argv) {
             static_cast<unsigned long long>(shard.fixes_in),
             static_cast<unsigned long long>(shard.fixes_out));
       }
-      PrintKernelBackend();
       std::fputs(
           stcomp::obs::RenderMetrics(
               stcomp::obs::MetricsRegistry::Global().Snapshot(), *format)
@@ -405,7 +392,6 @@ int Run(int argc, char** argv) {
                  eval->sync_error_max_m);
   }
   if (stats) {
-    PrintKernelBackend();
     std::fputs(
         stcomp::obs::RenderMetrics(
             stcomp::obs::MetricsRegistry::Global().Snapshot(), *format)

@@ -39,25 +39,6 @@ def validate(path):
     if not isinstance(metrics, dict):
         return fail(path, "missing 'metrics' object")
     # Bench-specific shape checks.
-    if bench == "bench_kernels":
-        kernels = doc.get("kernels")
-        if not isinstance(kernels, list) or not kernels:
-            return fail(path, "bench_kernels: missing 'kernels' entries")
-        for entry in kernels:
-            if not isinstance(entry, dict):
-                return fail(path, "bench_kernels: non-object kernel entry")
-            label = entry.get("kernel", entry.get("algorithm"))
-            if not isinstance(label, str) or not label:
-                return fail(path, "bench_kernels: entry without a label")
-            for key in ("scalar_seconds", "vector_seconds", "speedup"):
-                value = entry.get(key)
-                if not isinstance(value, (int, float)) or value <= 0:
-                    return fail(
-                        path, f"bench_kernels: {label}: bad '{key}': {value!r}"
-                    )
-        for key in ("scalar_backend", "vector_backend"):
-            if not isinstance(doc.get(key), str) or not doc[key]:
-                return fail(path, f"bench_kernels: missing '{key}'")
     if bench == "bench_obs_overhead" and version >= 2:
         if not isinstance(doc.get("metrics_enabled"), bool):
             return fail(path, "bench_obs_overhead: missing 'metrics_enabled'")

@@ -37,7 +37,6 @@ struct KernelFarthest {
   const double* x;
   const double* y;
   const double* t;
-  const kernels::KernelOps* ops;
   SplitCriterion criterion;
 
   std::pair<int, double> operator()(int first, int last) const {
@@ -48,10 +47,10 @@ struct KernelFarthest {
     kernels::MaxResult r;
     if (criterion == SplitCriterion::kSynchronized) {
       const kernels::SedSegment seg{x[a], y[a], t[a], x[b], y[b], t[b]};
-      r = ops->sed_max(x + base, y + base, t + base, count, seg);
+      r = kernels::SedMax(x + base, y + base, t + base, count, seg);
     } else {
       const kernels::LineSegment seg{x[a], y[a], x[b], y[b]};
-      r = ops->perp_max(x + base, y + base, count, seg);
+      r = kernels::PerpMax(x + base, y + base, count, seg);
     }
     return {first + 1 + static_cast<int>(r.index), r.value};
   }
@@ -162,8 +161,7 @@ void TopDownMaxPointsImpl(TrajectoryView trajectory, int max_points,
 
 KernelFarthest MakeKernelFarthest(const TrajectoryViewSoA& soa,
                                   SplitCriterion criterion) {
-  return KernelFarthest{soa.x(), soa.y(), soa.t(),
-                        &kernels::KernelDispatch::Get(), criterion};
+  return KernelFarthest{soa.x(), soa.y(), soa.t(), criterion};
 }
 
 }  // namespace

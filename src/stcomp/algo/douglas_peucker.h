@@ -23,7 +23,7 @@ using SplitDistanceFn =
 double PerpendicularSplitDistance(TrajectoryView trajectory, int first,
                                   int last, int i);
 
-// The built-in split criteria as an enum: these take the kernel-dispatched
+// The built-in split criteria as an enum: these take the batched-kernel
 // whole-range path (geom/kernels.h) — one batched argmax per range over
 // the workspace's SoA repack — and produce bit-identical output to the
 // per-point SplitDistanceFn forms.
@@ -42,7 +42,7 @@ void TopDown(TrajectoryView trajectory, double epsilon,
 IndexList TopDown(TrajectoryView trajectory, double epsilon,
                   const SplitDistanceFn& distance);
 
-// Kernel-dispatched fast path for the built-in criteria. Allocation-free
+// Batched-kernel fast path for the built-in criteria. Allocation-free
 // on a warmed workspace.
 void TopDown(TrajectoryView trajectory, double epsilon,
              SplitCriterion criterion, Workspace& workspace, IndexList& out);
@@ -63,7 +63,7 @@ void TopDownMaxPoints(TrajectoryView trajectory, int max_points,
 IndexList TopDownMaxPoints(TrajectoryView trajectory, int max_points,
                            const SplitDistanceFn& distance);
 
-// Kernel-dispatched fast path for the built-in criteria.
+// Batched-kernel fast path for the built-in criteria.
 void TopDownMaxPoints(TrajectoryView trajectory, int max_points,
                       SplitCriterion criterion, Workspace& workspace,
                       IndexList& out);

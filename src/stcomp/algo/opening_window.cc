@@ -85,13 +85,12 @@ void OpeningWindow(TrajectoryView trajectory, double epsilon,
   // Kernelised form of the generic loop above: the whole interior of the
   // current window is scanned by one batched first-violation call per
   // float advance. Same O(N^2) scan structure (every interior point must
-  // be re-examined whenever the float moves), but each scan runs at
-  // vector width. The per-point formulas in geom/kernels.h are the ones
-  // PerpendicularWindowDistance / SynchronizedWindowDistance route
-  // through, so the kept set is bit-identical to the generic path.
+  // be re-examined whenever the float moves), but each scan is one tight
+  // loop over the SoA columns. The per-point formulas in geom/kernels.h
+  // are the ones PerpendicularWindowDistance / SynchronizedWindowDistance
+  // route through, so the kept set is bit-identical to the generic path.
   const TrajectoryViewSoA soa =
       TrajectoryViewSoA::Repack(trajectory, workspace.soa);
-  const kernels::KernelOps& ops = kernels::KernelDispatch::Get();
   const double* x = soa.x();
   const double* y = soa.y();
   const double* t = soa.t();
@@ -107,11 +106,11 @@ void OpeningWindow(TrajectoryView trajectory, double epsilon,
     std::ptrdiff_t hit;
     if (criterion == WindowCriterion::kSynchronized) {
       const kernels::SedSegment seg{x[a], y[a], t[a], x[f], y[f], t[f]};
-      hit = ops.sed_first_above(x + base, y + base, t + base, count, seg,
-                                epsilon);
+      hit = kernels::SedFirstAbove(x + base, y + base, t + base, count, seg,
+                                   epsilon);
     } else {
       const kernels::LineSegment seg{x[a], y[a], x[f], y[f]};
-      hit = ops.perp_first_above(x + base, y + base, count, seg, epsilon);
+      hit = kernels::PerpFirstAbove(x + base, y + base, count, seg, epsilon);
     }
     if (hit < 0) {
       ++float_index;

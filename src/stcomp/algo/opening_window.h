@@ -39,7 +39,7 @@ double PerpendicularWindowDistance(TrajectoryView trajectory, int anchor,
 double SynchronizedWindowDistance(TrajectoryView trajectory, int anchor,
                                   int float_index, int i);
 
-// The two batch criteria as an enum: these take the kernel-dispatched
+// The two batch criteria as an enum: these take the batched-kernel
 // whole-window path (geom/kernels.h) — one batched first-violation scan
 // per float advance over the workspace's SoA repack — and produce
 // bit-identical output to the per-point WindowDistanceFn forms below.
@@ -58,7 +58,7 @@ void OpeningWindow(TrajectoryView trajectory, double epsilon,
 IndexList OpeningWindow(TrajectoryView trajectory, double epsilon,
                         BreakPolicy policy, const WindowDistanceFn& distance);
 
-// Kernel-dispatched fast path for the built-in criteria. Allocation-free
+// Batched-kernel fast path for the built-in criteria. Allocation-free
 // on a warmed workspace.
 void OpeningWindow(TrajectoryView trajectory, double epsilon,
                    BreakPolicy policy, WindowCriterion criterion,

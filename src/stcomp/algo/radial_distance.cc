@@ -22,14 +22,13 @@ void RadialDistance(TrajectoryView trajectory, double epsilon_m,
   // per kept point instead of one norm per input point.
   const TrajectoryViewSoA soa =
       TrajectoryViewSoA::Repack(trajectory, workspace.soa);
-  const kernels::KernelOps& ops = kernels::KernelDispatch::Get();
   const double* x = soa.x();
   const double* y = soa.y();
   out.push_back(0);
   int pos = 1;
   while (pos < n - 1) {
     const size_t anchor = static_cast<size_t>(out.back());
-    const std::ptrdiff_t hit = ops.radial_first_reaching(
+    const std::ptrdiff_t hit = kernels::RadialFirstReaching(
         x + pos, y + pos, static_cast<size_t>(n - 1 - pos), x[anchor],
         y[anchor], epsilon_m);
     if (hit < 0) {

@@ -12,7 +12,7 @@ namespace stcomp::algo {
 
 // Sequentially drops points closer than `epsilon_m` to the last kept point.
 // The last point is always kept. Precondition (checked): epsilon_m >= 0.
-// The Workspace overload is the kernel-dispatched hot path (allocation-free
+// The Workspace overload is the batched-kernel hot path (allocation-free
 // when warm); the others allocate a throwaway workspace.
 void RadialDistance(TrajectoryView trajectory, double epsilon_m,
                     Workspace& workspace, IndexList& out);

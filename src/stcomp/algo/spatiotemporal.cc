@@ -54,7 +54,6 @@ void OpwSp(TrajectoryView trajectory, double max_dist_error_m,
   const TrajectoryViewSoA soa =
       TrajectoryViewSoA::Repack(trajectory, workspace.soa);
   PrecomputeSpeedJumps(soa, workspace);
-  const kernels::KernelOps& ops = kernels::KernelDispatch::Get();
   const double* x = soa.x();
   const double* y = soa.y();
   const double* t = soa.t();
@@ -69,13 +68,13 @@ void OpwSp(TrajectoryView trajectory, double max_dist_error_m,
     const size_t a = static_cast<size_t>(anchor);
     const size_t f = static_cast<size_t>(float_index);
     const kernels::SedSegment seg{x[a], y[a], t[a], x[f], y[f], t[f]};
-    const std::ptrdiff_t sed_hit = ops.sed_first_above(
+    const std::ptrdiff_t sed_hit = kernels::SedFirstAbove(
         x + base, y + base, t + base, count, seg, max_dist_error_m);
     // Only the window up to the SED violation matters for the jump scan:
     // the earliest violation of either kind wins.
     const size_t jump_count =
         sed_hit < 0 ? count : static_cast<size_t>(sed_hit) + 1;
-    const std::ptrdiff_t jump_hit = ops.array_first_above(
+    const std::ptrdiff_t jump_hit = kernels::ArrayFirstAbove(
         jumps + base, jump_count, max_speed_error_mps);
     std::ptrdiff_t hit = sed_hit;
     if (jump_hit >= 0 && (hit < 0 || jump_hit < hit)) {
@@ -120,7 +119,6 @@ void TdSp(TrajectoryView trajectory, double max_dist_error_m,
   const TrajectoryViewSoA soa =
       TrajectoryViewSoA::Repack(trajectory, workspace.soa);
   PrecomputeSpeedJumps(soa, workspace);
-  const kernels::KernelOps& ops = kernels::KernelDispatch::Get();
   const double* x = soa.x();
   const double* y = soa.y();
   const double* t = soa.t();
@@ -151,8 +149,8 @@ void TdSp(TrajectoryView trajectory, double max_dist_error_m,
     const size_t b = static_cast<size_t>(last);
     const kernels::SedSegment seg{x[a], y[a], t[a], x[b], y[b], t[b]};
     const kernels::MaxResult max_sed =
-        ops.sed_max(x + base, y + base, t + base, count, seg);
-    const kernels::MaxResult max_jump = ops.array_max(jumps + base, count);
+        kernels::SedMax(x + base, y + base, t + base, count, seg);
+    const kernels::MaxResult max_jump = kernels::ArrayMax(jumps + base, count);
     int split = -1;
     if (max_sed.value > max_dist_error_m) {
       split = first + 1 + static_cast<int>(max_sed.index);

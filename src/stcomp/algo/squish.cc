@@ -25,7 +25,7 @@ double SquishBuffer::SedPriority(const Node& node) const {
   // Inherently point-at-a-time (one neighbour pair per priority update),
   // so this rides the kernel layer's per-point SED helper — the same
   // formula the batched kernels use, keeping SQUISH priorities consistent
-  // with the window/range algorithms under either backend.
+  // with the window/range algorithms.
   const Node& before = nodes_[static_cast<size_t>(node.prev)];
   const Node& after = nodes_[static_cast<size_t>(node.next)];
   return node.carry +

@@ -104,7 +104,7 @@ struct DeltaScratch {
 // Per-vertex synchronous deltas (original position minus approximation
 // position at the original's own timestamps), batched: between two kept
 // vertices the approximation is one fixed segment, so each kept segment is
-// a single sync_deltas kernel call over the original vertices it covers.
+// a single SyncDeltas kernel call over the original vertices it covers.
 // Replicates the SegmentCursor / KeptSegmentCursor arithmetic bit for bit
 // (at an original vertex the cursor's lerp parameter is exactly dt/dt = 1,
 // which SyncDeltaPoint folds into xp + (x - xp)); vertex 0 is the one u = 0
@@ -127,14 +127,13 @@ TrajectoryViewSoA ComputeKeptDeltas(TrajectoryView original,
   const size_t k1 = static_cast<size_t>(kept[1]);
   dx[0] = (x[0] + (x[1] - x[0]) * 0.0) - (x[0] + (x[k1] - x[0]) * 0.0);
   dy[0] = (y[0] + (y[1] - y[0]) * 0.0) - (y[0] + (y[k1] - y[0]) * 0.0);
-  const kernels::KernelOps& ops = kernels::KernelDispatch::Get();
   for (size_t j = 0; j + 1 < kept.size(); ++j) {
     const size_t a = static_cast<size_t>(kept[j]);
     const size_t b = static_cast<size_t>(kept[j + 1]);
     const kernels::SedSegment seg{x[a], y[a], t[a], x[b], y[b], t[b]};
     const size_t base = a + 1;
-    ops.sync_deltas(x + base, y + base, t + base, x + base - 1, y + base - 1,
-                    b - a, seg, dx + base, dy + base);
+    kernels::SyncDeltas(x + base, y + base, t + base, x + base - 1,
+                        y + base - 1, b - a, seg, dx + base, dy + base);
   }
   return soa;
 }

@@ -1,29 +1,14 @@
-// Scalar reference backend and the dispatch seam. The scalar loops are
-// deliberately nothing but the per-point helpers from kernels.h applied in
-// index order — they are the executable specification the vector backends
-// are differentially tested against.
+// The batched kernels. Each loop is nothing but a per-point helper from
+// kernels.h applied in index order, so a batched scan returns exactly what
+// the point-at-a-time scan over the same helper would.
 
 #include "stcomp/geom/kernels.h"
 
-#include <atomic>
-#include <cstdlib>
-
-#include "stcomp/common/check.h"
-
 namespace stcomp::kernels {
 
-namespace {
-
-void SedDistancesScalar(const double* x, const double* y, const double* t,
-                        size_t n, const SedSegment& seg, double* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = SedDistancePoint(x[i], y[i], t[i], seg);
-  }
-}
-
-std::ptrdiff_t SedFirstAboveScalar(const double* x, const double* y,
-                                   const double* t, size_t n,
-                                   const SedSegment& seg, double threshold) {
+std::ptrdiff_t SedFirstAbove(const double* x, const double* y,
+                             const double* t, size_t n, const SedSegment& seg,
+                             double threshold) {
   for (size_t i = 0; i < n; ++i) {
     if (SedDistancePoint(x[i], y[i], t[i], seg) > threshold) {
       return static_cast<std::ptrdiff_t>(i);
@@ -32,8 +17,8 @@ std::ptrdiff_t SedFirstAboveScalar(const double* x, const double* y,
   return -1;
 }
 
-MaxResult SedMaxScalar(const double* x, const double* y, const double* t,
-                       size_t n, const SedSegment& seg) {
+MaxResult SedMax(const double* x, const double* y, const double* t, size_t n,
+                 const SedSegment& seg) {
   if (n == 0) {
     return {-1, -1.0};
   }
@@ -47,15 +32,8 @@ MaxResult SedMaxScalar(const double* x, const double* y, const double* t,
   return best;
 }
 
-void PerpDistancesScalar(const double* x, const double* y, size_t n,
-                         const LineSegment& seg, double* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = PerpDistancePoint(x[i], y[i], seg);
-  }
-}
-
-std::ptrdiff_t PerpFirstAboveScalar(const double* x, const double* y, size_t n,
-                                    const LineSegment& seg, double threshold) {
+std::ptrdiff_t PerpFirstAbove(const double* x, const double* y, size_t n,
+                              const LineSegment& seg, double threshold) {
   for (size_t i = 0; i < n; ++i) {
     if (PerpDistancePoint(x[i], y[i], seg) > threshold) {
       return static_cast<std::ptrdiff_t>(i);
@@ -64,8 +42,8 @@ std::ptrdiff_t PerpFirstAboveScalar(const double* x, const double* y, size_t n,
   return -1;
 }
 
-MaxResult PerpMaxScalar(const double* x, const double* y, size_t n,
-                        const LineSegment& seg) {
+MaxResult PerpMax(const double* x, const double* y, size_t n,
+                  const LineSegment& seg) {
   if (n == 0) {
     return {-1, -1.0};
   }
@@ -79,16 +57,8 @@ MaxResult PerpMaxScalar(const double* x, const double* y, size_t n,
   return best;
 }
 
-void RadialDistancesScalar(const double* x, const double* y, size_t n,
-                           double ax, double ay, double* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = RadialDistancePoint(x[i], y[i], ax, ay);
-  }
-}
-
-std::ptrdiff_t RadialFirstReachingScalar(const double* x, const double* y,
-                                         size_t n, double ax, double ay,
-                                         double threshold) {
+std::ptrdiff_t RadialFirstReaching(const double* x, const double* y, size_t n,
+                                   double ax, double ay, double threshold) {
   for (size_t i = 0; i < n; ++i) {
     if (RadialDistancePoint(x[i], y[i], ax, ay) >= threshold) {
       return static_cast<std::ptrdiff_t>(i);
@@ -97,8 +67,7 @@ std::ptrdiff_t RadialFirstReachingScalar(const double* x, const double* y,
   return -1;
 }
 
-std::ptrdiff_t ArrayFirstAboveScalar(const double* v, size_t n,
-                                     double threshold) {
+std::ptrdiff_t ArrayFirstAbove(const double* v, size_t n, double threshold) {
   for (size_t i = 0; i < n; ++i) {
     if (v[i] > threshold) {
       return static_cast<std::ptrdiff_t>(i);
@@ -107,7 +76,7 @@ std::ptrdiff_t ArrayFirstAboveScalar(const double* v, size_t n,
   return -1;
 }
 
-MaxResult ArrayMaxScalar(const double* v, size_t n) {
+MaxResult ArrayMax(const double* v, size_t n) {
   if (n == 0) {
     return {-1, -1.0};
   }
@@ -120,114 +89,12 @@ MaxResult ArrayMaxScalar(const double* v, size_t n) {
   return best;
 }
 
-void SyncDeltasScalar(const double* x, const double* y, const double* t,
-                      const double* xp, const double* yp, size_t n,
-                      const SedSegment& seg, double* dx, double* dy) {
+void SyncDeltas(const double* x, const double* y, const double* t,
+                const double* xp, const double* yp, size_t n,
+                const SedSegment& seg, double* dx, double* dy) {
   for (size_t i = 0; i < n; ++i) {
     SyncDeltaPoint(x[i], y[i], t[i], xp[i], yp[i], seg, &dx[i], &dy[i]);
   }
-}
-
-constexpr KernelOps kScalarOps = {
-    Backend::kScalar,
-    "scalar",
-    SedDistancesScalar,
-    SedFirstAboveScalar,
-    SedMaxScalar,
-    PerpDistancesScalar,
-    PerpFirstAboveScalar,
-    PerpMaxScalar,
-    RadialDistancesScalar,
-    RadialFirstReachingScalar,
-    ArrayFirstAboveScalar,
-    ArrayMaxScalar,
-    SyncDeltasScalar,
-};
-
-bool CpuHasAvx2() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
-const KernelOps* InitialOps() {
-  if (ScalarKernelsForced()) {
-    return &kScalarOps;
-  }
-  if (const KernelOps* ops = KernelsFor(DetectBestBackend())) {
-    return ops;
-  }
-  return &kScalarOps;
-}
-
-std::atomic<const KernelOps*>& ActiveSlot() {
-  // Function-local static: thread-safe one-time init on first dispatch.
-  static std::atomic<const KernelOps*> slot{InitialOps()};
-  return slot;
-}
-
-}  // namespace
-
-const KernelOps& ScalarKernels() { return kScalarOps; }
-
-const KernelOps* KernelsFor(Backend backend) {
-  switch (backend) {
-    case Backend::kScalar:
-      return &kScalarOps;
-    case Backend::kAvx2:
-      return CpuHasAvx2() ? Avx2KernelOps() : nullptr;
-    case Backend::kNeon:
-      return NeonKernelOps();
-  }
-  return nullptr;
-}
-
-Backend DetectBestBackend() {
-#if defined(__aarch64__)
-  return Backend::kNeon;
-#else
-  if (CpuHasAvx2() && Avx2KernelOps() != nullptr) {
-    return Backend::kAvx2;
-  }
-  return Backend::kScalar;
-#endif
-}
-
-bool ScalarKernelsForced() {
-  static const bool forced = [] {
-    const char* value = std::getenv("STCOMP_FORCE_SCALAR_KERNELS");
-    return value != nullptr && value[0] != '\0' &&
-           !(value[0] == '0' && value[1] == '\0');
-  }();
-  return forced;
-}
-
-const char* BackendName(Backend backend) {
-  switch (backend) {
-    case Backend::kScalar:
-      return "scalar";
-    case Backend::kAvx2:
-      return "avx2";
-    case Backend::kNeon:
-      return "neon";
-  }
-  return "unknown";
-}
-
-const KernelOps& KernelDispatch::Get() {
-  return *ActiveSlot().load(std::memory_order_relaxed);
-}
-
-Backend KernelDispatch::Active() { return Get().backend; }
-
-Backend KernelDispatch::SetForTest(Backend backend) {
-  const KernelOps* ops = KernelsFor(backend);
-  STCOMP_CHECK(ops != nullptr);
-  const KernelOps* previous =
-      ActiveSlot().exchange(ops, std::memory_order_relaxed);
-  return previous->backend;
 }
 
 void SegmentSpeeds(const double* x, const double* y, const double* t, size_t n,

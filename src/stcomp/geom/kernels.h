@@ -1,28 +1,22 @@
 // Batched distance kernels over SoA double arrays (DESIGN.md §14): the
 // synchronized-Euclidean-distance (SED), perpendicular and radial inner
 // loops of the compression algorithms, evaluated a whole window/range per
-// call instead of point-at-a-time, with runtime-dispatched AVX2 (x86) /
-// NEON (aarch64) implementations and an always-built scalar reference.
+// call instead of point-at-a-time. One implementation: each batched loop
+// applies a per-point helper below in index order.
 //
-// Bit-exactness contract: every backend computes, per point, the *same*
-// sequence of IEEE-754 operations — add/sub/mul/div/sqrt, all of which are
-// correctly rounded elementwise in both scalar and vector units — so the
-// scalar and SIMD backends produce bit-identical doubles, not merely
-// close ones (the differential oracle in tests/kernel_differential_test.cc
-// asserts 0 ULP; the documented bound is <= 4 ULP to leave headroom for
-// future backends). Two global rules make this hold:
-//  - norms are sqrt(dx*dx + dy*dy), never std::hypot (hypot's
-//    rescaling is not replicable with vector ops; the domain is metres in
-//    a local frame, so the squares cannot overflow),
+// Bit-exactness: the per-point helpers are the single source of truth for
+// the arithmetic. The batched loops call them, and the AoS consumers
+// (SynchronizedDistance, PointToLineDistance, SegmentSpeed, SQUISH
+// priorities) are implemented on top of them, so point-at-a-time paths
+// (streams, SQUISH, sliding window) produce the same doubles as the
+// batched ones — stream == batch and the golden files depend on it. Two
+// global rules keep every path on the same bits:
+//  - norms are Norm2, sqrt(dx*dx + dy*dy), never std::hypot, whose result
+//    can differ in the last bit (the domain is metres in a local frame,
+//    so the squares cannot overflow),
 //  - the build disables FP contraction (-ffp-contract=off in the root
-//    CMakeLists), so a*b+c is never fused into an FMA behind our back.
-//
-// The per-point helpers below are the single source of truth for the
-// arithmetic: the scalar backend and the vector backends' tail loops call
-// them directly, and the AoS consumers (SynchronizedDistance,
-// PointToLineDistance, SegmentSpeed) are implemented on top of them so
-// point-at-a-time paths (streams, SQUISH, sliding window) stay
-// bit-identical to the batched ones.
+//    CMakeLists), so a*b+c is never fused into an FMA in one inlining
+//    context and left unfused in another.
 //
 // This layer deliberately knows nothing about Trajectory/TrajectoryView:
 // it reads raw x/y/t arrays (see core/trajectory_view_soa.h for the
@@ -38,7 +32,7 @@ namespace stcomp::kernels {
 
 // Candidate approximation segment for the SED kernels: the anchor (a) and
 // probe-end (b) samples. Precondition for the non-degenerate formula:
-// at <= bt (the kernels branch on bt - at > 0 once per call, matching
+// at <= bt (the kernels branch on bt - at > 0, matching
 // InterpolatePosition's degenerate rule "position = anchor").
 struct SedSegment {
   double ax = 0.0;
@@ -67,7 +61,7 @@ struct MaxResult {
 };
 
 // The kernel norm: correctly-rounded sqrt of a correctly-rounded sum of
-// correctly-rounded squares. Identical in every backend by IEEE-754.
+// correctly-rounded squares.
 inline double Norm2(double dx, double dy) {
   return std::sqrt(dx * dx + dy * dy);
 }
@@ -120,93 +114,42 @@ inline void SyncDeltaPoint(double x, double y, double t, double xp, double yp,
   *dy = oy - (seg.ay + (seg.by - seg.ay) * u);
 }
 
-enum class Backend {
-  kScalar = 0,
-  kAvx2 = 1,
-  kNeon = 2,
-};
+// The batched kernels. All `n` counts are in points. *FirstAbove returns
+// the lowest index whose distance compares strictly greater than
+// `threshold`, or -1; RadialFirstReaching uses >= instead (the
+// radial-distance algorithm's keep rule). A NaN distance never fires
+// either predicate and never becomes a maximum (see MaxResult).
+std::ptrdiff_t SedFirstAbove(const double* x, const double* y,
+                             const double* t, size_t n, const SedSegment& seg,
+                             double threshold);
+MaxResult SedMax(const double* x, const double* y, const double* t, size_t n,
+                 const SedSegment& seg);
 
-// One batched-kernel implementation. All `n` counts are in points; out
-// arrays must have room for n doubles. first_above kernels return the
-// lowest index whose distance compares strictly greater than `threshold`
-// (NaN distances never fire), or -1; first_reaching uses >= instead
-// (the radial-distance algorithm's keep rule).
-struct KernelOps {
-  Backend backend;
-  const char* name;
+std::ptrdiff_t PerpFirstAbove(const double* x, const double* y, size_t n,
+                              const LineSegment& seg, double threshold);
+MaxResult PerpMax(const double* x, const double* y, size_t n,
+                  const LineSegment& seg);
 
-  void (*sed_distances)(const double* x, const double* y, const double* t,
-                        size_t n, const SedSegment& seg, double* out);
-  std::ptrdiff_t (*sed_first_above)(const double* x, const double* y,
-                                    const double* t, size_t n,
-                                    const SedSegment& seg, double threshold);
-  MaxResult (*sed_max)(const double* x, const double* y, const double* t,
-                       size_t n, const SedSegment& seg);
+std::ptrdiff_t RadialFirstReaching(const double* x, const double* y, size_t n,
+                                   double ax, double ay, double threshold);
 
-  void (*perp_distances)(const double* x, const double* y, size_t n,
-                         const LineSegment& seg, double* out);
-  std::ptrdiff_t (*perp_first_above)(const double* x, const double* y,
-                                     size_t n, const LineSegment& seg,
-                                     double threshold);
-  MaxResult (*perp_max)(const double* x, const double* y, size_t n,
-                        const LineSegment& seg);
+std::ptrdiff_t ArrayFirstAbove(const double* v, size_t n, double threshold);
+MaxResult ArrayMax(const double* v, size_t n);
 
-  void (*radial_distances)(const double* x, const double* y, size_t n,
-                           double ax, double ay, double* out);
-  std::ptrdiff_t (*radial_first_reaching)(const double* x, const double* y,
-                                          size_t n, double ax, double ay,
-                                          double threshold);
-
-  std::ptrdiff_t (*array_first_above)(const double* v, size_t n,
-                                      double threshold);
-  MaxResult (*array_max)(const double* v, size_t n);
-
-  void (*sync_deltas)(const double* x, const double* y, const double* t,
-                      const double* xp, const double* yp, size_t n,
-                      const SedSegment& seg, double* dx, double* dy);
-};
-
-// The always-built scalar reference.
-const KernelOps& ScalarKernels();
-
-// Ops for `backend`, or nullptr when the backend is not compiled in or the
-// CPU lacks the ISA (kAvx2 on a non-AVX2 x86, kNeon off aarch64, ...).
-const KernelOps* KernelsFor(Backend backend);
-
-// The best backend this process could run, ignoring overrides.
-Backend DetectBestBackend();
-
-// True when STCOMP_FORCE_SCALAR_KERNELS is set non-empty and not "0"
-// (read once, at first dispatch).
-bool ScalarKernelsForced();
-
-const char* BackendName(Backend backend);
-
-// The dispatch seam: resolved once on first use (env override, then CPU
-// detection), readable and pinnable afterwards. SetForTest installs a
-// specific backend process-wide and returns the previous one; it aborts
-// (STCOMP_CHECK) if the backend is unavailable, and is meant for the
-// differential tests and benches only — not thread-safe against
-// concurrently running algorithms.
-struct KernelDispatch {
-  static const KernelOps& Get();
-  static Backend Active();
-  static Backend SetForTest(Backend backend);
-};
+// SyncDeltaPoint over n vertices; xp / yp point at each vertex's
+// predecessor (typically x - 1 / y - 1), and dx / dy must have room for n
+// doubles.
+void SyncDeltas(const double* x, const double* y, const double* t,
+                const double* xp, const double* yp, size_t n,
+                const SedSegment& seg, double* dx, double* dy);
 
 // Derived segment speeds (n - 1 entries) and their absolute jumps at
-// interior points (n entries: out[0] = out[n-1] = 0). Plain scalar code,
-// shared verbatim by every backend: the SP-family criteria consume these
-// O(n) precomputations instead of recomputing two norms per candidate.
+// interior points (n entries: out[0] = out[n-1] = 0). The SP-family
+// criteria consume these O(n) precomputations instead of recomputing two
+// norms per candidate.
 void SegmentSpeeds(const double* x, const double* y, const double* t, size_t n,
                    double* out);
 void SpeedJumps(const double* speeds, size_t n_points, double* out);
-
-// Backend factories, defined in their own translation units so the vector
-// code can be compiled with per-file ISA flags; each returns nullptr when
-// its ISA is not compiled in.
-const KernelOps* Avx2KernelOps();
-const KernelOps* NeonKernelOps();
 
 }  // namespace stcomp::kernels
 

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "stcomp/geom/kernels.h"
 #include "stcomp/obs/metrics.h"
 #include "test_util.h"
 
@@ -54,14 +53,10 @@ TEST(SweepParallelTest, ParallelMatchesSerialExactly) {
   }
 }
 
-TEST(SweepParallelTest, ParallelMatchesSerialUnderEveryKernelBackend) {
-  // The bitwise parallel==serial guarantee must hold under the scalar
-  // kernels and under the dispatched vector backend alike (the backend is
-  // process-wide, so it is pinned before the worker threads start).
-  std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
-  if (kernels::DetectBestBackend() != kernels::Backend::kScalar) {
-    backends.push_back(kernels::DetectBestBackend());
-  }
+TEST(SweepParallelTest, ParallelMatchesSerialOnBatchedKernelPaths) {
+  // One family per batched kernel: perpendicular argmax (ndp), SED
+  // first-above (opw-tr), SED and speed-jump argmax (td-sp) and radial
+  // first-reaching (radial).
   const std::vector<Trajectory> dataset = SmallDataset();
   const std::vector<double> thresholds = {5.0, 20.0, 60.0};
   std::vector<SweepRequest> requests;
@@ -70,24 +65,18 @@ TEST(SweepParallelTest, ParallelMatchesSerialUnderEveryKernelBackend) {
     base.speed_threshold_mps = 10.0;
     requests.push_back({name, base, thresholds});
   }
-  for (const kernels::Backend backend : backends) {
-    const kernels::Backend previous =
-        kernels::KernelDispatch::SetForTest(backend);
-    const Result<std::vector<std::vector<SweepPoint>>> parallel =
-        SweepManyParallel(dataset, requests, 4);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    for (size_t r = 0; r < requests.size(); ++r) {
-      const Result<std::vector<SweepPoint>> serial = SweepThresholds(
-          dataset, requests[r].algorithm, requests[r].base, thresholds);
-      ASSERT_TRUE(serial.ok());
-      ASSERT_EQ((*parallel)[r].size(), serial->size());
-      for (size_t k = 0; k < serial->size(); ++k) {
-        EXPECT_TRUE(PointsEqual((*parallel)[r][k], (*serial)[k]))
-            << kernels::BackendName(backend) << " "
-            << requests[r].algorithm << " threshold " << thresholds[k];
-      }
+  const Result<std::vector<std::vector<SweepPoint>>> parallel =
+      SweepManyParallel(dataset, requests, 4);
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  for (size_t r = 0; r < requests.size(); ++r) {
+    const Result<std::vector<SweepPoint>> serial = SweepThresholds(
+        dataset, requests[r].algorithm, requests[r].base, thresholds);
+    ASSERT_TRUE(serial.ok());
+    ASSERT_EQ((*parallel)[r].size(), serial->size());
+    for (size_t k = 0; k < serial->size(); ++k) {
+      EXPECT_TRUE(PointsEqual((*parallel)[r][k], (*serial)[k]))
+          << requests[r].algorithm << " threshold " << thresholds[k];
     }
-    kernels::KernelDispatch::SetForTest(previous);
   }
 }
 
