@@ -58,8 +58,13 @@ void BM_Algorithm(benchmark::State& state, const std::string& name) {
   stcomp::algo::AlgorithmParams params;
   params.epsilon_m = 50.0;
   params.speed_threshold_mps = 15.0;
+  // The workspace is reused like a long-lived caller's; the output is
+  // fresh per run, so every iteration pays one IndexList allocation.
+  stcomp::algo::Workspace workspace;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(info->run(trace, params));
+    stcomp::algo::IndexList kept;
+    info->run_view(trace, params, workspace, kept);
+    benchmark::DoNotOptimize(kept);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(trace.size()));
@@ -101,7 +106,10 @@ void BM_SynchronousErrorClosedForm(benchmark::State& state) {
       stcomp::algo::FindAlgorithm("td-tr").value();
   stcomp::algo::AlgorithmParams params;
   params.epsilon_m = 50.0;
-  const Trajectory approximation = trace.Subset(info->run(trace, params));
+  stcomp::algo::Workspace workspace;
+  stcomp::algo::IndexList kept;
+  info->run_view(trace, params, workspace, kept);
+  const Trajectory approximation = trace.Subset(kept);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         stcomp::SynchronousError(trace, approximation).value());

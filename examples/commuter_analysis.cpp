@@ -75,8 +75,12 @@ int main(int argc, char** argv) {
     stcomp::TrajectoryStore store;
     double compression_sum = 0.0;
     double error_sum = 0.0;
+    // One workspace and output serve every trace: the runs stop allocating
+    // scratch once the buffers have grown.
+    stcomp::algo::Workspace workspace;
+    stcomp::algo::IndexList kept;
     for (const stcomp::Trajectory& trace : fleet_traces) {
-      const stcomp::algo::IndexList kept = info->run(trace, params);
+      info->run_view(trace, params, workspace, kept);
       const stcomp::Evaluation eval = stcomp::Evaluate(trace, kept).value();
       compression_sum += eval.compression_percent;
       error_sum += eval.sync_error_mean_m;

@@ -374,7 +374,9 @@ int Run(int argc, char** argv) {
     }
     return 0;
   }
-  const stcomp::algo::IndexList kept = (*info)->run(*input, params);
+  stcomp::algo::Workspace workspace;
+  stcomp::algo::IndexList kept;
+  (*info)->run_view(*input, params, workspace, kept);
   const stcomp::Result<stcomp::Evaluation> eval =
       stcomp::Evaluate(*input, kept);
   if (const stcomp::Status status =

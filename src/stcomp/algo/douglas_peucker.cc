@@ -5,56 +5,50 @@
 #include <utility>
 
 #include "stcomp/common/check.h"
-#include "stcomp/core/trajectory_view_soa.h"
 #include "stcomp/geom/kernels.h"
 
 namespace stcomp::algo {
 
 namespace {
 
-// Index of the interior point of (first, last) maximising `distance`,
-// lowest index on ties, together with that maximum. Requires last >
-// first + 1.
-std::pair<int, double> FarthestInteriorPoint(TrajectoryView trajectory,
-                                             int first, int last,
-                                             const SplitDistanceFn& distance) {
+// The interior point of (first, last) farthest from the range's
+// approximation under `criterion`, with that distance. The segment is
+// built once per range. The argmax starts from -1.0 and keeps the earliest
+// strict maximum, so ties split at the earlier point and a NaN distance
+// never wins. Requires last > first + 1.
+std::pair<int, double> FarthestInterior(TrajectoryView trajectory, int first,
+                                        int last, SplitCriterion criterion) {
+  const TimedPoint& a = trajectory[static_cast<size_t>(first)];
+  const TimedPoint& b = trajectory[static_cast<size_t>(last)];
   int best_index = first + 1;
   double best_distance = -1.0;
-  for (int i = first + 1; i < last; ++i) {
-    const double d = distance(trajectory, first, last, i);
-    if (d > best_distance) {
-      best_distance = d;
-      best_index = i;
+  if (criterion == SplitCriterion::kSynchronized) {
+    const kernels::SedSegment seg{a.position.x, a.position.y, a.t,
+                                  b.position.x, b.position.y, b.t};
+    for (int i = first + 1; i < last; ++i) {
+      const TimedPoint& p = trajectory[static_cast<size_t>(i)];
+      const double d =
+          kernels::SedDistancePoint(p.position.x, p.position.y, p.t, seg);
+      if (d > best_distance) {
+        best_distance = d;
+        best_index = i;
+      }
+    }
+  } else {
+    const kernels::LineSegment seg{a.position.x, a.position.y, b.position.x,
+                                   b.position.y};
+    for (int i = first + 1; i < last; ++i) {
+      const TimedPoint& p = trajectory[static_cast<size_t>(i)];
+      const double d =
+          kernels::PerpDistancePoint(p.position.x, p.position.y, seg);
+      if (d > best_distance) {
+        best_distance = d;
+        best_index = i;
+      }
     }
   }
   return {best_index, best_distance};
 }
-
-// The same query via one batched kernel argmax over the SoA repack. The
-// kernel scan (strict >, earliest index, -1.0 initial best) replicates
-// FarthestInteriorPoint exactly, so both forms return identical pairs.
-struct KernelFarthest {
-  const double* x;
-  const double* y;
-  const double* t;
-  SplitCriterion criterion;
-
-  std::pair<int, double> operator()(int first, int last) const {
-    const size_t base = static_cast<size_t>(first) + 1;
-    const size_t count = static_cast<size_t>(last - first - 1);
-    const size_t a = static_cast<size_t>(first);
-    const size_t b = static_cast<size_t>(last);
-    kernels::MaxResult r;
-    if (criterion == SplitCriterion::kSynchronized) {
-      const kernels::SedSegment seg{x[a], y[a], t[a], x[b], y[b], t[b]};
-      r = kernels::SedMax(x + base, y + base, t + base, count, seg);
-    } else {
-      const kernels::LineSegment seg{x[a], y[a], x[b], y[b]};
-      r = kernels::PerpMax(x + base, y + base, count, seg);
-    }
-    return {first + 1 + static_cast<int>(r.index), r.value};
-  }
-};
 
 // Max-heap order for the best-first ranges; ties break to the earlier
 // range for deterministic output (same order std::priority_queue<Range>
@@ -79,15 +73,16 @@ void CollectKept(const std::vector<char>& keep, int kept_count,
   }
 }
 
-// The top-down skeleton, parameterised over the farthest-interior query
-// ((first, last) -> (split index, max distance)) so the generic
-// SplitDistanceFn path and the kernelised criterion path share one
-// control flow.
-template <typename FarthestFn>
-void TopDownImpl(TrajectoryView trajectory, double epsilon,
-                 const FarthestFn& farthest, Workspace& workspace,
-                 IndexList& out) {
+}  // namespace
+
+void TopDown(TrajectoryView trajectory, double epsilon,
+             SplitCriterion criterion, Workspace& workspace, IndexList& out) {
+  STCOMP_CHECK(epsilon >= 0.0);
   const int n = static_cast<int>(trajectory.size());
+  if (n <= 2) {
+    KeepAll(trajectory, out);
+    return;
+  }
   std::vector<char>& keep = workspace.keep;
   keep.assign(static_cast<size_t>(n), 0);
   keep[0] = 1;
@@ -105,7 +100,8 @@ void TopDownImpl(TrajectoryView trajectory, double epsilon,
     if (last - first < 2) {
       continue;
     }
-    const auto [split, max_distance] = farthest(first, last);
+    const auto [split, max_distance] =
+        FarthestInterior(trajectory, first, last, criterion);
     if (max_distance > epsilon) {
       keep[static_cast<size_t>(split)] = 1;
       ++kept_count;
@@ -119,16 +115,34 @@ void TopDownImpl(TrajectoryView trajectory, double epsilon,
   CollectKept(keep, kept_count, out);
 }
 
-template <typename FarthestFn>
-void TopDownMaxPointsImpl(TrajectoryView trajectory, int max_points,
-                          const FarthestFn& farthest, Workspace& workspace,
-                          IndexList& out) {
+void DouglasPeucker(TrajectoryView trajectory, double epsilon_m,
+                    Workspace& workspace, IndexList& out) {
+  TopDown(trajectory, epsilon_m, SplitCriterion::kPerpendicular, workspace,
+          out);
+}
+
+IndexList DouglasPeucker(TrajectoryView trajectory, double epsilon_m) {
+  Workspace workspace;
+  IndexList kept;
+  DouglasPeucker(trajectory, epsilon_m, workspace, kept);
+  return kept;
+}
+
+void TopDownMaxPoints(TrajectoryView trajectory, int max_points,
+                      SplitCriterion criterion, Workspace& workspace,
+                      IndexList& out) {
+  STCOMP_CHECK(max_points >= 2);
   const int n = static_cast<int>(trajectory.size());
+  if (n <= 2 || n <= max_points) {
+    KeepAll(trajectory, out);
+    return;
+  }
   // Best-first refinement: repeatedly split the pending range with the
   // globally largest deviation until the point budget is exhausted. The
   // workspace-owned binary heap replicates std::priority_queue<Range>.
-  auto make_range = [&farthest](int first, int last) {
-    const auto [split, max_distance] = farthest(first, last);
+  auto make_range = [&](int first, int last) {
+    const auto [split, max_distance] =
+        FarthestInterior(trajectory, first, last, criterion);
     return detail::RangeEntry{max_distance, first, last, split};
   };
 
@@ -157,106 +171,6 @@ void TopDownMaxPointsImpl(TrajectoryView trajectory, int max_points,
   }
 
   CollectKept(keep, kept_count, out);
-}
-
-KernelFarthest MakeKernelFarthest(const TrajectoryViewSoA& soa,
-                                  SplitCriterion criterion) {
-  return KernelFarthest{soa.x(), soa.y(), soa.t(), criterion};
-}
-
-}  // namespace
-
-double PerpendicularSplitDistance(TrajectoryView trajectory, int first,
-                                  int last, int i) {
-  return PointToLineDistance(trajectory[static_cast<size_t>(i)].position,
-                             trajectory[static_cast<size_t>(first)].position,
-                             trajectory[static_cast<size_t>(last)].position);
-}
-
-void TopDown(TrajectoryView trajectory, double epsilon,
-             const SplitDistanceFn& distance, Workspace& workspace,
-             IndexList& out) {
-  STCOMP_CHECK(epsilon >= 0.0);
-  if (trajectory.size() <= 2) {
-    KeepAll(trajectory, out);
-    return;
-  }
-  const auto farthest = [&trajectory, &distance](int first, int last) {
-    return FarthestInteriorPoint(trajectory, first, last, distance);
-  };
-  TopDownImpl(trajectory, epsilon, farthest, workspace, out);
-}
-
-IndexList TopDown(TrajectoryView trajectory, double epsilon,
-                  const SplitDistanceFn& distance) {
-  Workspace workspace;
-  IndexList kept;
-  TopDown(trajectory, epsilon, distance, workspace, kept);
-  return kept;
-}
-
-void TopDown(TrajectoryView trajectory, double epsilon,
-             SplitCriterion criterion, Workspace& workspace, IndexList& out) {
-  STCOMP_CHECK(epsilon >= 0.0);
-  if (trajectory.size() <= 2) {
-    KeepAll(trajectory, out);
-    return;
-  }
-  const TrajectoryViewSoA soa =
-      TrajectoryViewSoA::Repack(trajectory, workspace.soa);
-  TopDownImpl(trajectory, epsilon, MakeKernelFarthest(soa, criterion),
-              workspace, out);
-}
-
-void DouglasPeucker(TrajectoryView trajectory, double epsilon_m,
-                    Workspace& workspace, IndexList& out) {
-  TopDown(trajectory, epsilon_m, SplitCriterion::kPerpendicular, workspace,
-          out);
-}
-
-IndexList DouglasPeucker(TrajectoryView trajectory, double epsilon_m) {
-  Workspace workspace;
-  IndexList kept;
-  DouglasPeucker(trajectory, epsilon_m, workspace, kept);
-  return kept;
-}
-
-void TopDownMaxPoints(TrajectoryView trajectory, int max_points,
-                      const SplitDistanceFn& distance, Workspace& workspace,
-                      IndexList& out) {
-  STCOMP_CHECK(max_points >= 2);
-  const int n = static_cast<int>(trajectory.size());
-  if (n <= 2 || n <= max_points) {
-    KeepAll(trajectory, out);
-    return;
-  }
-  const auto farthest = [&trajectory, &distance](int first, int last) {
-    return FarthestInteriorPoint(trajectory, first, last, distance);
-  };
-  TopDownMaxPointsImpl(trajectory, max_points, farthest, workspace, out);
-}
-
-IndexList TopDownMaxPoints(TrajectoryView trajectory, int max_points,
-                           const SplitDistanceFn& distance) {
-  Workspace workspace;
-  IndexList kept;
-  TopDownMaxPoints(trajectory, max_points, distance, workspace, kept);
-  return kept;
-}
-
-void TopDownMaxPoints(TrajectoryView trajectory, int max_points,
-                      SplitCriterion criterion, Workspace& workspace,
-                      IndexList& out) {
-  STCOMP_CHECK(max_points >= 2);
-  const int n = static_cast<int>(trajectory.size());
-  if (n <= 2 || n <= max_points) {
-    KeepAll(trajectory, out);
-    return;
-  }
-  const TrajectoryViewSoA soa =
-      TrajectoryViewSoA::Repack(trajectory, workspace.soa);
-  TopDownMaxPointsImpl(trajectory, max_points, MakeKernelFarthest(soa, criterion),
-                       workspace, out);
 }
 
 void DouglasPeuckerMaxPoints(TrajectoryView trajectory, int max_points,

@@ -1,49 +1,27 @@
 // The Douglas-Peucker top-down algorithm (paper Sec. 2.1, [Douglas &
-// Peucker 1973]) plus the generic top-down skeleton reused by the
-// spatiotemporal TD-TR algorithm (time_ratio.h).
+// Peucker 1973]) plus the top-down skeleton reused by the spatiotemporal
+// TD-TR algorithm (time_ratio.h).
 
 #ifndef STCOMP_ALGO_DOUGLAS_PEUCKER_H_
 #define STCOMP_ALGO_DOUGLAS_PEUCKER_H_
-
-#include <functional>
 
 #include "stcomp/algo/compression.h"
 #include "stcomp/algo/workspace.h"
 
 namespace stcomp::algo {
 
-// Distance of interior point `i` from the candidate approximation of the
-// range (first, last): perpendicular distance for classic DP, synchronized
-// (time-ratio) distance for TD-TR.
-using SplitDistanceFn =
-    std::function<double(TrajectoryView, int first, int last, int i)>;
-
-// Perpendicular distance from point `i` to the line through points `first`
-// and `last` (the classic DP criterion; the paper's NDP).
-double PerpendicularSplitDistance(TrajectoryView trajectory, int first,
-                                  int last, int i);
-
-// The built-in split criteria as an enum: these take the batched-kernel
-// whole-range path (geom/kernels.h) — one batched argmax per range over
-// the workspace's SoA repack — and produce bit-identical output to the
-// per-point SplitDistanceFn forms.
+// The split criterion: the distance of an interior point from the
+// candidate approximation of its range (first, last).
 enum class SplitCriterion {
-  kPerpendicular,  // NDP (classic Douglas-Peucker)
-  kSynchronized,   // TD-TR
+  kPerpendicular,  // NDP: distance to the line through first and last.
+  kSynchronized,   // TD-TR: synchronized (time-ratio) distance.
 };
 
-// Generic top-down recursion: splits (iteratively, with an explicit stack)
-// at the interior point of maximum `distance` whenever that maximum exceeds
-// `epsilon`; ties break to the lowest index. Keeps both endpoints.
-// Precondition (checked): epsilon >= 0.
-void TopDown(TrajectoryView trajectory, double epsilon,
-             const SplitDistanceFn& distance, Workspace& workspace,
-             IndexList& out);
-IndexList TopDown(TrajectoryView trajectory, double epsilon,
-                  const SplitDistanceFn& distance);
-
-// Batched-kernel fast path for the built-in criteria. Allocation-free
-// on a warmed workspace.
+// Top-down recursion: splits (iteratively, with an explicit stack) at the
+// interior point of maximum `criterion` distance whenever that maximum
+// exceeds `epsilon` (strictly); ties break to the lowest index, and a NaN
+// distance never becomes the split. Keeps both endpoints. Allocation-free
+// on a warmed workspace. Precondition (checked): epsilon >= 0.
 void TopDown(TrajectoryView trajectory, double epsilon,
              SplitCriterion criterion, Workspace& workspace, IndexList& out);
 
@@ -57,13 +35,6 @@ IndexList DouglasPeucker(TrajectoryView trajectory, double epsilon_m);
 // distance threshold (paper Sec. 2, halting condition "the number of data
 // points exceeds a user-defined value"). Always keeps the two endpoints,
 // so the effective minimum is 2. Precondition (checked): max_points >= 2.
-void TopDownMaxPoints(TrajectoryView trajectory, int max_points,
-                      const SplitDistanceFn& distance, Workspace& workspace,
-                      IndexList& out);
-IndexList TopDownMaxPoints(TrajectoryView trajectory, int max_points,
-                           const SplitDistanceFn& distance);
-
-// Batched-kernel fast path for the built-in criteria.
 void TopDownMaxPoints(TrajectoryView trajectory, int max_points,
                       SplitCriterion criterion, Workspace& workspace,
                       IndexList& out);

@@ -4,7 +4,6 @@
 
 #include "stcomp/common/check.h"
 #include "stcomp/core/interpolation.h"
-#include "stcomp/core/trajectory_view_soa.h"
 #include "stcomp/geom/kernels.h"
 
 namespace stcomp::algo {
@@ -24,8 +23,39 @@ double SynchronizedWindowDistance(TrajectoryView trajectory, int anchor,
                               trajectory[static_cast<size_t>(i)]);
 }
 
+int FirstWindowViolation(TrajectoryView trajectory, int anchor,
+                         int float_index, WindowCriterion criterion,
+                         double epsilon) {
+  // The window segment is built once; each interior point then costs one
+  // per-point helper call, tested with strict `>` (a NaN never fires).
+  const TimedPoint& a = trajectory[static_cast<size_t>(anchor)];
+  const TimedPoint& f = trajectory[static_cast<size_t>(float_index)];
+  if (criterion == WindowCriterion::kSynchronized) {
+    const kernels::SedSegment seg{a.position.x, a.position.y, a.t,
+                                  f.position.x, f.position.y, f.t};
+    for (int i = anchor + 1; i < float_index; ++i) {
+      const TimedPoint& p = trajectory[static_cast<size_t>(i)];
+      if (kernels::SedDistancePoint(p.position.x, p.position.y, p.t, seg) >
+          epsilon) {
+        return i;
+      }
+    }
+  } else {
+    const kernels::LineSegment seg{a.position.x, a.position.y, f.position.x,
+                                   f.position.y};
+    for (int i = anchor + 1; i < float_index; ++i) {
+      const TimedPoint& p = trajectory[static_cast<size_t>(i)];
+      if (kernels::PerpDistancePoint(p.position.x, p.position.y, seg) >
+          epsilon) {
+        return i;
+      }
+    }
+  }
+  return -1;
+}
+
 void OpeningWindow(TrajectoryView trajectory, double epsilon,
-                   BreakPolicy policy, const WindowDistanceFn& distance,
+                   BreakPolicy policy, WindowCriterion criterion,
                    IndexList& out) {
   STCOMP_CHECK(epsilon >= 0.0);
   const int n = static_cast<int>(trajectory.size());
@@ -42,13 +72,9 @@ void OpeningWindow(TrajectoryView trajectory, double epsilon,
     // points must be re-examined whenever the float moves: for the
     // synchronized distance the approximation of *every* interior point
     // depends on the float (this is what makes the family O(N^2)).
-    int violation = -1;
-    for (int i = anchor + 1; i < float_index; ++i) {
-      if (distance(trajectory, anchor, float_index, i) > epsilon) {
-        violation = i;
-        break;
-      }
-    }
+    const int violation = FirstWindowViolation(trajectory, anchor,
+                                               float_index, criterion,
+                                               epsilon);
     if (violation < 0) {
       ++float_index;
       continue;
@@ -66,77 +92,9 @@ void OpeningWindow(TrajectoryView trajectory, double epsilon,
   }
 }
 
-IndexList OpeningWindow(TrajectoryView trajectory, double epsilon,
-                        BreakPolicy policy, const WindowDistanceFn& distance) {
-  IndexList kept;
-  OpeningWindow(trajectory, epsilon, policy, distance, kept);
-  return kept;
-}
-
-void OpeningWindow(TrajectoryView trajectory, double epsilon,
-                   BreakPolicy policy, WindowCriterion criterion,
-                   Workspace& workspace, IndexList& out) {
-  STCOMP_CHECK(epsilon >= 0.0);
-  const int n = static_cast<int>(trajectory.size());
-  if (n <= 2) {
-    KeepAll(trajectory, out);
-    return;
-  }
-  // Kernelised form of the generic loop above: the whole interior of the
-  // current window is scanned by one batched first-violation call per
-  // float advance. Same O(N^2) scan structure (every interior point must
-  // be re-examined whenever the float moves), but each scan is one tight
-  // loop over the SoA columns. The per-point formulas in geom/kernels.h
-  // are the ones PerpendicularWindowDistance / SynchronizedWindowDistance
-  // route through, so the kept set is bit-identical to the generic path.
-  const TrajectoryViewSoA soa =
-      TrajectoryViewSoA::Repack(trajectory, workspace.soa);
-  const double* x = soa.x();
-  const double* y = soa.y();
-  const double* t = soa.t();
-  out.clear();
-  out.push_back(0);
-  int anchor = 0;
-  int float_index = anchor + 2;
-  while (float_index < n) {
-    const size_t base = static_cast<size_t>(anchor) + 1;
-    const size_t count = static_cast<size_t>(float_index - anchor - 1);
-    const size_t f = static_cast<size_t>(float_index);
-    const size_t a = static_cast<size_t>(anchor);
-    std::ptrdiff_t hit;
-    if (criterion == WindowCriterion::kSynchronized) {
-      const kernels::SedSegment seg{x[a], y[a], t[a], x[f], y[f], t[f]};
-      hit = kernels::SedFirstAbove(x + base, y + base, t + base, count, seg,
-                                   epsilon);
-    } else {
-      const kernels::LineSegment seg{x[a], y[a], x[f], y[f]};
-      hit = kernels::PerpFirstAbove(x + base, y + base, count, seg, epsilon);
-    }
-    if (hit < 0) {
-      ++float_index;
-      continue;
-    }
-    const int violation = anchor + 1 + static_cast<int>(hit);
-    const int cut =
-        policy == BreakPolicy::kNormal ? violation : float_index - 1;
-    out.push_back(cut);
-    anchor = cut;
-    float_index = anchor + 2;
-  }
-  if (out.back() != n - 1) {
-    out.push_back(n - 1);
-  }
-}
-
-void Nopw(TrajectoryView trajectory, double epsilon_m, Workspace& workspace,
-          IndexList& out) {
-  OpeningWindow(trajectory, epsilon_m, BreakPolicy::kNormal,
-                WindowCriterion::kPerpendicular, workspace, out);
-}
-
 void Nopw(TrajectoryView trajectory, double epsilon_m, IndexList& out) {
-  Workspace workspace;
-  Nopw(trajectory, epsilon_m, workspace, out);
+  OpeningWindow(trajectory, epsilon_m, BreakPolicy::kNormal,
+                WindowCriterion::kPerpendicular, out);
 }
 
 IndexList Nopw(TrajectoryView trajectory, double epsilon_m) {
@@ -145,15 +103,9 @@ IndexList Nopw(TrajectoryView trajectory, double epsilon_m) {
   return kept;
 }
 
-void Bopw(TrajectoryView trajectory, double epsilon_m, Workspace& workspace,
-          IndexList& out) {
-  OpeningWindow(trajectory, epsilon_m, BreakPolicy::kBefore,
-                WindowCriterion::kPerpendicular, workspace, out);
-}
-
 void Bopw(TrajectoryView trajectory, double epsilon_m, IndexList& out) {
-  Workspace workspace;
-  Bopw(trajectory, epsilon_m, workspace, out);
+  OpeningWindow(trajectory, epsilon_m, BreakPolicy::kBefore,
+                WindowCriterion::kPerpendicular, out);
 }
 
 IndexList Bopw(TrajectoryView trajectory, double epsilon_m) {

@@ -1,16 +1,13 @@
 // Opening-window algorithms (paper Sec. 2.2): anchor a segment start,
 // grow the float until a threshold violation, cut, repeat. Parameterised
-// over the per-point distance measure (perpendicular for the classic
+// over the per-point distance criterion (perpendicular for the classic
 // NOPW/BOPW, synchronized time-ratio distance for OPW-TR) and over the
 // break policy.
 
 #ifndef STCOMP_ALGO_OPENING_WINDOW_H_
 #define STCOMP_ALGO_OPENING_WINDOW_H_
 
-#include <functional>
-
 #include "stcomp/algo/compression.h"
-#include "stcomp/algo/workspace.h"
 
 namespace stcomp::algo {
 
@@ -24,11 +21,6 @@ enum class BreakPolicy {
   kBefore,
 };
 
-// Distance of interior point `i` from the candidate window segment
-// (anchor, float_index).
-using WindowDistanceFn =
-    std::function<double(TrajectoryView, int anchor, int float_index, int i)>;
-
 // Perpendicular distance from point `i` to the line through the window
 // endpoints — the classic opening-window criterion.
 double PerpendicularWindowDistance(TrajectoryView trajectory, int anchor,
@@ -39,39 +31,31 @@ double PerpendicularWindowDistance(TrajectoryView trajectory, int anchor,
 double SynchronizedWindowDistance(TrajectoryView trajectory, int anchor,
                                   int float_index, int i);
 
-// The two batch criteria as an enum: these take the batched-kernel
-// whole-window path (geom/kernels.h) — one batched first-violation scan
-// per float advance over the workspace's SoA repack — and produce
-// bit-identical output to the per-point WindowDistanceFn forms below.
+// The per-point distance criterion of an opening or sliding window.
 enum class WindowCriterion {
   kPerpendicular,  // NOPW / BOPW
   kSynchronized,   // OPW-TR
 };
 
-// Generic opening window. A window is violated when any interior distance
+// The first interior point of the window (anchor, float_index) whose
+// `criterion` distance exceeds `epsilon`, or -1 when there is none. The
+// test is strict `>`: a point exactly epsilon away never violates, and a
+// NaN distance never fires. Requires anchor < float_index.
+int FirstWindowViolation(TrajectoryView trajectory, int anchor,
+                         int float_index, WindowCriterion criterion,
+                         double epsilon);
+
+// Opening window. A window is violated when any interior distance
 // exceeds `epsilon` (strictly). The final point is always kept (the
 // countermeasure for the "may lose the last few data points" issue the
 // paper notes). Precondition (checked): epsilon >= 0.
 void OpeningWindow(TrajectoryView trajectory, double epsilon,
-                   BreakPolicy policy, const WindowDistanceFn& distance,
-                   IndexList& out);
-IndexList OpeningWindow(TrajectoryView trajectory, double epsilon,
-                        BreakPolicy policy, const WindowDistanceFn& distance);
-
-// Batched-kernel fast path for the built-in criteria. Allocation-free
-// on a warmed workspace.
-void OpeningWindow(TrajectoryView trajectory, double epsilon,
                    BreakPolicy policy, WindowCriterion criterion,
-                   Workspace& workspace, IndexList& out);
+                   IndexList& out);
 
-// Classic spatial variants (perpendicular distance). The Workspace
-// overloads are the hot path; the others allocate a throwaway workspace.
-void Nopw(TrajectoryView trajectory, double epsilon_m, Workspace& workspace,
-          IndexList& out);
+// Classic spatial variants (perpendicular distance).
 void Nopw(TrajectoryView trajectory, double epsilon_m, IndexList& out);
 IndexList Nopw(TrajectoryView trajectory, double epsilon_m);
-void Bopw(TrajectoryView trajectory, double epsilon_m, Workspace& workspace,
-          IndexList& out);
 void Bopw(TrajectoryView trajectory, double epsilon_m, IndexList& out);
 IndexList Bopw(TrajectoryView trajectory, double epsilon_m);
 

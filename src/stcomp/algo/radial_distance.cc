@@ -3,49 +3,35 @@
 #include <cstddef>
 
 #include "stcomp/common/check.h"
-#include "stcomp/core/trajectory_view_soa.h"
 #include "stcomp/geom/kernels.h"
 
 namespace stcomp::algo {
 
 void RadialDistance(TrajectoryView trajectory, double epsilon_m,
-                    Workspace& workspace, IndexList& out) {
+                    IndexList& out) {
   STCOMP_CHECK(epsilon_m >= 0.0);
   const int n = static_cast<int>(trajectory.size());
   out.clear();
   if (n == 0) {
     return;
   }
-  // Batched scan: from each kept anchor, one kernel call finds the first
-  // point at least epsilon away (the keep rule is >=, not >); that point
-  // becomes the next anchor. Identical to the per-point scan, one call
-  // per kept point instead of one norm per input point.
-  const TrajectoryViewSoA soa =
-      TrajectoryViewSoA::Repack(trajectory, workspace.soa);
-  const double* x = soa.x();
-  const double* y = soa.y();
+  // One scan: a point is kept when it lies at least epsilon from the last
+  // kept point, and becomes the next anchor. The keep test is inclusive
+  // `>=` (a point exactly epsilon away is kept); a NaN distance never
+  // keeps a point.
   out.push_back(0);
-  int pos = 1;
-  while (pos < n - 1) {
-    const size_t anchor = static_cast<size_t>(out.back());
-    const std::ptrdiff_t hit = kernels::RadialFirstReaching(
-        x + pos, y + pos, static_cast<size_t>(n - 1 - pos), x[anchor],
-        y[anchor], epsilon_m);
-    if (hit < 0) {
-      break;
+  Vec2 anchor = trajectory[0].position;
+  for (int i = 1; i < n - 1; ++i) {
+    const Vec2 p = trajectory[static_cast<size_t>(i)].position;
+    if (kernels::RadialDistancePoint(p.x, p.y, anchor.x, anchor.y) >=
+        epsilon_m) {
+      out.push_back(i);
+      anchor = p;
     }
-    out.push_back(pos + static_cast<int>(hit));
-    pos = out.back() + 1;
   }
   if (n > 1) {
     out.push_back(n - 1);
   }
-}
-
-void RadialDistance(TrajectoryView trajectory, double epsilon_m,
-                    IndexList& out) {
-  Workspace workspace;
-  RadialDistance(trajectory, epsilon_m, workspace, out);
 }
 
 IndexList RadialDistance(TrajectoryView trajectory, double epsilon_m) {

@@ -6,16 +6,11 @@
 #define STCOMP_ALGO_RADIAL_DISTANCE_H_
 
 #include "stcomp/algo/compression.h"
-#include "stcomp/algo/workspace.h"
 
 namespace stcomp::algo {
 
 // Sequentially drops points closer than `epsilon_m` to the last kept point.
 // The last point is always kept. Precondition (checked): epsilon_m >= 0.
-// The Workspace overload is the batched-kernel hot path (allocation-free
-// when warm); the others allocate a throwaway workspace.
-void RadialDistance(TrajectoryView trajectory, double epsilon_m,
-                    Workspace& workspace, IndexList& out);
 void RadialDistance(TrajectoryView trajectory, double epsilon_m,
                     IndexList& out);
 IndexList RadialDistance(TrajectoryView trajectory, double epsilon_m);

@@ -106,20 +106,6 @@ AlgorithmViewFn Instrumented(const std::string& name, AlgorithmViewFn fn) {
 #endif
 }
 
-// The legacy Trajectory-based entry point as a thin shim over the view
-// path: one thread-local workspace serves every shim call on a thread, so
-// repeated legacy calls stop allocating scratch once the buffers have
-// grown. Only the returned IndexList is allocated per call.
-AlgorithmFn MakeShim(AlgorithmViewFn view_fn) {
-  return [view_fn = std::move(view_fn)](const Trajectory& trajectory,
-                                        const AlgorithmParams& params) {
-    thread_local Workspace workspace;
-    IndexList kept;
-    view_fn(trajectory, params, workspace, kept);
-    return kept;
-  };
-}
-
 std::vector<AlgorithmInfo> MakeRegistry() {
   std::vector<AlgorithmInfo> algorithms;
   const auto add = [&algorithms](std::string name, std::string description,
@@ -140,8 +126,8 @@ std::vector<AlgorithmInfo> MakeRegistry() {
       [](TrajectoryView t, const AlgorithmParams& p, Workspace&,
          IndexList& out) { TemporalSampling(t, p.interval_s, out); });
   add("radial", "drop neighbours closer than epsilon", true, false,
-      [](TrajectoryView t, const AlgorithmParams& p, Workspace& ws,
-         IndexList& out) { RadialDistance(t, p.epsilon_m, ws, out); });
+      [](TrajectoryView t, const AlgorithmParams& p, Workspace&,
+         IndexList& out) { RadialDistance(t, p.epsilon_m, out); });
   add("perpendicular", "Jenks three-point perpendicular test", true, false,
       [](TrajectoryView t, const AlgorithmParams& p, Workspace&,
          IndexList& out) { PerpendicularDistance(t, p.epsilon_m, out); });
@@ -179,17 +165,17 @@ std::vector<AlgorithmInfo> MakeRegistry() {
         BottomUp(t, p.epsilon_m, BottomUpMetric::kPerpendicular, ws, out);
       });
   add("nopw", "opening window, break at violating point", true, false,
-      [](TrajectoryView t, const AlgorithmParams& p, Workspace& ws,
-         IndexList& out) { Nopw(t, p.epsilon_m, ws, out); });
+      [](TrajectoryView t, const AlgorithmParams& p, Workspace&,
+         IndexList& out) { Nopw(t, p.epsilon_m, out); });
   add("bopw", "opening window, break before the float", true, false,
-      [](TrajectoryView t, const AlgorithmParams& p, Workspace& ws,
-         IndexList& out) { Bopw(t, p.epsilon_m, ws, out); });
+      [](TrajectoryView t, const AlgorithmParams& p, Workspace&,
+         IndexList& out) { Bopw(t, p.epsilon_m, out); });
   add("td-tr", "top-down time-ratio (paper Sec. 3.2, batch)", false, true,
       [](TrajectoryView t, const AlgorithmParams& p, Workspace& ws,
          IndexList& out) { TdTr(t, p.epsilon_m, ws, out); });
   add("opw-tr", "opening-window time-ratio (paper Sec. 3.2)", true, true,
-      [](TrajectoryView t, const AlgorithmParams& p, Workspace& ws,
-         IndexList& out) { OpwTr(t, p.epsilon_m, ws, out); });
+      [](TrajectoryView t, const AlgorithmParams& p, Workspace&,
+         IndexList& out) { OpwTr(t, p.epsilon_m, out); });
   add("opw-sp", "opening-window spatiotemporal, SED + speed (paper SPT)",
       true, true,
       [](TrajectoryView t, const AlgorithmParams& p, Workspace& ws,
@@ -219,7 +205,6 @@ std::vector<AlgorithmInfo> MakeRegistry() {
          IndexList& out) { SquishE(t, p.epsilon_m, out); });
   for (AlgorithmInfo& info : algorithms) {
     info.run_view = Instrumented(info.name, std::move(info.run_view));
-    info.run = MakeShim(info.run_view);
   }
   return algorithms;
 }

@@ -41,13 +41,10 @@ struct AlgorithmParams {
   Status Validate() const;
 };
 
-// The legacy, allocating entry point: returns a fresh IndexList per call.
-using AlgorithmFn =
-    std::function<IndexList(const Trajectory&, const AlgorithmParams&)>;
-
-// The zero-copy entry point (DESIGN.md §11): reads a non-owning view,
-// scratches in the caller's workspace and fills a caller-owned output.
-// Reusing (workspace, out) across calls makes the hot path allocation-free.
+// The one entry point of every algorithm (DESIGN.md §11): reads a
+// non-owning view, scratches in the caller's workspace and fills a
+// caller-owned output. Reusing (workspace, out) across calls makes the hot
+// path allocation-free.
 using AlgorithmViewFn = std::function<void(
     TrajectoryView, const AlgorithmParams&, Workspace&, IndexList&)>;
 
@@ -56,7 +53,6 @@ struct AlgorithmInfo {
   std::string description;  // One line for --help output.
   bool online;              // Usable on unbounded streams.
   bool spatiotemporal;      // Uses the temporal dimension in its criterion.
-  AlgorithmFn run;          // Thin shim over run_view (thread-local scratch).
   AlgorithmViewFn run_view;
 };
 

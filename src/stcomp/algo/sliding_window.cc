@@ -7,7 +7,7 @@ namespace stcomp::algo {
 namespace {
 
 void SlidingWindowImpl(TrajectoryView trajectory, double epsilon,
-                       int max_window, const WindowDistanceFn& distance,
+                       int max_window, WindowCriterion criterion,
                        IndexList& out) {
   STCOMP_CHECK(epsilon >= 0.0);
   STCOMP_CHECK(max_window >= 2);
@@ -21,13 +21,9 @@ void SlidingWindowImpl(TrajectoryView trajectory, double epsilon,
   int anchor = 0;
   int float_index = anchor + 2;
   while (float_index < n) {
-    int violation = -1;
-    for (int i = anchor + 1; i < float_index; ++i) {
-      if (distance(trajectory, anchor, float_index, i) > epsilon) {
-        violation = i;
-        break;
-      }
-    }
+    const int violation = FirstWindowViolation(trajectory, anchor,
+                                               float_index, criterion,
+                                               epsilon);
     if (violation >= 0) {
       out.push_back(violation);
       anchor = violation;
@@ -53,7 +49,7 @@ void SlidingWindowImpl(TrajectoryView trajectory, double epsilon,
 void SlidingWindow(TrajectoryView trajectory, double epsilon_m,
                    int max_window, IndexList& out) {
   SlidingWindowImpl(trajectory, epsilon_m, max_window,
-                    PerpendicularWindowDistance, out);
+                    WindowCriterion::kPerpendicular, out);
 }
 
 IndexList SlidingWindow(TrajectoryView trajectory, double epsilon_m,
@@ -66,7 +62,7 @@ IndexList SlidingWindow(TrajectoryView trajectory, double epsilon_m,
 void SlidingWindowTr(TrajectoryView trajectory, double epsilon_m,
                      int max_window, IndexList& out) {
   SlidingWindowImpl(trajectory, epsilon_m, max_window,
-                    SynchronizedWindowDistance, out);
+                    WindowCriterion::kSynchronized, out);
 }
 
 IndexList SlidingWindowTr(TrajectoryView trajectory, double epsilon_m,

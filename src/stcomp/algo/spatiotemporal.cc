@@ -6,25 +6,21 @@
 #include <vector>
 
 #include "stcomp/common/check.h"
-#include "stcomp/core/interpolation.h"
-#include "stcomp/core/trajectory_view_soa.h"
 #include "stcomp/geom/kernels.h"
 
 namespace stcomp::algo {
 
 namespace {
 
-// Fills workspace.speeds / workspace.jumps from the SoA repack: speeds[i]
-// is the derived speed of segment (i, i+1), jumps[i] == SpeedJump(i) for
-// interior i (0 at the endpoints, which the criteria never test). The SP
-// criteria then read O(1) per candidate instead of recomputing two norms.
-void PrecomputeSpeedJumps(const TrajectoryViewSoA& soa, Workspace& workspace) {
-  const size_t n = soa.size();
-  workspace.speeds.resize(n > 0 ? n - 1 : 0);
-  workspace.jumps.resize(n);
-  kernels::SegmentSpeeds(soa.x(), soa.y(), soa.t(), n,
-                         workspace.speeds.data());
-  kernels::SpeedJumps(workspace.speeds.data(), n, workspace.jumps.data());
+// Fills `jumps` with SpeedJump(i) at every interior i (0 at the endpoints,
+// which the criteria never test), once per run, so the SP scans read one
+// value per candidate instead of recomputing two norms.
+void FillSpeedJumps(TrajectoryView trajectory, std::vector<double>& jumps) {
+  const int n = static_cast<int>(trajectory.size());
+  jumps.assign(static_cast<size_t>(n), 0.0);
+  for (int i = 1; i + 1 < n; ++i) {
+    jumps[static_cast<size_t>(i)] = SpeedJump(trajectory, i);
+  }
 }
 
 }  // namespace
@@ -47,44 +43,33 @@ void OpwSp(TrajectoryView trajectory, double max_dist_error_m,
   }
   // Iterative form of the paper's recursive SPT procedure: the recursion
   // SPT(s[i..]) after a violation at i is exactly "cut at i, re-anchor".
-  // The per-window scan is kernelised: the first SED violation and the
-  // first speed-jump violation are each found by one batched call, and the
-  // earlier of the two is the window's violation — identical to the
-  // point-at-a-time OR of the two criteria.
-  const TrajectoryViewSoA soa =
-      TrajectoryViewSoA::Repack(trajectory, workspace.soa);
-  PrecomputeSpeedJumps(soa, workspace);
-  const double* x = soa.x();
-  const double* y = soa.y();
-  const double* t = soa.t();
-  const double* jumps = workspace.jumps.data();
+  FillSpeedJumps(trajectory, workspace.jumps);
+  const std::vector<double>& jumps = workspace.jumps;
   out.clear();
   out.push_back(0);
   int anchor = 0;
   int float_index = anchor + 2;
   while (float_index < n) {
-    const size_t base = static_cast<size_t>(anchor) + 1;
-    const size_t count = static_cast<size_t>(float_index - anchor - 1);
-    const size_t a = static_cast<size_t>(anchor);
-    const size_t f = static_cast<size_t>(float_index);
-    const kernels::SedSegment seg{x[a], y[a], t[a], x[f], y[f], t[f]};
-    const std::ptrdiff_t sed_hit = kernels::SedFirstAbove(
-        x + base, y + base, t + base, count, seg, max_dist_error_m);
-    // Only the window up to the SED violation matters for the jump scan:
-    // the earliest violation of either kind wins.
-    const size_t jump_count =
-        sed_hit < 0 ? count : static_cast<size_t>(sed_hit) + 1;
-    const std::ptrdiff_t jump_hit = kernels::ArrayFirstAbove(
-        jumps + base, jump_count, max_speed_error_mps);
-    std::ptrdiff_t hit = sed_hit;
-    if (jump_hit >= 0 && (hit < 0 || jump_hit < hit)) {
-      hit = jump_hit;
+    // One scan per window: the first interior point whose SED or speed
+    // jump exceeds its threshold (strict `>`, so a NaN never fires).
+    const TimedPoint& a = trajectory[static_cast<size_t>(anchor)];
+    const TimedPoint& f = trajectory[static_cast<size_t>(float_index)];
+    const kernels::SedSegment seg{a.position.x, a.position.y, a.t,
+                                  f.position.x, f.position.y, f.t};
+    int violation = -1;
+    for (int i = anchor + 1; i < float_index; ++i) {
+      const TimedPoint& p = trajectory[static_cast<size_t>(i)];
+      if (kernels::SedDistancePoint(p.position.x, p.position.y, p.t, seg) >
+              max_dist_error_m ||
+          jumps[static_cast<size_t>(i)] > max_speed_error_mps) {
+        violation = i;
+        break;
+      }
     }
-    if (hit < 0) {
+    if (violation < 0) {
       ++float_index;
       continue;
     }
-    const int violation = anchor + 1 + static_cast<int>(hit);
     out.push_back(violation);
     anchor = violation;
     float_index = anchor + 2;
@@ -116,13 +101,8 @@ void TdSp(TrajectoryView trajectory, double max_dist_error_m,
     KeepAll(trajectory, out);
     return;
   }
-  const TrajectoryViewSoA soa =
-      TrajectoryViewSoA::Repack(trajectory, workspace.soa);
-  PrecomputeSpeedJumps(soa, workspace);
-  const double* x = soa.x();
-  const double* y = soa.y();
-  const double* t = soa.t();
-  const double* jumps = workspace.jumps.data();
+  FillSpeedJumps(trajectory, workspace.jumps);
+  const std::vector<double>& jumps = workspace.jumps;
   std::vector<char>& keep = workspace.keep;
   keep.assign(static_cast<size_t>(n), 0);
   keep[0] = 1;
@@ -137,25 +117,38 @@ void TdSp(TrajectoryView trajectory, double max_dist_error_m,
     if (last - first < 2) {
       continue;
     }
-    // One batched argmax per criterion over the interior of the range
-    // (both maxima were previously accumulated in a single scalar loop;
-    // the running maxima are independent, so two kernel scans produce the
-    // same two results). The speed jump needs a predecessor and successor
+    // One pass takes both maxima over the interior of the range. Each
+    // argmax starts from -1.0 and keeps the earliest strict maximum, so a
+    // NaN never wins. The speed jump needs a predecessor and successor
     // sample in the full trajectory; interior points of any range always
     // have both.
-    const size_t base = static_cast<size_t>(first) + 1;
-    const size_t count = static_cast<size_t>(last - first - 1);
-    const size_t a = static_cast<size_t>(first);
-    const size_t b = static_cast<size_t>(last);
-    const kernels::SedSegment seg{x[a], y[a], t[a], x[b], y[b], t[b]};
-    const kernels::MaxResult max_sed =
-        kernels::SedMax(x + base, y + base, t + base, count, seg);
-    const kernels::MaxResult max_jump = kernels::ArrayMax(jumps + base, count);
+    const TimedPoint& a = trajectory[static_cast<size_t>(first)];
+    const TimedPoint& b = trajectory[static_cast<size_t>(last)];
+    const kernels::SedSegment seg{a.position.x, a.position.y, a.t,
+                                  b.position.x, b.position.y, b.t};
+    int sed_index = first + 1;
+    double max_sed = -1.0;
+    int jump_index = first + 1;
+    double max_jump = -1.0;
+    for (int i = first + 1; i < last; ++i) {
+      const TimedPoint& p = trajectory[static_cast<size_t>(i)];
+      const double d =
+          kernels::SedDistancePoint(p.position.x, p.position.y, p.t, seg);
+      if (d > max_sed) {
+        max_sed = d;
+        sed_index = i;
+      }
+      const double jump = jumps[static_cast<size_t>(i)];
+      if (jump > max_jump) {
+        max_jump = jump;
+        jump_index = i;
+      }
+    }
     int split = -1;
-    if (max_sed.value > max_dist_error_m) {
-      split = first + 1 + static_cast<int>(max_sed.index);
-    } else if (max_jump.value > max_speed_error_mps) {
-      split = first + 1 + static_cast<int>(max_jump.index);
+    if (max_sed > max_dist_error_m) {
+      split = sed_index;
+    } else if (max_jump > max_speed_error_mps) {
+      split = jump_index;
     }
     if (split >= 0) {
       keep[static_cast<size_t>(split)] = 1;

@@ -22,10 +22,9 @@ double SquishBuffer::SedPriority(const Node& node) const {
   if (node.prev < 0 || node.next < 0) {
     return kInfinity;  // Endpoints are never removed.
   }
-  // Inherently point-at-a-time (one neighbour pair per priority update),
-  // so this rides the kernel layer's per-point SED helper — the same
-  // formula the batched kernels use, keeping SQUISH priorities consistent
-  // with the window/range algorithms.
+  // One neighbour pair per priority update, through the per-point SED
+  // helper the window/range algorithms use, keeping SQUISH priorities
+  // consistent with them.
   const Node& before = nodes_[static_cast<size_t>(node.prev)];
   const Node& after = nodes_[static_cast<size_t>(node.next)];
   return node.carry +

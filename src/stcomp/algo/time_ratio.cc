@@ -2,16 +2,8 @@
 
 #include "stcomp/algo/douglas_peucker.h"
 #include "stcomp/algo/opening_window.h"
-#include "stcomp/core/interpolation.h"
 
 namespace stcomp::algo {
-
-double SynchronizedSplitDistance(TrajectoryView trajectory, int first,
-                                 int last, int i) {
-  return SynchronizedDistance(trajectory[static_cast<size_t>(first)],
-                              trajectory[static_cast<size_t>(last)],
-                              trajectory[static_cast<size_t>(i)]);
-}
 
 void TdTr(TrajectoryView trajectory, double epsilon_m, Workspace& workspace,
           IndexList& out) {
@@ -39,15 +31,9 @@ IndexList TdTrMaxPoints(TrajectoryView trajectory, int max_points) {
   return kept;
 }
 
-void OpwTr(TrajectoryView trajectory, double epsilon_m, Workspace& workspace,
-           IndexList& out) {
-  OpeningWindow(trajectory, epsilon_m, BreakPolicy::kNormal,
-                WindowCriterion::kSynchronized, workspace, out);
-}
-
 void OpwTr(TrajectoryView trajectory, double epsilon_m, IndexList& out) {
-  Workspace workspace;
-  OpwTr(trajectory, epsilon_m, workspace, out);
+  OpeningWindow(trajectory, epsilon_m, BreakPolicy::kNormal,
+                WindowCriterion::kSynchronized, out);
 }
 
 IndexList OpwTr(TrajectoryView trajectory, double epsilon_m) {

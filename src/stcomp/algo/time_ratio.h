@@ -16,10 +16,6 @@ void TdTr(TrajectoryView trajectory, double epsilon_m, Workspace& workspace,
           IndexList& out);
 IndexList TdTr(TrajectoryView trajectory, double epsilon_m);
 
-// Synchronized split distance for reuse in registries/tests.
-double SynchronizedSplitDistance(TrajectoryView trajectory, int first,
-                                 int last, int i);
-
 // TD-TR under a point budget instead of a distance threshold (best-first
 // splitting on the largest synchronized deviation). Precondition
 // (checked): max_points >= 2.
@@ -31,8 +27,6 @@ IndexList TdTrMaxPoints(TrajectoryView trajectory, int max_points);
 // the violating point) policy, matching the SPT pseudocode's recursion at
 // the violating index. Online-capable (see stream/). Precondition
 // (checked): epsilon_m >= 0.
-void OpwTr(TrajectoryView trajectory, double epsilon_m, Workspace& workspace,
-           IndexList& out);
 void OpwTr(TrajectoryView trajectory, double epsilon_m, IndexList& out);
 IndexList OpwTr(TrajectoryView trajectory, double epsilon_m);
 

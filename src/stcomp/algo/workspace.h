@@ -19,8 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "stcomp/core/trajectory_view_soa.h"
-
 namespace stcomp::algo {
 
 namespace detail {
@@ -84,11 +82,8 @@ struct Workspace {
   // General-purpose index scratch (e.g. SQUISH finalisation).
   std::vector<int> scratch_indices;
 
-  // SoA repack destination for the batched distance kernels (DESIGN.md
-  // §14) plus the SP family's precomputed per-segment speeds and
-  // per-point speed jumps.
-  SoAScratch soa;
-  std::vector<double> speeds;
+  // The SP family's per-point speed jumps (SpeedJump(i) at interior i),
+  // computed once per run.
   std::vector<double> jumps;
 };
 

@@ -25,9 +25,9 @@ Vec2 TimeRatioPosition(const TimedPoint& anchor, const TimedPoint& probe_end,
 double SynchronizedDistance(const TimedPoint& anchor,
                             const TimedPoint& probe_end,
                             const TimedPoint& point) {
-  // Routed through the kernel layer's per-point helper (same lerp, same
-  // degenerate rule, sqrt-based norm) so this AoS path stays bit-identical
-  // to the batched SED kernels the window/range algorithms use.
+  // Routed through the per-point helper (same lerp, same degenerate rule,
+  // sqrt-based norm) so this path stays bit-identical to the window/range
+  // algorithms' SED scans.
   return kernels::SedDistancePoint(
       point.position.x, point.position.y, point.t,
       {anchor.position.x, anchor.position.y, anchor.t, probe_end.position.x,

@@ -23,8 +23,8 @@ double TrajectoryView::SegmentSpeed(size_t i) const {
   STCOMP_CHECK(i + 1 < size_);
   const double dt = data_[i + 1].t - data_[i].t;
   STCOMP_DCHECK(dt > 0.0);
-  // Kernel norm (sqrt, not hypot) so per-point speed jumps match the
-  // precomputed kernels::SegmentSpeeds arrays bit-for-bit.
+  // Helper norm (sqrt, not hypot), the norm of every distance in
+  // geom/kernels.h (DESIGN.md §14).
   return kernels::Norm2(data_[i + 1].position.x - data_[i].position.x,
                         data_[i + 1].position.y - data_[i].position.y) /
          dt;

@@ -6,7 +6,6 @@
 
 #include "stcomp/common/check.h"
 #include "stcomp/core/interpolation.h"
-#include "stcomp/core/trajectory_view_soa.h"
 #include "stcomp/error/integration.h"
 #include "stcomp/geom/kernels.h"
 
@@ -92,50 +91,50 @@ Status CheckKept(TrajectoryView original, const algo::IndexList& kept) {
   return Status::Ok();
 }
 
-// Scratch for the kernelised (view, kept) error paths below. The error
-// module has no Workspace parameter, so each thread keeps one grow-only
-// set of buffers: repeated evaluations stop allocating once warm.
+// Scratch for the (view, kept) error paths below. The error module has no
+// Workspace parameter, so each thread keeps one grow-only pair of delta
+// buffers: repeated evaluations stop allocating once warm.
 struct DeltaScratch {
-  SoAScratch soa;
   std::vector<double> dx;
   std::vector<double> dy;
 };
 
 // Per-vertex synchronous deltas (original position minus approximation
-// position at the original's own timestamps), batched: between two kept
-// vertices the approximation is one fixed segment, so each kept segment is
-// a single SyncDeltas kernel call over the original vertices it covers.
-// Replicates the SegmentCursor / KeptSegmentCursor arithmetic bit for bit
-// (at an original vertex the cursor's lerp parameter is exactly dt/dt = 1,
-// which SyncDeltaPoint folds into xp + (x - xp)); vertex 0 is the one u = 0
-// evaluation, done here in scalar with the cursors' exact expressions.
+// position at the original's own timestamps). Between two kept vertices
+// the approximation is one fixed segment, built once per kept segment, and
+// SyncDeltaPoint runs for each original vertex it covers. Replicates the
+// SegmentCursor / KeptSegmentCursor arithmetic bit for bit (at an original
+// vertex the cursor's lerp parameter is exactly dt/dt = 1, which
+// SyncDeltaPoint folds into xp + (x - xp)); vertex 0 is the one u = 0
+// evaluation, done here with the cursors' exact expressions.
 // Precondition: CheckKept passed, so n >= 2 and timestamps are strictly
 // increasing (every kept segment has at < bt).
-TrajectoryViewSoA ComputeKeptDeltas(TrajectoryView original,
-                                    const algo::IndexList& kept,
-                                    DeltaScratch& scratch) {
-  const TrajectoryViewSoA soa =
-      TrajectoryViewSoA::Repack(original, scratch.soa);
-  const size_t n = soa.size();
+void ComputeKeptDeltas(TrajectoryView original, const algo::IndexList& kept,
+                       DeltaScratch& scratch) {
+  const size_t n = original.size();
   scratch.dx.resize(n);
   scratch.dy.resize(n);
-  const double* x = soa.x();
-  const double* y = soa.y();
-  const double* t = soa.t();
   double* dx = scratch.dx.data();
   double* dy = scratch.dy.data();
-  const size_t k1 = static_cast<size_t>(kept[1]);
-  dx[0] = (x[0] + (x[1] - x[0]) * 0.0) - (x[0] + (x[k1] - x[0]) * 0.0);
-  dy[0] = (y[0] + (y[1] - y[0]) * 0.0) - (y[0] + (y[k1] - y[0]) * 0.0);
+  const Vec2 p0 = original[0].position;
+  const Vec2 p1 = original[1].position;
+  const Vec2 k1 = original[static_cast<size_t>(kept[1])].position;
+  dx[0] = (p0.x + (p1.x - p0.x) * 0.0) - (p0.x + (k1.x - p0.x) * 0.0);
+  dy[0] = (p0.y + (p1.y - p0.y) * 0.0) - (p0.y + (k1.y - p0.y) * 0.0);
   for (size_t j = 0; j + 1 < kept.size(); ++j) {
-    const size_t a = static_cast<size_t>(kept[j]);
-    const size_t b = static_cast<size_t>(kept[j + 1]);
-    const kernels::SedSegment seg{x[a], y[a], t[a], x[b], y[b], t[b]};
-    const size_t base = a + 1;
-    kernels::SyncDeltas(x + base, y + base, t + base, x + base - 1,
-                        y + base - 1, b - a, seg, dx + base, dy + base);
+    const size_t first = static_cast<size_t>(kept[j]);
+    const size_t last = static_cast<size_t>(kept[j + 1]);
+    const TimedPoint& a = original[first];
+    const TimedPoint& b = original[last];
+    const kernels::SedSegment seg{a.position.x, a.position.y, a.t,
+                                  b.position.x, b.position.y, b.t};
+    for (size_t i = first + 1; i <= last; ++i) {
+      const TimedPoint& p = original[i];
+      const Vec2 prev = original[i - 1].position;
+      kernels::SyncDeltaPoint(p.position.x, p.position.y, p.t, prev.x,
+                              prev.y, seg, &dx[i], &dy[i]);
+    }
   }
-  return soa;
 }
 
 // Union of the two trajectories' vertex timestamps (both sorted).
@@ -253,22 +252,21 @@ Result<double> SynchronousError(TrajectoryView original,
                                 const algo::IndexList& kept) {
   STCOMP_RETURN_IF_ERROR(CheckKept(original, kept));
   // The union grid is the original's own (strictly increasing) timestamps,
-  // so the deltas come from one batched kernel call per kept segment; the
-  // closed-form interval averaging stays scalar (its result depends only on
-  // the deltas, so this is bit-identical to the former cursor walk).
+  // so the deltas come from one pass over the original; the closed-form
+  // interval averaging depends only on the deltas, so this is bit-identical
+  // to the cursor walk of the two-view overload.
   thread_local DeltaScratch scratch;
-  const TrajectoryViewSoA soa = ComputeKeptDeltas(original, kept, scratch);
-  const size_t n = soa.size();
-  const double* t = soa.t();
+  ComputeKeptDeltas(original, kept, scratch);
+  const size_t n = original.size();
   double weighted_sum = 0.0;
   Vec2 previous_delta{scratch.dx[0], scratch.dy[0]};
   for (size_t k = 1; k < n; ++k) {
     const Vec2 delta{scratch.dx[k], scratch.dy[k]};
-    weighted_sum +=
-        (t[k] - t[k - 1]) * AverageLinearNorm(previous_delta, delta);
+    weighted_sum += (original[k].t - original[k - 1].t) *
+                    AverageLinearNorm(previous_delta, delta);
     previous_delta = delta;
   }
-  const double duration = t[n - 1] - t[0];
+  const double duration = original.back().t - original.front().t;
   if (duration <= 0.0) {
     return 0.0;
   }
@@ -308,8 +306,8 @@ Result<double> MaxSynchronousError(TrajectoryView original,
   double worst = 0.0;
   for (double t : grid) {
     // kernels::Norm2, not Distance (hypot), so this overload agrees bit for
-    // bit with the kernelised (view, kept) overload below when the
-    // approximation is a materialised subset.
+    // bit with the (view, kept) overload below when the approximation is a
+    // materialised subset.
     const Vec2 delta =
         original_cursor.At(t) - approximation_cursor.At(t);
     worst = std::max(worst, kernels::Norm2(delta.x, delta.y));
@@ -321,9 +319,9 @@ Result<double> MaxSynchronousError(TrajectoryView original,
                                    const algo::IndexList& kept) {
   STCOMP_RETURN_IF_ERROR(CheckKept(original, kept));
   thread_local DeltaScratch scratch;
-  const TrajectoryViewSoA soa = ComputeKeptDeltas(original, kept, scratch);
+  ComputeKeptDeltas(original, kept, scratch);
   double worst = 0.0;
-  for (size_t k = 0; k < soa.size(); ++k) {
+  for (size_t k = 0; k < original.size(); ++k) {
     // std::max keeps `worst` on NaN, matching the former cursor loop.
     worst = std::max(worst, kernels::Norm2(scratch.dx[k], scratch.dy[k]));
   }

@@ -11,9 +11,9 @@ constexpr double kPi = 3.14159265358979323846;
 }  // namespace
 
 double PointToLineDistance(Vec2 p, Vec2 a, Vec2 b) {
-  // Routed through the kernel layer's per-point helper so this AoS path is
-  // bit-identical to the batched perp kernels (DESIGN.md §14). Note the
-  // helper's norm is sqrt(dx*dx + dy*dy), not std::hypot.
+  // Routed through the per-point helper so this path is bit-identical to
+  // the algorithms' perpendicular scans (DESIGN.md §14). Note the helper's
+  // norm is sqrt(dx*dx + dy*dy), not std::hypot.
   return kernels::PerpDistancePoint(p.x, p.y, {a.x, a.y, b.x, b.y});
 }
 

@@ -1,16 +1,15 @@
-// Batched distance kernels over SoA double arrays (DESIGN.md §14): the
-// synchronized-Euclidean-distance (SED), perpendicular and radial inner
-// loops of the compression algorithms, evaluated a whole window/range per
-// call instead of point-at-a-time. One implementation: each batched loop
-// applies a per-point helper below in index order.
-//
-// Bit-exactness: the per-point helpers are the single source of truth for
-// the arithmetic. The batched loops call them, and the AoS consumers
+// Per-point distance helpers (DESIGN.md §14): the synchronized Euclidean
+// distance (SED), perpendicular, radial and synchronous-error arithmetic
+// every compression algorithm, stream and error evaluator uses. A batch
+// algorithm builds its segment once per window or range and calls a helper
+// for each point of its TrajectoryView; the AoS entry points
 // (SynchronizedDistance, PointToLineDistance, SegmentSpeed, SQUISH
-// priorities) are implemented on top of them, so point-at-a-time paths
-// (streams, SQUISH, sliding window) produce the same doubles as the
-// batched ones — stream == batch and the golden files depend on it. Two
-// global rules keep every path on the same bits:
+// priorities) route through the same helpers.
+//
+// Bit-exactness: these helpers are the single source of truth for the
+// arithmetic, so every path that measures a point produces the same
+// doubles — stream == batch and the golden files depend on it. Two global
+// rules keep every inlined copy on the same bits:
 //  - norms are Norm2, sqrt(dx*dx + dy*dy), never std::hypot, whose result
 //    can differ in the last bit (the domain is metres in a local frame,
 //    so the squares cannot overflow),
@@ -18,21 +17,19 @@
 //    CMakeLists), so a*b+c is never fused into an FMA in one inlining
 //    context and left unfused in another.
 //
-// This layer deliberately knows nothing about Trajectory/TrajectoryView:
-// it reads raw x/y/t arrays (see core/trajectory_view_soa.h for the
-// repack) so it can sit at the bottom of the dependency order.
+// The helpers take plain doubles rather than TimedPoints so the layer sits
+// at the bottom of the dependency order, below core/.
 
 #ifndef STCOMP_GEOM_KERNELS_H_
 #define STCOMP_GEOM_KERNELS_H_
 
 #include <cmath>
-#include <cstddef>
 
 namespace stcomp::kernels {
 
-// Candidate approximation segment for the SED kernels: the anchor (a) and
+// Candidate approximation segment for the SED helpers: the anchor (a) and
 // probe-end (b) samples. Precondition for the non-degenerate formula:
-// at <= bt (the kernels branch on bt - at > 0, matching
+// at <= bt (the helpers branch on bt - at > 0, matching
 // InterpolatePosition's degenerate rule "position = anchor").
 struct SedSegment {
   double ax = 0.0;
@@ -43,7 +40,7 @@ struct SedSegment {
   double bt = 0.0;
 };
 
-// Spatial-only segment for the perpendicular kernels.
+// Spatial-only segment for the perpendicular helper.
 struct LineSegment {
   double ax = 0.0;
   double ay = 0.0;
@@ -51,16 +48,7 @@ struct LineSegment {
   double by = 0.0;
 };
 
-// Argmax result: earliest index attaining the strict maximum, or
-// {index = 0, value = -1.0} when no element compares greater than -1.0
-// (all-NaN input), or {index = -1, value = -1.0} for n == 0. Mirrors the
-// sequential "if (d > best)" scan the top-down algorithms used.
-struct MaxResult {
-  std::ptrdiff_t index = -1;
-  double value = -1.0;
-};
-
-// The kernel norm: correctly-rounded sqrt of a correctly-rounded sum of
+// The helper norm: correctly-rounded sqrt of a correctly-rounded sum of
 // correctly-rounded squares.
 inline double Norm2(double dx, double dy) {
   return std::sqrt(dx * dx + dy * dy);
@@ -113,43 +101,6 @@ inline void SyncDeltaPoint(double x, double y, double t, double xp, double yp,
   *dx = ox - (seg.ax + (seg.bx - seg.ax) * u);
   *dy = oy - (seg.ay + (seg.by - seg.ay) * u);
 }
-
-// The batched kernels. All `n` counts are in points. *FirstAbove returns
-// the lowest index whose distance compares strictly greater than
-// `threshold`, or -1; RadialFirstReaching uses >= instead (the
-// radial-distance algorithm's keep rule). A NaN distance never fires
-// either predicate and never becomes a maximum (see MaxResult).
-std::ptrdiff_t SedFirstAbove(const double* x, const double* y,
-                             const double* t, size_t n, const SedSegment& seg,
-                             double threshold);
-MaxResult SedMax(const double* x, const double* y, const double* t, size_t n,
-                 const SedSegment& seg);
-
-std::ptrdiff_t PerpFirstAbove(const double* x, const double* y, size_t n,
-                              const LineSegment& seg, double threshold);
-MaxResult PerpMax(const double* x, const double* y, size_t n,
-                  const LineSegment& seg);
-
-std::ptrdiff_t RadialFirstReaching(const double* x, const double* y, size_t n,
-                                   double ax, double ay, double threshold);
-
-std::ptrdiff_t ArrayFirstAbove(const double* v, size_t n, double threshold);
-MaxResult ArrayMax(const double* v, size_t n);
-
-// SyncDeltaPoint over n vertices; xp / yp point at each vertex's
-// predecessor (typically x - 1 / y - 1), and dx / dy must have room for n
-// doubles.
-void SyncDeltas(const double* x, const double* y, const double* t,
-                const double* xp, const double* yp, size_t n,
-                const SedSegment& seg, double* dx, double* dy);
-
-// Derived segment speeds (n - 1 entries) and their absolute jumps at
-// interior points (n entries: out[0] = out[n-1] = 0). The SP-family
-// criteria consume these O(n) precomputations instead of recomputing two
-// norms per candidate.
-void SegmentSpeeds(const double* x, const double* y, const double* t, size_t n,
-                   double* out);
-void SpeedJumps(const double* speeds, size_t n_points, double* out);
 
 }  // namespace stcomp::kernels
 

@@ -356,11 +356,9 @@ Status SegmentStore::Checkpoint() {
   // either durable boundary is safe: the atomic rename leaves the old
   // index (or none), and recovery detects a stale one via Matches() and
   // rebuilds.
-  if (options_.persist_index) {
-    STCOMP_RETURN_IF_ERROR(AtomicWriteFile(IndexPath(),
-                                           Index().SerializeToString(),
-                                           options_.write_hook, &boundary_));
-  }
+  STCOMP_RETURN_IF_ERROR(AtomicWriteFile(IndexPath(),
+                                         Index().SerializeToString(),
+                                         options_.write_hook, &boundary_));
   // The snapshot now owns the log's contents. A crash before the truncate
   // re-replays the log over the snapshot at the next Open — idempotent,
   // surfaced as replay conflicts.

@@ -100,11 +100,6 @@ class SegmentStore {
     // Crash-injection seam (testing::CrashPlan): consulted at every
     // durable write boundary of the WAL *and* of checkpoint snapshots.
     WriteFaultHook write_hook;
-    // Persist the spatio-temporal index (index.stidx) at every
-    // checkpoint so the next Open() can serve queries without a rebuild
-    // scan. Queries work either way — recovery rebuilds a missing or
-    // stale index from the store.
-    bool persist_index = true;
   };
 
   SegmentStore();

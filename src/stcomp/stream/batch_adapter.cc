@@ -9,20 +9,10 @@ namespace stcomp {
 
 BatchAdapter::BatchAdapter(const algo::AlgorithmInfo& info,
                            algo::AlgorithmParams params)
-    : algorithm_(nullptr),
-      run_view_(&info.run_view),
+    : run_view_(&info.run_view),
       params_(params),
       name_(info.name + "-batch") {
   STCOMP_CHECK(*run_view_ != nullptr);
-}
-
-BatchAdapter::BatchAdapter(algo::AlgorithmFn algorithm,
-                           algo::AlgorithmParams params, std::string name)
-    : algorithm_(std::move(algorithm)),
-      run_view_(nullptr),
-      params_(params),
-      name_(std::move(name)) {
-  STCOMP_CHECK(algorithm_ != nullptr);
 }
 
 Status BatchAdapter::Push(const TimedPoint& point,
@@ -62,11 +52,7 @@ Status BatchAdapter::RestoreState(std::string_view state) {
 void BatchAdapter::Finish(std::vector<TimedPoint>* out) {
   STCOMP_CHECK(out != nullptr);
   finished_ = true;
-  if (run_view_ != nullptr) {
-    (*run_view_)(buffer_, params_, workspace_, kept_);
-  } else {
-    kept_ = algorithm_(buffer_, params_);
-  }
+  (*run_view_)(buffer_, params_, workspace_, kept_);
   for (int index : kept_) {
     out->push_back(buffer_[static_cast<size_t>(index)]);
   }

@@ -16,16 +16,12 @@ namespace stcomp {
 
 class BatchAdapter final : public OnlineCompressor {
  public:
-  // Registry-backed form (preferred): runs the algorithm's zero-copy entry
-  // point over a view of the internal buffer, scratching in a workspace
-  // owned by this adapter — repeated Finish-per-trip cycles in a fleet
-  // pipeline stop allocating once the buffers have grown. `info` must
-  // outlive the adapter (registry entries live for the program's lifetime).
+  // Runs the registered algorithm's entry point over a view of the
+  // internal buffer, scratching in a workspace owned by this adapter —
+  // repeated Finish-per-trip cycles in a fleet pipeline stop allocating
+  // once the buffers have grown. `info` must outlive the adapter (registry
+  // entries live for the program's lifetime).
   BatchAdapter(const algo::AlgorithmInfo& info, algo::AlgorithmParams params);
-
-  // Legacy form for ad-hoc callables not in the registry.
-  BatchAdapter(algo::AlgorithmFn algorithm, algo::AlgorithmParams params,
-               std::string name);
 
   Status Push(const TimedPoint& point, std::vector<TimedPoint>* out) override;
   void Finish(std::vector<TimedPoint>* out) override;
@@ -39,8 +35,7 @@ class BatchAdapter final : public OnlineCompressor {
   Status RestoreState(std::string_view state) override;
 
  private:
-  const algo::AlgorithmFn algorithm_;            // Legacy path (may be null).
-  const algo::AlgorithmViewFn* const run_view_;  // Registry path (may be null).
+  const algo::AlgorithmViewFn* const run_view_;
   const algo::AlgorithmParams params_;
   const std::string name_;
   Trajectory buffer_;

@@ -1,6 +1,10 @@
 // Registry-wide property sweeps: invariants every compression algorithm
 // must satisfy on every input, parameterised over (algorithm x input
-// shape x threshold).
+// shape x threshold). Plus the rules the distance loops keep (DESIGN.md
+// §14), pinned on the algorithms that own them with hand-worked inputs.
+
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -48,7 +52,7 @@ TEST_P(AlgorithmProperty, OutputIsValidIndexList) {
   const AlgorithmInfo* info = FindAlgorithm(param.algorithm).value();
   AlgorithmParams params;
   params.epsilon_m = param.epsilon;
-  const IndexList kept = info->run(trajectory, params);
+  const IndexList kept = testutil::RunAlgorithm(*info, trajectory, params);
   EXPECT_TRUE(IsValidIndexList(trajectory, kept));
 }
 
@@ -58,7 +62,8 @@ TEST_P(AlgorithmProperty, OutputIsDeterministic) {
   const AlgorithmInfo* info = FindAlgorithm(param.algorithm).value();
   AlgorithmParams params;
   params.epsilon_m = param.epsilon;
-  EXPECT_EQ(info->run(trajectory, params), info->run(trajectory, params));
+  EXPECT_EQ(testutil::RunAlgorithm(*info, trajectory, params),
+            testutil::RunAlgorithm(*info, trajectory, params));
 }
 
 TEST_P(AlgorithmProperty, EvaluationSucceedsAndErrorsAreFinite) {
@@ -67,8 +72,8 @@ TEST_P(AlgorithmProperty, EvaluationSucceedsAndErrorsAreFinite) {
   const AlgorithmInfo* info = FindAlgorithm(param.algorithm).value();
   AlgorithmParams params;
   params.epsilon_m = param.epsilon;
-  const Result<Evaluation> eval =
-      Evaluate(trajectory, info->run(trajectory, params));
+  const Result<Evaluation> eval = Evaluate(
+      trajectory, testutil::RunAlgorithm(*info, trajectory, params));
   ASSERT_TRUE(eval.ok());
   EXPECT_GE(eval->compression_percent, 0.0);
   EXPECT_LT(eval->compression_percent, 100.0);
@@ -102,6 +107,69 @@ std::string CaseName(const ::testing::TestParamInfo<PropertyCase>& info) {
 
 INSTANTIATE_TEST_SUITE_P(Registry, AlgorithmProperty,
                          ::testing::ValuesIn(AllCases()), CaseName);
+
+// One hand-worked input for a registered algorithm at one threshold.
+struct RuleCase {
+  const char* algorithm;
+  std::vector<TimedPoint> points;  // {t, x, y}
+  double epsilon;
+  IndexList expected;
+};
+
+void ExpectRuleCases(const std::vector<RuleCase>& cases) {
+  for (const RuleCase& c : cases) {
+    const AlgorithmInfo& info = *FindAlgorithm(c.algorithm).value();
+    AlgorithmParams params;
+    params.epsilon_m = c.epsilon;
+    EXPECT_EQ(testutil::RunAlgorithm(info, testutil::Traj(c.points), params),
+              c.expected)
+        << c.algorithm << " epsilon=" << c.epsilon;
+  }
+}
+
+TEST(LoopRuleTest, TiedMaximumSplitsAtTheEarlierPoint) {
+  // Against (0, 0) at t = 0 to (4, 0) at t = 4, points 1 and 2 both lie
+  // exactly 3 away, perpendicular and synchronized (the traveller is at
+  // (1, 0) and (2, 0)). A split at point 1 leaves point 2 about 0.7
+  // (perpendicular) or 1.0 (synchronized) from its new segment; a split at
+  // point 2 would leave point 1 within 2 as well, keeping {0, 2, 3}. The
+  // speed jumps stay below td-sp's default 15 m/s.
+  const std::vector<TimedPoint> tie = {
+      {0, 0, 0}, {1, 1, 3}, {2, 2, 3}, {4, 4, 0}};
+  ExpectRuleCases({{"ndp", tie, 2.0, {0, 1, 3}},
+                   {"td-tr", tie, 2.0, {0, 1, 3}},
+                   {"td-sp", tie, 2.0, {0, 1, 3}}});
+}
+
+TEST(LoopRuleTest, ThresholdIsStrictAndRadialKeepIsInclusive) {
+  // In `window`, point 1, (2, 3) at t = 2, lies exactly 3 from the line
+  // y = 0 and from the traveller at (2, 0): no cut at epsilon 3, a cut
+  // below it. In `radial`, point 1, (3, 4), lies exactly 5 from the anchor
+  // (0, 0): kept at epsilon 5, dropped above it.
+  const std::vector<TimedPoint> window = {{0, 0, 0}, {2, 2, 3}, {4, 4, 0}};
+  const std::vector<TimedPoint> radial = {{0, 0, 0}, {1, 3, 4}, {2, 3, 10}};
+  ExpectRuleCases({{"nopw", window, 3.0, {0, 2}},
+                   {"nopw", window, 2.5, {0, 1, 2}},
+                   {"opw-tr", window, 3.0, {0, 2}},
+                   {"opw-tr", window, 2.5, {0, 1, 2}},
+                   {"radial", radial, 5.0, {0, 1, 2}},
+                   {"radial", radial, 5.5, {0, 2}}});
+}
+
+TEST(LoopRuleTest, NanPositionNeverCutsNorSplits) {
+  // Trajectory::FromPoints accepts NaN positions. Points 1 and 3 have one,
+  // on either side of point 2, (2, 10) at t = 2, which lies 10 from the
+  // segment (0, 0)-(4, 0). The window must cut at point 2 and the top-down
+  // split there: had a NaN fired, point 1 would be kept; had a NaN won the
+  // argmax over point 2, the range would not split at all.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<TimedPoint> nan = {
+      {0, 0, 0}, {1, kNaN, kNaN}, {2, 2, 10}, {3, kNaN, kNaN}, {4, 4, 0}};
+  ExpectRuleCases({{"opw-tr", nan, 1.0, {0, 2, 4}},
+                   {"td-tr", nan, 1.0, {0, 2, 4}},
+                   {"nopw", nan, 1.0, {0, 2, 4}},
+                   {"ndp", nan, 1.0, {0, 2, 4}}});
+}
 
 }  // namespace
 }  // namespace stcomp::algo

@@ -105,7 +105,7 @@ TEST(CheckpointTest, BatchAdapterResumesBitIdentical) {
         const algo::AlgorithmInfo* info = algo::FindAlgorithm("td-tr").value();
         algo::AlgorithmParams params;
         params.epsilon_m = 40.0;
-        return std::make_unique<BatchAdapter>(info->run, params, "td-tr");
+        return std::make_unique<BatchAdapter>(*info, params);
       },
       "batch-adapter");
 }

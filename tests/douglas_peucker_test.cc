@@ -171,15 +171,5 @@ TEST(MaxPointsTest, GreedyOrderReducesErrorMonotonically) {
   }
 }
 
-TEST(TopDownTest, CustomDistanceFunction) {
-  // A distance function that only flags index 3 forces a single split
-  // there.
-  const Trajectory trajectory = Line(7, 1.0, 1.0, 0.0);
-  const IndexList kept = TopDown(
-      trajectory, 0.5,
-      [](TrajectoryView, int, int, int i) { return i == 3 ? 1.0 : 0.0; });
-  EXPECT_EQ(kept, (IndexList{0, 3, 6}));
-}
-
 }  // namespace
 }  // namespace stcomp::algo

@@ -390,7 +390,8 @@ TEST(AlgoInstrumentationTest, RegistryRunsRecordGroundTruth) {
   const uint64_t ratio_before = ratio->count();
   const uint64_t seconds_before = run_seconds->count();
 
-  const algo::IndexList kept = info->run(trajectory, params);
+  const algo::IndexList kept =
+      testutil::RunAlgorithm(*info, trajectory, params);
 
   EXPECT_EQ(runs->value(), runs_before + 1);
   EXPECT_EQ(points_in->value(), in_before + trajectory.size());

@@ -120,15 +120,5 @@ TEST(OpeningWindowTest, TinyInputs) {
   EXPECT_EQ(Bopw(two, 0.0), (IndexList{0, 1}));
 }
 
-TEST(OpeningWindowTest, GenericMetricInjection) {
-  // A metric that always violates forces keeping every point (cut at each
-  // first interior).
-  const Trajectory trajectory = Line(6, 1.0, 1.0, 0.0);
-  const IndexList kept = OpeningWindow(
-      trajectory, 0.5, BreakPolicy::kNormal,
-      [](TrajectoryView, int, int, int) { return 1.0; });
-  EXPECT_EQ(kept, (IndexList{0, 1, 2, 3, 4, 5}));
-}
-
 }  // namespace
 }  // namespace stcomp::algo

@@ -6,7 +6,7 @@
 //
 // Every assertion appends a "repro:" string carrying the generator family,
 // seed, algorithm name and full AlgorithmParams, so a failure can be
-// reproduced with one Generate() + one run() call.
+// reproduced with one Generate() + one run_view() call.
 
 #include <cmath>
 #include <cstring>
@@ -27,6 +27,7 @@
 #include "stcomp/stream/opening_window_stream.h"
 #include "stcomp/stream/policed_compressor.h"
 #include "stcomp/stream/squish_stream.h"
+#include "test_util.h"
 
 namespace stcomp::proptest {
 namespace {
@@ -64,7 +65,8 @@ TEST_P(CorpusProperty, EveryAlgorithmSatisfiesItsContracts) {
       algo::AlgorithmParams params;
       params.epsilon_m = epsilon;
       const std::string repro = Repro(c, info.name, params);
-      const algo::IndexList kept = info.run(c.trajectory, params);
+      const algo::IndexList kept =
+          testutil::RunAlgorithm(info, c.trajectory, params);
       EXPECT_EQ(CheckUniversalContracts(c.trajectory, kept), "") << repro;
       EXPECT_EQ(CheckDiscardedWithinEpsilon(c.trajectory, kept, epsilon,
                                             DistanceContractFor(info.name)),
@@ -79,15 +81,16 @@ TEST_P(CorpusProperty, EveryAlgorithmIsDeterministic) {
   for (const algo::AlgorithmInfo& info : algo::AllAlgorithms()) {
     algo::AlgorithmParams params;
     const std::string repro = Repro(c, info.name, params);
-    EXPECT_EQ(info.run(c.trajectory, params), info.run(c.trajectory, params))
+    EXPECT_EQ(testutil::RunAlgorithm(info, c.trajectory, params),
+              testutil::RunAlgorithm(info, c.trajectory, params))
         << repro;
   }
 }
 
 TEST_P(CorpusProperty, ViewEntryPointMatchesLegacyShim) {
-  // Satellite 3 of the zero-copy refactor: run_view with a deliberately
-  // dirty, shared workspace must be byte-identical to the legacy run()
-  // shim AND to a fresh-workspace run, for every algorithm and threshold.
+  // The Workspace contract: run_view with a deliberately dirty, shared
+  // workspace must be byte-identical to run_view on a fresh workspace, for
+  // every algorithm and threshold.
   const CorpusCase& c = GetParam();
   algo::Workspace dirty;  // Reused across every (algorithm, epsilon) cell.
   algo::IndexList reused_out;
@@ -96,13 +99,10 @@ TEST_P(CorpusProperty, ViewEntryPointMatchesLegacyShim) {
       algo::AlgorithmParams params;
       params.epsilon_m = epsilon;
       const std::string repro = Repro(c, info.name, params);
-      const algo::IndexList legacy = info.run(c.trajectory, params);
+      const algo::IndexList fresh =
+          testutil::RunAlgorithm(info, c.trajectory, params);
       info.run_view(c.trajectory, params, dirty, reused_out);
-      EXPECT_EQ(reused_out, legacy) << repro << " (dirty workspace)";
-      algo::Workspace fresh;
-      algo::IndexList fresh_out;
-      info.run_view(c.trajectory, params, fresh, fresh_out);
-      EXPECT_EQ(fresh_out, legacy) << repro << " (fresh workspace)";
+      EXPECT_EQ(reused_out, fresh) << repro << " (dirty workspace)";
     }
   }
 }
@@ -115,7 +115,8 @@ TEST_P(CorpusProperty, SynchronousErrorClosedFormMatchesQuadrature) {
   for (const algo::AlgorithmInfo& info : algo::AllAlgorithms()) {
     algo::AlgorithmParams params;
     const std::string repro = Repro(c, info.name, params);
-    const algo::IndexList kept = info.run(c.trajectory, params);
+    const algo::IndexList kept =
+        testutil::RunAlgorithm(info, c.trajectory, params);
     ASSERT_EQ(CheckUniversalContracts(c.trajectory, kept), "") << repro;
     EXPECT_EQ(CheckSynchronousErrorAgreement(c.trajectory,
                                              c.trajectory.Subset(kept)),
@@ -134,7 +135,8 @@ TEST_P(CorpusProperty, TopDownKeptCountMonotoneInEpsilon) {
     for (double epsilon : EpsilonLadder()) {  // Ladder is ascending.
       algo::AlgorithmParams params;
       params.epsilon_m = epsilon;
-      const size_t kept = info.run(c.trajectory, params).size();
+      const size_t kept =
+          testutil::RunAlgorithm(info, c.trajectory, params).size();
       EXPECT_LE(kept, previous_kept)
           << Repro(c, info.name, params)
           << " (kept count grew when epsilon increased)";
@@ -306,7 +308,8 @@ TEST(DirtyMatrix, NanCoordinateTrajectoriesDontCrashAlgorithms) {
       for (double epsilon : EpsilonLadder()) {
         algo::AlgorithmParams params;
         params.epsilon_m = epsilon;
-        const algo::IndexList kept = info.run(*trajectory, params);
+        const algo::IndexList kept =
+            testutil::RunAlgorithm(info, *trajectory, params);
         const std::string repro = "repro: family=dirty-nan-coord seed=" +
                                   std::to_string(seed) + " algo=" + info.name;
         for (size_t i = 0; i < kept.size(); ++i) {

@@ -273,7 +273,7 @@ TEST(QueryOracleTest, AllRegisteredAlgorithmsMatchOracle) {
     params.epsilon_m = 40.0;
     for (size_t i = 0; i < walks.size(); ++i) {
       const Trajectory simplified =
-          walks[i].Subset(info.run(walks[i], params));
+          walks[i].Subset(testutil::RunAlgorithm(info, walks[i], params));
       ASSERT_TRUE(
           store.Insert("veh-" + std::to_string(i), simplified).ok());
     }

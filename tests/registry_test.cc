@@ -29,7 +29,7 @@ TEST(RegistryTest, NamesAreUniqueAndDescribed) {
   for (const AlgorithmInfo& info : AllAlgorithms()) {
     EXPECT_TRUE(names.insert(info.name).second) << info.name;
     EXPECT_FALSE(info.description.empty()) << info.name;
-    EXPECT_NE(info.run, nullptr);
+    EXPECT_NE(info.run_view, nullptr);
   }
 }
 
@@ -54,7 +54,7 @@ TEST(RegistryTest, EveryAlgorithmProducesValidOutput) {
   AlgorithmParams params;
   params.epsilon_m = 30.0;
   for (const AlgorithmInfo& info : AllAlgorithms()) {
-    const IndexList kept = info.run(trajectory, params);
+    const IndexList kept = testutil::RunAlgorithm(info, trajectory, params);
     EXPECT_TRUE(IsValidIndexList(trajectory, kept)) << info.name;
     EXPECT_GE(kept.size(), 2u) << info.name;
   }
@@ -64,7 +64,7 @@ TEST(RegistryTest, EveryAlgorithmHandlesTinyInputs) {
   const Trajectory two = testutil::Traj({{0, 0, 0}, {1, 5, 5}});
   AlgorithmParams params;
   for (const AlgorithmInfo& info : AllAlgorithms()) {
-    const IndexList kept = info.run(two, params);
+    const IndexList kept = testutil::RunAlgorithm(info, two, params);
     EXPECT_EQ(kept, (IndexList{0, 1})) << info.name;
   }
 }
@@ -135,7 +135,9 @@ TEST(RegistryTest, ViewEntryPointsRegisteredForEveryAlgorithm) {
   for (const AlgorithmInfo& info : AllAlgorithms()) {
     ASSERT_NE(info.run_view, nullptr) << info.name;
     info.run_view(trajectory, AlgorithmParams{}, workspace, kept);
-    EXPECT_EQ(kept, info.run(trajectory, AlgorithmParams{})) << info.name;
+    EXPECT_EQ(kept,
+              testutil::RunAlgorithm(info, trajectory, AlgorithmParams{}))
+        << info.name;
   }
 }
 
@@ -152,7 +154,7 @@ TEST(RegistryTest, SpatiotemporalFlagMatchesBehaviour) {
       // Pure-sampling baselines ignore the path geometry altogether.
       continue;
     }
-    const IndexList kept = info.run(trajectory, params);
+    const IndexList kept = testutil::RunAlgorithm(info, trajectory, params);
     if (info.spatiotemporal) {
       EXPECT_GT(kept.size(), 2u) << info.name;
     } else {

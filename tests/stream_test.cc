@@ -173,7 +173,7 @@ TEST(BatchAdapterTest, MatchesDirectBatchRun) {
   const algo::AlgorithmInfo* info = algo::FindAlgorithm("td-tr").value();
   algo::AlgorithmParams params;
   params.epsilon_m = 40.0;
-  BatchAdapter adapter(info->run, params, "td-tr-batch");
+  BatchAdapter adapter(*info, params);
   const Trajectory streamed = CompressStream(trajectory, &adapter).value();
   const Trajectory direct =
       trajectory.Subset(algo::TdTr(trajectory, 40.0));
@@ -184,7 +184,7 @@ TEST(BatchAdapterTest, MatchesDirectBatchRun) {
 TEST(BatchAdapterTest, BuffersEverythingUntilFinish) {
   const Trajectory trajectory = RandomWalk(50, 16);
   const algo::AlgorithmInfo* info = algo::FindAlgorithm("ndp").value();
-  BatchAdapter adapter(info->run, algo::AlgorithmParams{}, "ndp");
+  BatchAdapter adapter(*info, algo::AlgorithmParams{});
   std::vector<TimedPoint> out;
   for (const TimedPoint& point : trajectory.points()) {
     ASSERT_TRUE(adapter.Push(point, &out).ok());

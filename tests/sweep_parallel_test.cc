@@ -54,9 +54,9 @@ TEST(SweepParallelTest, ParallelMatchesSerialExactly) {
 }
 
 TEST(SweepParallelTest, ParallelMatchesSerialOnBatchedKernelPaths) {
-  // One family per batched kernel: perpendicular argmax (ndp), SED
-  // first-above (opw-tr), SED and speed-jump argmax (td-sp) and radial
-  // first-reaching (radial).
+  // One family per distance loop: perpendicular argmax (ndp), SED first
+  // violation (opw-tr), SED and speed-jump argmax (td-sp) and the radial
+  // keep scan (radial).
   const std::vector<Trajectory> dataset = SmallDataset();
   const std::vector<double> thresholds = {5.0, 20.0, 60.0};
   std::vector<SweepRequest> requests;

@@ -5,11 +5,23 @@
 
 #include <vector>
 
+#include "stcomp/algo/registry.h"
 #include "stcomp/common/check.h"
 #include "stcomp/core/trajectory.h"
 #include "stcomp/sim/random.h"
 
 namespace stcomp::testutil {
+
+// Runs a registered algorithm through its run_view entry point on a fresh
+// Workspace and returns the kept indices.
+inline algo::IndexList RunAlgorithm(const algo::AlgorithmInfo& info,
+                                    TrajectoryView trajectory,
+                                    const algo::AlgorithmParams& params) {
+  algo::Workspace workspace;
+  algo::IndexList kept;
+  info.run_view(trajectory, params, workspace, kept);
+  return kept;
+}
 
 // Builds a trajectory from {t, x, y} triples; aborts on invalid input
 // (tests construct valid fixtures).

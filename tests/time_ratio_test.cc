@@ -113,7 +113,8 @@ TEST(TdTrMaxPointsTest, HonoursBudgetAndUsesSed) {
 TEST(OpwTrTest, SplitDistanceAccessor) {
   const Trajectory trajectory = Traj({{0, 0, 0}, {2, 80, 0}, {10, 100, 0}});
   // At t=2 the time-ratio position is 20 east; the sample sits at 80.
-  EXPECT_DOUBLE_EQ(SynchronizedSplitDistance(trajectory, 0, 2, 1), 60.0);
+  EXPECT_DOUBLE_EQ(
+      SynchronizedDistance(trajectory[0], trajectory[2], trajectory[1]), 60.0);
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "stcomp/algo/registry.h"
-#include "stcomp/core/trajectory_view_soa.h"
 #include "test_util.h"
 
 namespace {
@@ -66,44 +65,6 @@ TEST(ZeroAllocTest, ViewEntryPointsAreAllocationFreeOnceWarm) {
     EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), 0u) << name;
     EXPECT_EQ(kept, expected) << name;
   }
-}
-
-TEST(ZeroAllocTest, SoARepackIsLosslessAndAllocationFreeOnceWarm) {
-  const Trajectory trajectory = testutil::RandomWalk(300, 7);
-  SoAScratch scratch;
-  // Warm-up grows the three column buffers to steady state.
-  TrajectoryViewSoA soa = TrajectoryViewSoA::Repack(trajectory, scratch);
-
-  g_allocations.store(0, std::memory_order_relaxed);
-  g_counting.store(true, std::memory_order_relaxed);
-  for (int i = 0; i < 5; ++i) {
-    soa = TrajectoryViewSoA::Repack(trajectory, scratch);
-  }
-  g_counting.store(false, std::memory_order_relaxed);
-  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), 0u);
-
-  // Lossless: every column entry is the exact double of the source point.
-  ASSERT_EQ(soa.size(), trajectory.size());
-  for (size_t i = 0; i < soa.size(); ++i) {
-    const TimedPoint& p = trajectory.points()[i];
-    ASSERT_EQ(soa.x()[i], p.position.x) << i;
-    ASSERT_EQ(soa.y()[i], p.position.y) << i;
-    ASSERT_EQ(soa.t()[i], p.t) << i;
-  }
-}
-
-TEST(ZeroAllocTest, WarmSoAScratchServesSmallerInputsWithoutAllocating) {
-  const Trajectory large = testutil::RandomWalk(300, 8);
-  const Trajectory small = testutil::RandomWalk(40, 9);
-  SoAScratch scratch;
-  TrajectoryViewSoA::Repack(large, scratch);
-
-  g_allocations.store(0, std::memory_order_relaxed);
-  g_counting.store(true, std::memory_order_relaxed);
-  const TrajectoryViewSoA soa = TrajectoryViewSoA::Repack(small, scratch);
-  g_counting.store(false, std::memory_order_relaxed);
-  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), 0u);
-  EXPECT_EQ(soa.size(), small.size());
 }
 
 TEST(ZeroAllocTest, WarmWorkspaceServesSmallerInputsWithoutAllocating) {
