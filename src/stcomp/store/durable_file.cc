@@ -8,8 +8,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 namespace stcomp {
 
@@ -138,16 +136,44 @@ Status AtomicWriteFile(const std::string& path, std::string_view contents,
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
+  int fd;
+  do {
+    fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  } while (fd < 0 && errno == EINTR);
+  if (fd < 0) {
     return IoError("cannot open " + path);
   }
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  if (file.bad()) {
-    return IoError("read failed for " + path);
+  // One read(2) into a string sized from fstat, then on to EOF through a
+  // small buffer, so a file that grew since the fstat still comes back
+  // whole and one that did not costs no copy.
+  std::string contents;
+  struct stat info;
+  if (::fstat(fd, &info) == 0 && info.st_size > 0) {
+    contents.resize(static_cast<size_t>(info.st_size));
   }
-  return buffer.str();
+  size_t filled = 0;
+  char tail[4096];
+  while (true) {
+    const bool sized = filled < contents.size();
+    const ssize_t n =
+        sized ? ::read(fd, contents.data() + filled, contents.size() - filled)
+              : ::read(fd, tail, sizeof(tail));
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      ::close(fd);
+      if (n < 0) {
+        return IoError("read failed for " + path);
+      }
+      contents.resize(filled);
+      return contents;
+    }
+    if (!sized) {
+      contents.append(tail, static_cast<size_t>(n));
+    }
+    filled += static_cast<size_t>(n);
+  }
 }
 
 }  // namespace stcomp

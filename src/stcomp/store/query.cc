@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <queue>
 #include <span>
+#include <tuple>
 #include <utility>
 
 #include "stcomp/common/strings.h"
@@ -225,7 +228,7 @@ std::span<const TimedPoint> SegmentsInWindow(std::span<const TimedPoint> points,
 // One block's points plus its junction (the next block's first point,
 // where the block's last segment ends), sliced from the object's
 // resident storage values. kOutOfRange when the summary reaches past
-// them, i.e. the index does not describe the store.
+// them; a bound index never does, so this is only a cheap defence.
 Result<std::span<const TimedPoint>> BlockPoints(
     std::span<const TimedPoint> points, const BlockSummary& block) {
   if (block.first_point > points.size() ||
@@ -236,6 +239,19 @@ Result<std::span<const TimedPoint>> BlockPoints(
   return points.subspan(block.first_point,
                         std::min<size_t>(block.count + size_t{1}, available));
 }
+
+// A k-nearest candidate block: objects()[object].blocks[block], with the
+// distance lower bound of its summary box. Ordered by the full key, so a
+// min-heap pops candidates in exactly the order a sort would give.
+struct NearestCandidate {
+  double lower_bound;
+  uint32_t object;
+  uint32_t block;
+  friend bool operator>(const NearestCandidate& a, const NearestCandidate& b) {
+    return std::tie(a.lower_bound, a.object, a.block) >
+           std::tie(b.lower_bound, b.object, b.block);
+  }
+};
 
 // Keeps `top` the k smallest (distance, object ordinal) pairs offered so
 // far, ascending, with one entry per object holding its smallest distance.
@@ -345,6 +361,12 @@ Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
                              const SpatioTemporalIndex& index,
                              const QueryRequest& request) {
   STCOMP_RETURN_IF_ERROR(ValidateQuery(request));
+  if (!index.BoundTo(store)) {
+    // The entries' spans point into the store the index was built from;
+    // any other pairing would read points that are gone or stale.
+    return FailedPreconditionError(
+        "index is not bound to this store; rebuild it with BuildFromStore");
+  }
   STCOMP_SCOPED_TIMER(Metrics().seconds);
   Metrics().by_type[static_cast<size_t>(request.type)]->Increment();
   QueryAnswer answer;
@@ -356,20 +378,19 @@ Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
   for (const auto& object : objects) {
     answer.stats.blocks_total += object.blocks.size();
   }
+  // An object whose table extents miss the window has no block in it.
+  const auto overlaps_window = [t0, t1](const auto& object) {
+    return object.t_min <= t1 && object.t_max >= t0;
+  };
 
   if (request.type == QueryType::kTimeWindow) {
-    // Index-only: block time spans are exact (summaries are built from
-    // storage values and time is monotone), so no payload is touched.
+    // Extents only: block time spans are exact (summaries are built from
+    // storage values and time is monotone), so no point is read.
     for (const auto& object : objects) {
-      if (object.blocks.empty()) {
-        continue;
+      if (overlaps_window(object)) {
+        answer.hits.push_back(
+            QueryHit{object.id, std::max(t0, object.t_min), 0.0});
       }
-      const double first_t = object.blocks.front().t_min;
-      const double last_t = object.blocks.back().t_max;
-      if (first_t > t1 || last_t < t0) {
-        continue;
-      }
-      answer.hits.push_back(QueryHit{object.id, std::max(t0, first_t), 0.0});
     }
     Metrics().blocks_considered->Increment(answer.stats.blocks_considered);
     return answer;
@@ -380,14 +401,14 @@ Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
     // (points + junction) lies inside its summary box, so
     // PointToBoxDistance never overestimates. Processing in ascending
     // lower-bound order and stopping once the bound strictly exceeds the
-    // current k-th best distance is exact, ties included.
-    struct NearestCandidate {
-      double lower_bound;
-      uint32_t object;
-      uint32_t block;
-    };
+    // current k-th best distance is exact, ties included. The min-heap
+    // pops in the order a sort of every candidate would give, and only
+    // the popped ones pay for their ordering.
     std::vector<NearestCandidate> candidates;
     for (uint32_t o = 0; o < objects.size(); ++o) {
+      if (!overlaps_window(objects[o])) {
+        continue;
+      }
       const std::vector<BlockSummary>& blocks = objects[o].blocks;
       const auto [begin, end] = BlocksOverlappingTime(blocks, t0, t1);
       for (size_t b = begin; b < end; ++b) {
@@ -396,30 +417,20 @@ Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
             static_cast<uint32_t>(b)});
       }
     }
-    std::sort(candidates.begin(), candidates.end(),
-              [](const NearestCandidate& a, const NearestCandidate& b) {
-                if (a.lower_bound != b.lower_bound) {
-                  return a.lower_bound < b.lower_bound;
-                }
-                return a.object != b.object ? a.object < b.object
-                                            : a.block < b.block;
-              });
     answer.stats.blocks_considered = candidates.size();
+    std::priority_queue<NearestCandidate, std::vector<NearestCandidate>,
+                        std::greater<>>
+        heap(std::greater<>(), std::move(candidates));
     std::vector<std::pair<double, uint32_t>> top;
-    // Each object's resident points, looked up on its first candidate.
-    std::vector<std::span<const TimedPoint>> resident(objects.size());
-    for (const NearestCandidate& candidate : candidates) {
+    for (; !heap.empty(); heap.pop()) {
+      const NearestCandidate& candidate = heap.top();
       if (top.size() == request.k && candidate.lower_bound > top.back().first) {
         break;
       }
       const auto& object = objects[candidate.object];
-      std::span<const TimedPoint>& points = resident[candidate.object];
-      if (points.empty()) {
-        STCOMP_ASSIGN_OR_RETURN(points, store.StoragePoints(object.id));
-      }
       STCOMP_ASSIGN_OR_RETURN(
           const std::span<const TimedPoint> block,
-          BlockPoints(points, object.blocks[candidate.block]));
+          BlockPoints(object.points, object.blocks[candidate.block]));
       ++answer.stats.blocks_decoded;
       double distance = 0.0;
       if (MinDistanceInSpan(SegmentsInWindow(block, t0, t1), t0, t1,
@@ -435,61 +446,66 @@ Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
     return answer;
   }
 
-  // Range / corridor: candidate blocks from the index, then scan only
-  // those blocks' resident points, ascending per object — skipped blocks
-  // provably hold no hits, so the first match found is the object's
-  // earliest.
+  // Range / corridor: one pass per object. Its extents, then a bisection
+  // of its table on time, then each block's box against the reach of the
+  // query (and, for a corridor, against each leg) pick the candidate
+  // blocks; only those blocks' points are scanned, ascending. Skipped
+  // blocks provably hold no hits, so the first match found is the
+  // object's earliest.
   const SetPredicate pred = MakeSetPredicate(request, answer.error_bound_m);
-  std::vector<SpatioTemporalIndex::Posting> candidates;
-  if (request.type == QueryType::kRange) {
-    candidates = index.CandidateBlocks(pred.box, t0, t1);
-  } else {
-    BoundingBox reach = pred.legs.front();
+  BoundingBox reach = pred.box;
+  if (request.type == QueryType::kCorridor) {
+    reach = pred.legs.front();
     for (const BoundingBox& leg : pred.legs) {
       reach.min = {std::min(reach.min.x, leg.min.x),
                    std::min(reach.min.y, leg.min.y)};
       reach.max = {std::max(reach.max.x, leg.max.x),
                    std::max(reach.max.y, leg.max.y)};
     }
-    candidates =
-        index.CandidateBlocks(Inflate(reach, pred.corridor_radius), t0, t1);
-    // Tighten: a block survives only if it actually comes within the
-    // effective radius of some corridor segment. Coming that close implies
-    // meeting that segment's inflated bounding box, so the survivors are
-    // those of one box query per segment. A leg whose box is provably
-    // farther than the radius from the block's box is skipped first.
-    const std::vector<Vec2>& w = request.corridor;
-    std::erase_if(candidates, [&](const SpatioTemporalIndex::Posting& p) {
-      const BoundingBox& bounds = objects[p.object].blocks[p.block].bounds;
-      for (size_t i = 0; i < pred.legs.size(); ++i) {
-        if (BoxesFartherThan(pred.legs[i], bounds, pred.corridor_radius)) {
-          continue;
-        }
-        const Vec2 a = w[i];
-        const Vec2 b = w[w.size() == 1 ? i : i + 1];
-        if (SegmentToBoxDistance(a, b, bounds) <= pred.corridor_radius) {
-          return false;
-        }
-      }
-      return true;
-    });
+    reach = Inflate(reach, pred.corridor_radius);
   }
-  answer.stats.blocks_considered = candidates.size();
-  for (size_t i = 0; i < candidates.size();) {
-    const uint32_t object_ordinal = candidates[i].object;
-    const auto& object = objects[object_ordinal];
-    STCOMP_ASSIGN_OR_RETURN(const std::span<const TimedPoint> points,
-                            store.StoragePoints(object.id));
+  // Corridor tightening: a block is a candidate only if it actually comes
+  // within the effective radius of some corridor segment. Coming that
+  // close implies meeting that segment's inflated bounding box, so the
+  // candidates are those of one box query per segment. A leg whose box is
+  // provably farther than the radius from the block's box is skipped
+  // first.
+  const auto near_corridor = [&pred, &request](const BoundingBox& bounds) {
+    const std::vector<Vec2>& w = request.corridor;
+    for (size_t i = 0; i < pred.legs.size(); ++i) {
+      if (BoxesFartherThan(pred.legs[i], bounds, pred.corridor_radius)) {
+        continue;
+      }
+      const Vec2 a = w[i];
+      const Vec2 b = w[w.size() == 1 ? i : i + 1];
+      if (SegmentToBoxDistance(a, b, bounds) <= pred.corridor_radius) {
+        return true;
+      }
+    }
+    return false;
+  };
+  const bool corridor = request.type == QueryType::kCorridor;
+  for (const auto& object : objects) {
+    if (!overlaps_window(object) || !object.bounds.Intersects(reach)) {
+      continue;
+    }
+    const std::vector<BlockSummary>& blocks = object.blocks;
+    const auto [begin, end] = BlocksOverlappingTime(blocks, t0, t1);
     bool hit = false;
     double first_hit_t = 0.0;
-    for (; i < candidates.size() && candidates[i].object == object_ordinal;
-         ++i) {
-      if (hit) {
-        continue;  // Later candidate blocks cannot beat an earlier hit.
+    for (size_t b = begin; b < end; ++b) {
+      if (!blocks[b].bounds.Intersects(reach) ||
+          (corridor && !near_corridor(blocks[b].bounds))) {
+        continue;
       }
-      STCOMP_ASSIGN_OR_RETURN(
-          const std::span<const TimedPoint> block,
-          BlockPoints(points, object.blocks[candidates[i].block]));
+      // Every candidate counts, also those after the object's first hit,
+      // which cannot beat it and are not scanned.
+      ++answer.stats.blocks_considered;
+      if (hit) {
+        continue;
+      }
+      STCOMP_ASSIGN_OR_RETURN(const std::span<const TimedPoint> block,
+                              BlockPoints(object.points, blocks[b]));
       ++answer.stats.blocks_decoded;
       hit = FirstHitInSpan(SegmentsInWindow(block, t0, t1), t0, t1, pred,
                            &first_hit_t);

@@ -1,11 +1,11 @@
-// Queries over the compressed store (DESIGN.md §17): block summaries
-// (block_summary.h) and the spatio-temporal index (st_index.h) narrow the
-// search to candidate blocks, and only those blocks' points are read —
-// from the store's resident storage values, bisected on time, without
-// decoding the payload. Four query types:
+// Queries over the compressed store (DESIGN.md §17): the spatio-temporal
+// index (st_index.h) holds one entry per object — its block summaries
+// (block_summary.h), their extents and its resident storage values — and
+// narrows the search to candidate blocks, whose points alone are read,
+// bisected on time, without decoding the payload. Four query types:
 //
-//   kTimeWindow — objects whose motion overlaps [t0, t1] (index-only; no
-//                 points read at all).
+//   kTimeWindow — objects whose motion overlaps [t0, t1] (extents only;
+//                 no points read at all).
 //   kRange      — objects whose motion during [t0, t1] enters an axis-
 //                 aligned box.
 //   kCorridor   — objects whose motion during [t0, t1] comes within
@@ -109,9 +109,10 @@ Status ValidateQuery(const QueryRequest& request);
 // codec's quantisation bound (kCoordQuantumM for kDelta, 0 for kRaw).
 double QueryErrorBound(const QueryRequest& request, Codec codec);
 
-// Index-accelerated evaluation. Precondition: `index` describes `store`'s
-// current contents (index.Matches(store)); the segment store maintains
-// this. Increments the query metrics (/queryz).
+// Index-accelerated evaluation. kFailedPrecondition, for every query
+// type, unless `index` is bound to `store` (index.BoundTo(store)): built
+// from it by BuildFromStore, with no mutation since. The segment store
+// maintains this. Increments the query metrics (/queryz).
 Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
                              const SpatioTemporalIndex& index,
                              const QueryRequest& request);

@@ -102,9 +102,6 @@ std::string RecoveryReport::Describe() const {
       segment_torn_tail ? ", torn tail" : "", wal_records_replayed,
       wal_frames_salvaged, wal_records_dropped_uncommitted,
       wal_torn_tail ? ", torn tail" : "", replay_records_skipped);
-  if (index_loaded || index_rebuilt) {
-    out += index_loaded ? ", index loaded" : ", index rebuilt";
-  }
   for (const std::string& line : log) {
     out += "\n  " + line;
   }
@@ -139,12 +136,10 @@ std::string SegmentStore::IndexPath() const {
 }
 
 const SpatioTemporalIndex& SegmentStore::Index() const {
-  if (!index_fresh_ || index_ == nullptr) {
-    index_ = std::make_unique<SpatioTemporalIndex>(
-        SpatioTemporalIndex::BuildFromStore(store_));
-    index_fresh_ = true;
+  if (!index_.BoundTo(store_)) {
+    index_ = SpatioTemporalIndex::BuildFromStore(store_);
   }
-  return *index_;
+  return index_;
 }
 
 Result<QueryAnswer> SegmentStore::Query(const QueryRequest& request) const {
@@ -244,39 +239,6 @@ Status SegmentStore::Recover() {
     }
   }
 
-  // 3. Spatio-temporal index: adopt the persisted one if it still
-  //    describes the recovered contents (same ids, counts and payload
-  //    CRCs); anything else — absent, corrupt, stale — triggers a rebuild
-  //    from the store. Queries never see a wrong index either way.
-  const std::string index_path = IndexPath();
-  if (std::filesystem::exists(index_path)) {
-    const Result<std::string> image = ReadFileToString(index_path);
-    if (image.ok()) {
-      Result<SpatioTemporalIndex> loaded =
-          SpatioTemporalIndex::LoadFromBuffer(*image);
-      if (loaded.ok() && loaded->Matches(store_)) {
-        index_ = std::make_unique<SpatioTemporalIndex>(*std::move(loaded));
-        index_fresh_ = true;
-        recovery_.index_loaded = true;
-      } else {
-        recovery_.log.push_back(
-            std::string(kIndexFileName) + ": " +
-            (loaded.ok() ? std::string("stale (does not match the "
-                                       "recovered store); rebuilding")
-                         : loaded.status().ToString() + "; rebuilding"));
-      }
-    } else {
-      recovery_.log.push_back(std::string(kIndexFileName) + ": " +
-                              image.status().ToString() + "; rebuilding");
-    }
-  }
-  if (!recovery_.index_loaded) {
-    index_ = std::make_unique<SpatioTemporalIndex>(
-        SpatioTemporalIndex::BuildFromStore(store_));
-    index_fresh_ = true;
-    recovery_.index_rebuilt = true;
-  }
-
   recovery_.recovery_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     started)
@@ -312,7 +274,6 @@ Status SegmentStore::Append(const std::string& object_id,
   // Memory first: the store's own validation (monotonic time, finite
   // values) decides what is worth logging.
   STCOMP_RETURN_IF_ERROR(store_.Append(object_id, point));
-  index_fresh_ = false;
   STCOMP_FLIGHT_EVENT(kStoreAppend, object_id, boundary_, 0);
   return StageAndMaybeCommit(WalRecord::Append(object_id, point));
 }
@@ -323,14 +284,12 @@ Status SegmentStore::Insert(const std::string& object_id,
   STCOMP_ASSIGN_OR_RETURN(std::string frame,
                           SerializeTrajectory(trajectory, options_.codec));
   STCOMP_RETURN_IF_ERROR(store_.Insert(object_id, trajectory));
-  index_fresh_ = false;
   return StageAndMaybeCommit(WalRecord::Insert(object_id, std::move(frame)));
 }
 
 Status SegmentStore::Remove(const std::string& object_id) {
   STCOMP_CHECK(open_);
   STCOMP_RETURN_IF_ERROR(store_.Remove(object_id));
-  index_fresh_ = false;
   return StageAndMaybeCommit(WalRecord::Remove(object_id));
 }
 
@@ -352,10 +311,9 @@ Status SegmentStore::Checkpoint() {
   STCOMP_RETURN_IF_ERROR(AtomicWriteFile(SegmentPath(sequence), image,
                                          options_.write_hook, &boundary_));
   ++next_segment_;
-  // Persist the index next to the snapshot it describes. A crash at
-  // either durable boundary is safe: the atomic rename leaves the old
-  // index (or none), and recovery detects a stale one via Matches() and
-  // rebuilds.
+  // Persist the index next to the snapshot it describes, for Fsck and
+  // the benchmark. Recovery never reads it, so a crash at either durable
+  // boundary, which leaves the old index (or none), costs nothing.
   STCOMP_RETURN_IF_ERROR(AtomicWriteFile(IndexPath(),
                                          Index().SerializeToString(),
                                          options_.write_hook, &boundary_));
@@ -408,7 +366,8 @@ Result<FsckReport> SegmentStore::Fsck(const std::string& dir) {
                             ReadFileToString(index_path));
     // The index is one CRC-framed document: it either validates whole
     // (frames_good = indexed objects) or is corrupt (flagged; recovery
-    // rebuilds it from the store, so this is never data loss).
+    // never reads it and the next checkpoint rewrites it, so this is
+    // never data loss).
     const Result<SpatioTemporalIndex> index =
         SpatioTemporalIndex::LoadFromBuffer(image);
     report.files.push_back(FsckFileReport{

@@ -8,12 +8,16 @@
 //                         written via temp + fsync + rename)
 //   <dir>/wal.stwal       append-only log of mutations since the newest
 //                         snapshot (wal.h framing, group commit)
+//   <dir>/index.stidx     the spatio-temporal index of the newest snapshot
+//                         (st_index.h), for Fsck and the benchmark
 //
 // Mutations apply to memory immediately and stage a WAL record; Commit()
 // makes the batch durable. Checkpoint() snapshots memory into the next
-// segment, truncates the log and prunes older segments. Open() recovers:
-// the newest readable segment is loaded (salvaging intact frames from a
-// corrupted one), then every committed WAL batch is replayed on top.
+// segment, writes the index sidecar, truncates the log and prunes older
+// segments. Open() recovers: the newest readable segment is loaded
+// (salvaging intact frames from a corrupted one), then every committed
+// WAL batch is replayed on top. The index is built from the recovered
+// store on first use; recovery never reads the sidecar.
 // Recovery is salvage-first — a torn tail or a flipped bit costs the
 // affected frame, never the store — and is observable:
 //
@@ -25,7 +29,6 @@
 #ifndef STCOMP_STORE_SEGMENT_STORE_H_
 #define STCOMP_STORE_SEGMENT_STORE_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -49,13 +52,6 @@ struct RecoveryReport {
   size_t wal_records_dropped_uncommitted = 0;
   bool wal_torn_tail = false;
   size_t replay_records_skipped = 0;  // Replayed records the store refused.
-  // Spatio-temporal index outcome (DESIGN.md §17): loaded means the
-  // persisted index.stidx validated against the recovered store; rebuilt
-  // means it was absent, corrupt or stale and was reconstructed from the
-  // store. Neither affects clean() — a rebuilt index is a performance
-  // event, not data loss.
-  bool index_loaded = false;
-  bool index_rebuilt = false;
   double recovery_seconds = 0.0;
   std::vector<std::string> log;
 
@@ -131,8 +127,9 @@ class SegmentStore {
   // mutation, committed or not).
   const TrajectoryStore& store() const { return store_; }
 
-  // The spatio-temporal index over the current contents, rebuilt lazily
-  // after mutations. The reference stays valid until the next mutation.
+  // The spatio-temporal index over the current contents, bound to
+  // store(); rebuilt on first use after any mutation. The reference stays
+  // valid until the next mutation.
   const SpatioTemporalIndex& Index() const;
 
   // Index-accelerated query over the current contents (query.h).
@@ -160,10 +157,9 @@ class SegmentStore {
   size_t boundary_ = 0;  // Global durable-write boundary counter.
   RecoveryReport recovery_;
   bool open_ = false;
-  // Lazily refreshed after mutations (index_fresh_ flips false on every
-  // mutation, and Index() rebuilds on demand).
-  mutable std::unique_ptr<SpatioTemporalIndex> index_;
-  mutable bool index_fresh_ = false;
+  // Rebuilt by Index() whenever it is not bound to store_: a mutation
+  // changes the store's stamp, and a default index is bound to nothing.
+  mutable SpatioTemporalIndex index_;
 };
 
 }  // namespace stcomp

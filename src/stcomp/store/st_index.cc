@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "stcomp/store/serialization.h"
 #include "stcomp/store/varint.h"
@@ -38,29 +39,32 @@ std::pair<size_t, size_t> BlocksOverlappingTime(
 SpatioTemporalIndex SpatioTemporalIndex::BuildFromStore(
     const TrajectoryStore& store) {
   SpatioTemporalIndex index;
-  store.VisitBlocks([&index](const std::string& id, size_t num_points,
+  index.store_ = &store;
+  index.stamp_ = store.stamp();
+  store.VisitBlocks([&index](const std::string& id,
+                             std::span<const TimedPoint> points,
                              const std::vector<BlockSummary>& blocks,
                              std::string_view payload) {
-    index.objects_.push_back(
-        ObjectEntry{id, num_points, Crc32(payload), blocks});
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    ObjectEntry entry{.id = id,
+                      .num_points = points.size(),
+                      .payload_crc = Crc32(payload),
+                      .blocks = blocks,
+                      .points = points,
+                      .t_min = kInf,
+                      .t_max = -kInf,
+                      .bounds = {{kInf, kInf}, {-kInf, -kInf}}};
+    for (const BlockSummary& block : blocks) {
+      entry.t_min = std::min(entry.t_min, block.t_min);
+      entry.t_max = std::max(entry.t_max, block.t_max);
+      entry.bounds.min = {std::min(entry.bounds.min.x, block.bounds.min.x),
+                          std::min(entry.bounds.min.y, block.bounds.min.y)};
+      entry.bounds.max = {std::max(entry.bounds.max.x, block.bounds.max.x),
+                          std::max(entry.bounds.max.y, block.bounds.max.y)};
+    }
+    index.objects_.push_back(std::move(entry));
   });
   return index;
-}
-
-std::vector<SpatioTemporalIndex::Posting>
-SpatioTemporalIndex::CandidateBlocks(const BoundingBox& box, double t0,
-                                     double t1) const {
-  std::vector<Posting> candidates;
-  for (uint32_t object = 0; object < objects_.size(); ++object) {
-    const std::vector<BlockSummary>& blocks = objects_[object].blocks;
-    const auto [begin, end] = BlocksOverlappingTime(blocks, t0, t1);
-    for (size_t block = begin; block < end; ++block) {
-      if (blocks[block].bounds.Intersects(box)) {
-        candidates.push_back({object, static_cast<uint32_t>(block)});
-      }
-    }
-  }
-  return candidates;
 }
 
 std::string SpatioTemporalIndex::SerializeToString() const {
@@ -142,8 +146,8 @@ Result<SpatioTemporalIndex> SpatioTemporalIndex::LoadFromBuffer(
     STCOMP_ASSIGN_OR_RETURN(
         entry.blocks, ParseSummaryTable(&cursor, block_count,
                                         entry.num_points));
-    // CandidateBlocks bisects on time; a table no store could have
-    // produced must not reach it.
+    // Queries bisect tables on time; a table no store could have produced
+    // must not load.
     for (size_t b = 1; b < entry.blocks.size(); ++b) {
       if (entry.blocks[b].t_min < entry.blocks[b - 1].t_min ||
           entry.blocks[b].t_max < entry.blocks[b - 1].t_max) {
@@ -156,25 +160,6 @@ Result<SpatioTemporalIndex> SpatioTemporalIndex::LoadFromBuffer(
     return DataLossError("index image has trailing bytes");
   }
   return index;
-}
-
-bool SpatioTemporalIndex::Matches(const TrajectoryStore& store) const {
-  size_t next = 0;
-  bool ok = true;
-  store.VisitBlocks([&](const std::string& id, size_t num_points,
-                        const std::vector<BlockSummary>& blocks,
-                        std::string_view payload) {
-    if (!ok || next >= objects_.size()) {
-      ok = false;
-      return;
-    }
-    const ObjectEntry& entry = objects_[next++];
-    if (entry.id != id || entry.num_points != num_points ||
-        entry.blocks != blocks || entry.payload_crc != Crc32(payload)) {
-      ok = false;
-    }
-  });
-  return ok && next == objects_.size();
 }
 
 }  // namespace stcomp

@@ -1,12 +1,21 @@
-// Persistent spatio-temporal index over a blocked trajectory store
-// (DESIGN.md §17). The index carries each object's full block-summary
-// table; range/corridor queries find candidate blocks by bisecting each
-// table on time and testing the bounding boxes of the blocks in the
-// window, then read only those blocks' points. kNN pruning and
-// time-window queries run off the same tables.
+// Spatio-temporal index over a blocked trajectory store (DESIGN.md §17).
+// Each object's entry is the query engine's one per-object record: the
+// object's full block-summary table, the extents of that whole table, and
+// a span over the object's resident storage values in the store. Range
+// and corridor queries reject an object by its extents, bisect its table
+// on time, test the surviving blocks' boxes and read only those blocks'
+// points; k-nearest pruning and time-window queries run off the same
+// entries.
+//
+// An index from BuildFromStore is *bound* to the store it was built from:
+// it records the store's address and stamp (trajectory_store.h), and
+// BoundTo() holds until that store changes. The spans are valid exactly
+// as long, so RunQuery refuses an index that is not bound to its store.
+// An index from LoadFromBuffer is never bound.
 //
 // On-disk format (index.stidx, written by the segment store at
-// checkpoint):
+// checkpoint for Fsck and the end-to-end benchmark; recovery never reads
+// it):
 //
 //   magic "STIX" | version u8=1 | cell size double | object count varint
 //   | per object: id len varint | id bytes | point count varint
@@ -16,15 +25,14 @@
 //
 // The cell size is a relic of the grid the index once kept: it is always
 // written as 250 and only checked to be finite and positive on load, so
-// v1 images stay byte-identical. Matches() compares object ids, point
-// counts, payload CRCs and summary tables against a live store, so a stale
-// index (even one with identical counts) is detected and rebuilt instead
-// of silently serving wrong candidates.
+// v1 images stay byte-identical. The spans and extents are derived and
+// never serialised.
 
 #ifndef STCOMP_STORE_ST_INDEX_H_
 #define STCOMP_STORE_ST_INDEX_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -55,26 +63,28 @@ class SpatioTemporalIndex {
     // Ordered by first_point; t_min and t_max are both nondecreasing
     // (LoadFromBuffer rejects a table where either decreases).
     std::vector<BlockSummary> blocks;
+    // Set by BuildFromStore only. The object's resident storage values
+    // (TrajectoryStore::StoragePoints), valid while the index is bound.
+    std::span<const TimedPoint> points;
+    // The extents of the whole table: every block's time span lies in
+    // [t_min, t_max] and its box in `bounds`, so an object whose extents
+    // miss a query has no block that meets it. An object without blocks
+    // gets t_min > t_max and an inverted box, which meet nothing.
+    double t_min = 0.0;
+    double t_max = 0.0;
+    BoundingBox bounds;
   };
 
-  // A candidate: objects()[object].blocks[block].
-  struct Posting {
-    uint32_t object = 0;
-    uint32_t block = 0;
-    friend bool operator==(const Posting&, const Posting&) = default;
-  };
-
-  // Snapshots `store` into a fresh index.
+  // Snapshots `store` into a fresh index bound to it.
   static SpatioTemporalIndex BuildFromStore(const TrajectoryStore& store);
 
   const std::vector<ObjectEntry>& objects() const { return objects_; }
 
-  // The blocks whose summaries overlap both [t0, t1] and `box`, ordered
-  // by (object, block) and free of duplicates — exactly what a test of
-  // every summary would return. Per object, only the blocks of
-  // BlocksOverlappingTime are tested against the box.
-  std::vector<Posting> CandidateBlocks(const BoundingBox& box, double t0,
-                                       double t1) const;
+  // True when this index was built from `store` and the store has not
+  // changed since: the entries' spans point into it and describe it.
+  bool BoundTo(const TrajectoryStore& store) const {
+    return store_ == &store && stamp_ == store.stamp();
+  }
 
   // The STIX byte image (header comment). Deterministic for a given
   // logical content.
@@ -82,16 +92,16 @@ class SpatioTemporalIndex {
 
   // Parses and validates a STIX image; kDataLoss on any corruption (bad
   // magic/version/CRC, invalid or out-of-time-order summaries, duplicate
-  // or unordered ids, non-positive cell size).
+  // or unordered ids, non-positive cell size). The result carries no
+  // points and is bound to no store.
   static Result<SpatioTemporalIndex> LoadFromBuffer(std::string_view data);
-
-  // True when this index exactly describes `store`'s current contents:
-  // same object ids in order, same point counts, same payload CRCs, same
-  // summary tables.
-  bool Matches(const TrajectoryStore& store) const;
 
  private:
   std::vector<ObjectEntry> objects_;  // Ascending by id (store map order).
+  // The store BuildFromStore read and its stamp at that time; null for a
+  // loaded index.
+  const TrajectoryStore* store_ = nullptr;
+  uint64_t stamp_ = 0;
 };
 
 }  // namespace stcomp

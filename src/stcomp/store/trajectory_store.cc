@@ -1,6 +1,7 @@
 #include "stcomp/store/trajectory_store.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "stcomp/common/check.h"
 #include "stcomp/common/strings.h"
@@ -23,6 +24,13 @@ struct StoreMetrics {
   obs::Counter* inserts;
   obs::Histogram* append_seconds;
 };
+
+// The next store stamp: one counter for the process, so stamps are never
+// reused, whichever store draws them.
+uint64_t NextStamp() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 const StoreMetrics& Metrics() {
   static const StoreMetrics* const kMetrics = [] {
@@ -67,6 +75,34 @@ bool IsStoreBlocked(const std::vector<BlockSummary>& blocks,
 }
 
 }  // namespace
+
+TrajectoryStore::TrajectoryStore(Codec codec)
+    : codec_(codec), stamp_(NextStamp()) {}
+
+TrajectoryStore::TrajectoryStore(const TrajectoryStore& other)
+    : codec_(other.codec_), entries_(other.entries_), stamp_(NextStamp()) {}
+
+TrajectoryStore::TrajectoryStore(TrajectoryStore&& other) noexcept
+    : codec_(other.codec_),
+      entries_(std::move(other.entries_)),
+      stamp_(NextStamp()) {
+  other.stamp_ = NextStamp();
+}
+
+TrajectoryStore& TrajectoryStore::operator=(const TrajectoryStore& other) {
+  codec_ = other.codec_;
+  entries_ = other.entries_;
+  stamp_ = NextStamp();
+  return *this;
+}
+
+TrajectoryStore& TrajectoryStore::operator=(TrajectoryStore&& other) noexcept {
+  codec_ = other.codec_;
+  entries_ = std::move(other.entries_);
+  stamp_ = NextStamp();
+  other.stamp_ = NextStamp();
+  return *this;
+}
 
 Status TrajectoryStore::EncodeInto(const Trajectory& trajectory,
                                    Entry* entry) const {
@@ -115,6 +151,7 @@ Status TrajectoryStore::Insert(const std::string& object_id,
   STCOMP_RETURN_IF_ERROR(EncodeInto(trajectory, &entry));
   STCOMP_ASSIGN_OR_RETURN(entry.decoded, ToStorageValues(trajectory, codec_));
   entries_.emplace(object_id, std::move(entry));
+  stamp_ = NextStamp();
   Metrics().inserts->Increment();
   return Status::Ok();
 }
@@ -168,6 +205,7 @@ Status TrajectoryStore::Append(const std::string& object_id,
     decoded.set_name(object_id);
     entries_.emplace(object_id, std::move(fresh));
   }
+  stamp_ = NextStamp();
   return Status::Ok();
 }
 
@@ -212,11 +250,12 @@ Result<std::span<const TimedPoint>> TrajectoryStore::StoragePoints(
 }
 
 void TrajectoryStore::VisitBlocks(
-    const std::function<void(const std::string& id, size_t num_points,
+    const std::function<void(const std::string& id,
+                             std::span<const TimedPoint> points,
                              const std::vector<BlockSummary>& blocks,
                              std::string_view payload)>& fn) const {
   for (const auto& [id, entry] : entries_) {
-    fn(id, entry.decoded.size(), entry.blocks, entry.encoded);
+    fn(id, entry.decoded.points(), entry.blocks, entry.encoded);
   }
 }
 
@@ -224,6 +263,7 @@ Status TrajectoryStore::Remove(const std::string& object_id) {
   if (entries_.erase(object_id) == 0) {
     return NotFoundError("object '" + object_id + "' not in store");
   }
+  stamp_ = NextStamp();
   return Status::Ok();
 }
 
@@ -334,6 +374,7 @@ Status TrajectoryStore::LoadFromBuffer(std::string_view data) {
     }
   }
   entries_ = std::move(loaded);
+  stamp_ = NextStamp();
   return Status::Ok();
 }
 
@@ -360,6 +401,7 @@ Status TrajectoryStore::SalvageFromBuffer(std::string_view data,
     }
   }
   entries_ = std::move(loaded);
+  stamp_ = NextStamp();
   return Status::Ok();
 }
 

@@ -10,6 +10,7 @@
 #ifndef STCOMP_STORE_TRAJECTORY_STORE_H_
 #define STCOMP_STORE_TRAJECTORY_STORE_H_
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <span>
@@ -28,9 +29,21 @@ namespace stcomp {
 
 class TrajectoryStore {
  public:
-  explicit TrajectoryStore(Codec codec = Codec::kDelta) : codec_(codec) {}
+  explicit TrajectoryStore(Codec codec = Codec::kDelta);
+  // Copies and moves draw fresh stamps, at both ends of a move.
+  TrajectoryStore(const TrajectoryStore& other);
+  TrajectoryStore(TrajectoryStore&& other) noexcept;
+  TrajectoryStore& operator=(const TrajectoryStore& other);
+  TrajectoryStore& operator=(TrajectoryStore&& other) noexcept;
 
   Codec codec() const { return codec_; }
+
+  // Changes on every successful Insert, Append, Remove, LoadFromBuffer and
+  // SalvageFromBuffer; a refused mutation leaves it as it was. Stamps come
+  // from one process-wide counter, so no two stores ever share one: the
+  // pair (store address, stamp) names one unchanged state of one store.
+  // An index built from the store is bound to that pair (st_index.h).
+  uint64_t stamp() const { return stamp_; }
 
   // Inserts a whole trajectory under `object_id`; kAlreadyExists if the id
   // is taken, kInvalidArgument if two fixes share a stored time (kDelta
@@ -81,10 +94,12 @@ class TrajectoryStore {
   Result<std::span<const TimedPoint>> StoragePoints(
       std::string_view object_id) const;
 
-  // Visits every object's id, point count, summary table and encoded
-  // payload in id order (the index builder's scan).
+  // Visits every object's id, resident storage values (StoragePoints),
+  // summary table and encoded payload in id order (the index builder's
+  // scan). The spans stay valid until the next mutation.
   void VisitBlocks(
-      const std::function<void(const std::string& id, size_t num_points,
+      const std::function<void(const std::string& id,
+                               std::span<const TimedPoint> points,
                                const std::vector<BlockSummary>& blocks,
                                std::string_view payload)>& fn) const;
 
@@ -142,6 +157,7 @@ class TrajectoryStore {
 
   Codec codec_;
   std::map<std::string, Entry, std::less<>> entries_;
+  uint64_t stamp_;
 };
 
 }  // namespace stcomp

@@ -6,6 +6,7 @@
 #include "stcomp/common/check.h"
 #include "stcomp/common/strings.h"
 #include "stcomp/core/trajectory_view.h"
+#include "stcomp/geom/kernels.h"
 #include "stcomp/store/varint.h"
 #include "stcomp/stream/checkpoint.h"
 
@@ -46,36 +47,48 @@ void OpeningWindowStream::Settle(std::vector<TimedPoint>* out) {
     if (size < 3) {
       return;
     }
-    // Anchor is window index 0; the criteria are the batch layer's own,
+    // Anchor is window index 0; the scans are the batch layer's own,
     // evaluated over a view of the buffer.
     const TrajectoryView window(window_.data(), size);
     const size_t first_float = need_full_replay ? 2 : size - 1;
     bool cut_made = false;
     for (size_t f = first_float; f < size && !cut_made; ++f) {
       // Violation scan for the window (anchor = 0, float = f).
-      for (size_t i = 1; i < f; ++i) {
-        bool violated;
-        if (criterion_ == StreamCriterion::kPerpendicular) {
-          violated = algo::PerpendicularWindowDistance(
-                         window, 0, static_cast<int>(f),
-                         static_cast<int>(i)) > epsilon_m_;
-        } else {
-          violated = algo::SynchronizedWindowDistance(
-                         window, 0, static_cast<int>(f),
-                         static_cast<int>(i)) > epsilon_m_;
-          if (!violated && criterion_ == StreamCriterion::kSpatiotemporal) {
-            violated = algo::SpeedJump(window, static_cast<int>(i)) >
-                       speed_threshold_mps_;
+      int violation = -1;
+      if (criterion_ == StreamCriterion::kSpatiotemporal) {
+        // Batch OPW-SP's scan: the segment is built once per float
+        // position, and a speed jump is tested only where the SED does
+        // not fire.
+        const TimedPoint& a = window_[0];
+        const TimedPoint& b = window_[f];
+        const kernels::SedSegment seg{a.position.x, a.position.y, a.t,
+                                      b.position.x, b.position.y, b.t};
+        for (size_t i = 1; i < f; ++i) {
+          const TimedPoint& p = window_[i];
+          if (kernels::SedDistancePoint(p.position.x, p.position.y, p.t,
+                                        seg) > epsilon_m_ ||
+              algo::SpeedJump(window, static_cast<int>(i)) >
+                  speed_threshold_mps_) {
+            violation = static_cast<int>(i);
+            break;
           }
         }
-        if (violated) {
-          const size_t cut = policy_ == algo::BreakPolicy::kNormal ? i : f - 1;
-          out->push_back(window_[cut]);
-          window_.erase(window_.begin(),
-                        window_.begin() + static_cast<ptrdiff_t>(cut));
-          cut_made = true;
-          break;
-        }
+      } else {
+        violation = algo::FirstWindowViolation(
+            window, 0, static_cast<int>(f),
+            criterion_ == StreamCriterion::kPerpendicular
+                ? algo::WindowCriterion::kPerpendicular
+                : algo::WindowCriterion::kSynchronized,
+            epsilon_m_);
+      }
+      if (violation >= 0) {
+        const size_t cut = policy_ == algo::BreakPolicy::kNormal
+                               ? static_cast<size_t>(violation)
+                               : f - 1;
+        out->push_back(window_[cut]);
+        window_.erase(window_.begin(),
+                      window_.begin() + static_cast<ptrdiff_t>(cut));
+        cut_made = true;
       }
     }
     if (!cut_made) {

@@ -3,11 +3,11 @@
 // after a cut, the buffered tail is replayed through the window logic in
 // the same order the batch loop would re-examine it.
 //
-// The window is a contiguous vector, so the settle loop evaluates the
-// batch layer's own criteria (PerpendicularWindowDistance,
-// SynchronizedWindowDistance, SpeedJump) over a TrajectoryView of the
-// buffer — one implementation of the math, shared with algo/ (DESIGN.md
-// §11).
+// The window is a contiguous vector, so the settle loop runs the batch
+// layer's own scans over a TrajectoryView of the buffer: one
+// FirstWindowViolation call per float position, or for OPW-SP batch
+// OpwSp's SED-or-SpeedJump scan — one implementation of the math, shared
+// with algo/ (DESIGN.md §11).
 
 #ifndef STCOMP_STREAM_OPENING_WINDOW_STREAM_H_
 #define STCOMP_STREAM_OPENING_WINDOW_STREAM_H_

@@ -8,6 +8,7 @@
 #include "stcomp/store/block_summary.h"
 
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,13 +66,14 @@ TEST(BlockSummaryTest, IncrementalAppendMatchesBulkInsert) {
     std::string incremental_payload;
     std::vector<BlockSummary> bulk_blocks;
     std::vector<BlockSummary> incremental_blocks;
-    bulk.VisitBlocks([&](const std::string&, size_t,
+    bulk.VisitBlocks([&](const std::string&, std::span<const TimedPoint>,
                          const std::vector<BlockSummary>& blocks,
                          std::string_view payload) {
       bulk_blocks = blocks;
       bulk_payload = std::string(payload);
     });
-    incremental.VisitBlocks([&](const std::string&, size_t,
+    incremental.VisitBlocks([&](const std::string&,
+                                std::span<const TimedPoint>,
                                 const std::vector<BlockSummary>& blocks,
                                 std::string_view payload) {
       incremental_blocks = blocks;

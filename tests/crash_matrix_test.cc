@@ -6,6 +6,7 @@
 // the commit marker already reached the file. Nothing else is acceptable:
 // recovery loses at most the last uncommitted batch.
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -34,29 +35,32 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-// Post-recovery query discipline (DESIGN.md §17): whatever the crash did
-// to index.stidx, recovery must end with a usable index (loaded when the
-// persisted one still matches, rebuilt otherwise — never neither), and
-// index-accelerated answers must equal the brute-force oracle bit for bit
-// on the recovered contents.
+// Post-recovery query discipline (DESIGN.md §17): index-accelerated
+// range, corridor and nearest answers must equal the brute-force oracle
+// bit for bit on the recovered contents.
 void ExpectQueryableAfterRecovery(SegmentStore* store) {
-  const RecoveryReport& report = store->last_recovery();
-  EXPECT_TRUE(report.index_loaded || report.index_rebuilt)
-      << report.Describe();
-  EXPECT_FALSE(report.index_loaded && report.index_rebuilt)
-      << report.Describe();
-  EXPECT_TRUE(store->Index().Matches(store->store()));
-  QueryRequest request;
-  request.type = QueryType::kRange;
-  request.box = {{-1e7, -1e7}, {1e7, 1e7}};
-  const Result<QueryAnswer> engine = store->Query(request);
-  const Result<QueryAnswer> oracle = BruteForceQuery(store->store(), request);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
-  ASSERT_EQ(engine->hits.size(), oracle->hits.size());
-  for (size_t i = 0; i < engine->hits.size(); ++i) {
-    EXPECT_EQ(engine->hits[i].id, oracle->hits[i].id);
-    EXPECT_EQ(engine->hits[i].first_hit_t, oracle->hits[i].first_hit_t);
+  QueryRequest range;
+  range.type = QueryType::kRange;
+  range.box = {{-1e7, -1e7}, {1e7, 1e7}};
+  QueryRequest corridor;
+  corridor.type = QueryType::kCorridor;
+  corridor.corridor = {{0.0, 0.0}, {300.0, -150.0}};
+  corridor.radius_m = 5.0;
+  QueryRequest nearest;
+  nearest.type = QueryType::kNearest;
+  nearest.point = {-2.0, -2.0};
+  nearest.k = 2;
+  for (const QueryRequest& request : {range, corridor, nearest}) {
+    const Result<QueryAnswer> engine = store->Query(request);
+    const Result<QueryAnswer> oracle = BruteForceQuery(store->store(), request);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    ASSERT_EQ(engine->hits.size(), oracle->hits.size());
+    for (size_t i = 0; i < engine->hits.size(); ++i) {
+      EXPECT_EQ(engine->hits[i].id, oracle->hits[i].id);
+      EXPECT_EQ(engine->hits[i].first_hit_t, oracle->hits[i].first_hit_t);
+      EXPECT_EQ(engine->hits[i].distance_m, oracle->hits[i].distance_m);
+    }
   }
 }
 
@@ -229,11 +233,12 @@ TEST(CrashMatrixTest, EveryBoundaryEveryFateRecoversToACommitPoint) {
   }
 }
 
-// Index-persistence boundaries specifically: a checkpointed store whose
-// index.stidx is deleted or corrupted out from under it must recover by
-// rebuilding (never by trusting the bad file), and a matching index must
-// be adopted as-is — with identical query answers either way.
-TEST(CrashMatrixTest, IndexLossOrCorruptionRebuildsOnRecovery) {
+// Recovery never reads index.stidx. With the sidecar intact, deleted,
+// bit-flipped or stale (a WAL-only append after the checkpoint), Open
+// succeeds, the answers equal the oracle's, and the next checkpoint
+// rewrites the file byte-identical to BuildFromStore's image. Fsck, the
+// sidecar's one reader left in the library, still flags the flipped bit.
+TEST(CrashMatrixTest, RecoveryNeverReadsTheIndexSidecar) {
   const std::string dir = FreshDir("index_fate");
   {
     SegmentStore store(MatrixOptions(nullptr));
@@ -247,59 +252,52 @@ TEST(CrashMatrixTest, IndexLossOrCorruptionRebuildsOnRecovery) {
   }
   const std::string index_path = dir + "/index.stidx";
   ASSERT_TRUE(std::filesystem::exists(index_path));
-
-  // Clean reopen: the persisted index matches and is adopted.
-  {
+  const auto reopen = [&](const std::string& fate) {
+    SCOPED_TRACE(fate);
     SegmentStore store(MatrixOptions(nullptr));
     ASSERT_TRUE(store.Open(dir).ok());
-    EXPECT_TRUE(store.last_recovery().index_loaded)
+    EXPECT_EQ(store.last_recovery().Describe().find("index"),
+              std::string::npos)
         << store.last_recovery().Describe();
     ExpectQueryableAfterRecovery(&store);
-  }
+    ASSERT_TRUE(store.Checkpoint().ok());
+    EXPECT_EQ(ReadFileToString(index_path).value(),
+              SpatioTemporalIndex::BuildFromStore(store.store())
+                  .SerializeToString());
+  };
 
-  // Deleted index (crash between segment write and index write of the
-  // very first checkpoint looks like this): rebuild.
+  reopen("intact");
+
   ASSERT_TRUE(std::filesystem::remove(index_path));
-  {
-    SegmentStore store(MatrixOptions(nullptr));
-    ASSERT_TRUE(store.Open(dir).ok());
-    EXPECT_TRUE(store.last_recovery().index_rebuilt)
-        << store.last_recovery().Describe();
-    ExpectQueryableAfterRecovery(&store);
-    ASSERT_TRUE(store.Checkpoint().ok());  // Re-persist for the next leg.
-  }
+  reopen("deleted");
 
-  // Corrupted index file: rejected by its CRC, rebuilt.
   {
     std::string bytes = ReadFileToString(index_path).value();
     bytes[bytes.size() / 2] ^= 0x10;
     ASSERT_TRUE(AtomicWriteFile(index_path, bytes).ok());
   }
   {
-    SegmentStore store(MatrixOptions(nullptr));
-    ASSERT_TRUE(store.Open(dir).ok());
-    EXPECT_TRUE(store.last_recovery().index_rebuilt)
-        << store.last_recovery().Describe();
-    ExpectQueryableAfterRecovery(&store);
-    ASSERT_TRUE(store.Checkpoint().ok());
+    const Result<FsckReport> fsck = SegmentStore::Fsck(dir);
+    ASSERT_TRUE(fsck.ok()) << fsck.status();
+    EXPECT_FALSE(fsck->clean()) << fsck->Describe();
+    const auto flagged = std::find_if(
+        fsck->files.begin(), fsck->files.end(),
+        [](const FsckFileReport& file) { return file.file == "index.stidx"; });
+    ASSERT_NE(flagged, fsck->files.end()) << fsck->Describe();
+    EXPECT_EQ(flagged->frames_salvaged, 1u) << fsck->Describe();
   }
+  reopen("bit-flipped");
 
-  // Stale index: valid bytes describing older contents (mutations landed
-  // in the WAL after the checkpoint). Matches() must veto it.
   {
     SegmentStore store(MatrixOptions(nullptr));
     ASSERT_TRUE(store.Open(dir).ok());
-    ASSERT_TRUE(
-        store.Append("bus-1", TimedPoint(1000.0, 5.0, 5.0)).ok());
+    ASSERT_TRUE(store.Append("bus-1", TimedPoint(1000.0, 5.0, 5.0)).ok());
     ASSERT_TRUE(store.Commit().ok());  // WAL only; index.stidx now stale.
+    EXPECT_NE(ReadFileToString(index_path).value(),
+              SpatioTemporalIndex::BuildFromStore(store.store())
+                  .SerializeToString());
   }
-  {
-    SegmentStore store(MatrixOptions(nullptr));
-    ASSERT_TRUE(store.Open(dir).ok());
-    EXPECT_TRUE(store.last_recovery().index_rebuilt)
-        << store.last_recovery().Describe();
-    ExpectQueryableAfterRecovery(&store);
-  }
+  reopen("stale");
 }
 
 // Sharded crash matrix (DESIGN.md §16): the same discipline applied to a

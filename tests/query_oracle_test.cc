@@ -210,7 +210,7 @@ void ExpectSameAnswer(const QueryAnswer& engine, const QueryAnswer& oracle,
 void RunDifferential(const TrajectoryStore& store, uint64_t request_seed,
                      double declared_error_m, const std::string& label) {
   const SpatioTemporalIndex index = SpatioTemporalIndex::BuildFromStore(store);
-  ASSERT_TRUE(index.Matches(store));
+  ASSERT_TRUE(index.BoundTo(store));
   std::vector<QueryRequest> requests =
       RequestMix(request_seed, declared_error_m);
   for (QueryRequest& request :
@@ -352,27 +352,96 @@ TEST(QueryOracleTest, SegmentStoreQueryTracksMutations) {
   std::filesystem::remove_all(dir);
 }
 
-// RunQuery's precondition is an index that describes the store. One that
-// describes longer objects than the store holds must come back as an
-// error, never as a read past the resident points.
+// RunQuery reads points through the index's spans, valid only while the
+// index is bound to the store it is given. Any other pairing — another
+// store, no store contents at all, the same store after a mutation, an
+// index loaded from bytes — is kFailedPrecondition for every query type,
+// never a read of points that are gone.
 TEST(QueryOracleTest, StaleIndexIsAnError) {
   TrajectoryStore longer;
   ASSERT_TRUE(longer.Insert("veh", testutil::RandomWalk(200, 3)).ok());
   const SpatioTemporalIndex index = SpatioTemporalIndex::BuildFromStore(longer);
   TrajectoryStore shorter;
   ASSERT_TRUE(shorter.Insert("veh", testutil::RandomWalk(10, 3)).ok());
-  ASSERT_FALSE(index.Matches(shorter));
+  const Result<SpatioTemporalIndex> loaded =
+      SpatioTemporalIndex::LoadFromBuffer(index.SerializeToString());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  QueryRequest window;
+  window.type = QueryType::kTimeWindow;
   QueryRequest range;
   range.type = QueryType::kRange;
   range.box = {{-1e7, -1e7}, {1e7, 1e7}};
+  QueryRequest corridor;
+  corridor.type = QueryType::kCorridor;
+  corridor.corridor = {{0.0, 0.0}, {500.0, 500.0}};
+  corridor.radius_m = 100.0;
   QueryRequest nearest;
   nearest.type = QueryType::kNearest;
-  for (const QueryRequest& request : {range, nearest}) {
+  const std::vector<QueryRequest> requests = {window, range, corridor,
+                                              nearest};
+  for (const QueryRequest& request : requests) {
+    const std::string type(QueryTypeName(request.type));
+    EXPECT_TRUE(RunQuery(longer, index, request).ok()) << type;
     EXPECT_EQ(RunQuery(shorter, index, request).status().code(),
-              StatusCode::kOutOfRange);
+              StatusCode::kFailedPrecondition)
+        << type;
     EXPECT_EQ(RunQuery(TrajectoryStore(), index, request).status().code(),
-              StatusCode::kNotFound);
+              StatusCode::kFailedPrecondition)
+        << type;
+    EXPECT_EQ(RunQuery(longer, *loaded, request).status().code(),
+              StatusCode::kFailedPrecondition)
+        << type;
   }
+  ASSERT_TRUE(longer.Append("veh", {1e7, 0.0, 0.0}).ok());
+  for (const QueryRequest& request : requests) {
+    EXPECT_EQ(RunQuery(longer, index, request).status().code(),
+              StatusCode::kFailedPrecondition)
+        << QueryTypeName(request.type);
+  }
+}
+
+// k-nearest pops blocks in ascending (lower bound, object, block) order.
+// Here "a" and "b" tie on their blocks' lower bound and on distance, and
+// k = 2 cuts between them after the nearer "near". Worked by hand, from
+// the query point (0, 0), every object one two-fix block:
+//   near: x = 5,    lower bound 5,  distance 5   -> scanned, kept
+//   a:    x = -10,  lower bound 10, distance 10  -> scanned, kept
+//   b:    x = 10,   lower bound 10, distance 10  -> scanned (10 is not
+//         greater than the k-th best 10), loses the tie to "a" by id
+//   far:  (100, 100), lower bound 141.4 > 10    -> never scanned
+// so 3 blocks are scanned of the 4 considered, and the hits are near, a.
+TEST(QueryOracleTest, NearestTieBreaksByIdAndStopsAtTheBound) {
+  TrajectoryStore store(Codec::kRaw);
+  ASSERT_TRUE(
+      store.Insert("b", testutil::Traj({{0.0, 10.0, 0.0}, {1.0, 10.0, 5.0}}))
+          .ok());
+  ASSERT_TRUE(
+      store.Insert("a", testutil::Traj({{0.0, -10.0, 0.0}, {1.0, -10.0, 5.0}}))
+          .ok());
+  ASSERT_TRUE(
+      store.Insert("near", testutil::Traj({{0.0, 5.0, 0.0}, {1.0, 5.0, 3.0}}))
+          .ok());
+  ASSERT_TRUE(store
+                  .Insert("far", testutil::Traj({{0.0, 100.0, 100.0},
+                                                 {1.0, 101.0, 100.0}}))
+                  .ok());
+  const SpatioTemporalIndex index = SpatioTemporalIndex::BuildFromStore(store);
+  QueryRequest request;
+  request.type = QueryType::kNearest;
+  request.point = {0.0, 0.0};
+  request.k = 2;
+  const Result<QueryAnswer> answer = RunQuery(store, index, request);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  ASSERT_EQ(answer->hits.size(), 2u);
+  EXPECT_EQ(answer->hits[0].id, "near");
+  EXPECT_EQ(answer->hits[0].distance_m, 5.0);
+  EXPECT_EQ(answer->hits[1].id, "a");
+  EXPECT_EQ(answer->hits[1].distance_m, 10.0);
+  EXPECT_EQ(answer->stats.blocks_considered, 4u);
+  EXPECT_EQ(answer->stats.blocks_decoded, 3u);
+  const Result<QueryAnswer> oracle = BruteForceQuery(store, request);
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+  ExpectSameAnswer(*answer, *oracle, request, "tie");
 }
 
 TEST(QueryOracleTest, ErrorBoundAccountsForCodecQuantisation) {

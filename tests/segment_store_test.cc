@@ -1,6 +1,9 @@
 #include "stcomp/store/segment_store.h"
 
+#include <algorithm>
+#include <cstring>
 #include <filesystem>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -213,6 +216,42 @@ TEST(SegmentStoreTest, OpenOnEmptyDirectoryIsClean) {
   ASSERT_TRUE(store.Open(dir).ok());
   EXPECT_TRUE(store.last_recovery().clean());
   EXPECT_EQ(store.store().object_count(), 0u);
+}
+
+// Recovery reads every segment and WAL through ReadFileToString: an empty
+// file is an empty image, a missing one kIoError, and a multi-megabyte
+// image comes back byte for byte.
+TEST(DurableFileTest, ReadFileToStringReadsWholeFiles) {
+  const std::string dir = FreshDir("read_file");
+  std::filesystem::create_directories(dir);
+
+  const std::string empty = dir + "/empty";
+  ASSERT_TRUE(AtomicWriteFile(empty, "").ok());
+  const Result<std::string> nothing = ReadFileToString(empty);
+  ASSERT_TRUE(nothing.ok()) << nothing.status();
+  EXPECT_TRUE(nothing->empty());
+
+  const std::string missing = dir + "/missing";
+  const Result<std::string> absent = ReadFileToString(missing);
+  ASSERT_FALSE(absent.ok());
+  EXPECT_EQ(absent.status().code(), StatusCode::kIoError);
+  EXPECT_NE(absent.status().ToString().find("cannot open " + missing),
+            std::string::npos)
+      << absent.status();
+
+  std::string image((3u << 20) + 123u, '\0');
+  std::mt19937_64 bits(20261018);
+  for (size_t i = 0; i < image.size(); i += 8) {
+    const uint64_t word = bits();
+    std::memcpy(image.data() + i, &word, std::min<size_t>(8, image.size() - i));
+  }
+  const std::string large = dir + "/large";
+  ASSERT_TRUE(AtomicWriteFile(large, image).ok());
+  const Result<std::string> read = ReadFileToString(large);
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_TRUE(*read == image) << "read " << read->size() << " of "
+                              << image.size() << " bytes";
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -1,20 +1,24 @@
-// SpatioTemporalIndex (DESIGN.md §17): STIX round trip, candidate
-// exactness at summary granularity (the per-object bisection on time must
-// return exactly what a test of every summary returns, at unbounded
-// windows and at windows that start or end on a block boundary), stale-
-// index detection via payload CRCs and summary tables, and corruption
-// hardening — a full single-bit-flip sweep over the serialized image must
-// come back as kDataLoss, never a crash or a silently-wrong index.
+// SpatioTemporalIndex (DESIGN.md §17): the entry as the query's one
+// per-object record (its resident points and table extents), the binding
+// to the store it was built from, the candidate scan's exactness at
+// summary granularity (RunQuery's per-object bisection on time must
+// consider exactly the blocks a test of every summary finds, at unbounded
+// windows and at windows that start or end on a block boundary), the STIX
+// round trip, and corruption hardening — a full single-bit-flip sweep
+// over the serialized image must come back as kDataLoss, never a crash or
+// a silently-wrong index.
 
 #include "stcomp/store/st_index.h"
 
 #include <algorithm>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "stcomp/store/query.h"
 #include "stcomp/store/serialization.h"
 #include "stcomp/store/trajectory_store.h"
 #include "stcomp/store/varint.h"
@@ -60,40 +64,84 @@ size_t FirstBlockTMaxOffset(const SpatioTemporalIndex& index) {
   return prefix.size() + 8;
 }
 
-std::vector<SpatioTemporalIndex::Posting> BruteForceCandidates(
-    const SpatioTemporalIndex& index, const BoundingBox& box, double t0,
+// A range query over `box` and [t0, t1], with the blocks a test of every
+// summary in `store` makes candidates: those overlapping the window whose
+// box meets the query box inflated by the error bound.
+std::pair<QueryRequest, uint64_t> RangeAndSummaryScan(
+    const TrajectoryStore& store, const BoundingBox& box, double t0,
     double t1) {
-  std::vector<SpatioTemporalIndex::Posting> expected;
-  for (uint32_t object = 0; object < index.objects().size(); ++object) {
-    const auto& blocks = index.objects()[object].blocks;
-    for (uint32_t block = 0; block < blocks.size(); ++block) {
-      if (blocks[block].OverlapsTime(t0, t1) &&
-          blocks[block].bounds.Intersects(box)) {
-        expected.push_back({object, block});
+  QueryRequest request;
+  request.type = QueryType::kRange;
+  request.box = box;
+  request.t0 = t0;
+  request.t1 = t1;
+  const double by = QueryErrorBound(request, store.codec());
+  const BoundingBox inflated{{box.min.x - by, box.min.y - by},
+                             {box.max.x + by, box.max.y + by}};
+  uint64_t expected = 0;
+  for (const std::string& id : store.ObjectIds()) {
+    for (const BlockSummary& block : **store.BlockSummariesOf(id)) {
+      if (block.OverlapsTime(t0, t1) && block.bounds.Intersects(inflated)) {
+        ++expected;
       }
     }
   }
-  return expected;
+  return {request, expected};
 }
 
+// RunQuery's blocks_considered for a range query equals the summary scan.
+void ExpectConsideredMatchesSummaryScan(const TrajectoryStore& store,
+                                        const SpatioTemporalIndex& index,
+                                        const BoundingBox& box, double t0,
+                                        double t1, const std::string& label) {
+  const auto [request, expected] = RangeAndSummaryScan(store, box, t0, t1);
+  const Result<QueryAnswer> answer = RunQuery(store, index, request);
+  ASSERT_TRUE(answer.ok()) << label << ": " << answer.status();
+  EXPECT_EQ(answer->stats.blocks_considered, expected) << label;
+  EXPECT_LE(answer->stats.blocks_decoded, expected) << label;
+}
+
+// Each entry is the object's record: its table, its resident storage
+// values (the very span StoragePoints returns) and extents that cover
+// every block.
 TEST(StIndexTest, BuildCoversEveryBlock) {
   const TrajectoryStore store = FleetStore(6, 100);
   const SpatioTemporalIndex index = SpatioTemporalIndex::BuildFromStore(store);
+  ASSERT_TRUE(index.BoundTo(store));
   ASSERT_EQ(index.objects().size(), 6u);
   size_t blocks = 0;
   for (const auto& object : index.objects()) {
     EXPECT_EQ(object.num_points, 120u);
     blocks += object.blocks.size();
+    const std::span<const TimedPoint> resident = *store.StoragePoints(object.id);
+    EXPECT_EQ(object.points.data(), resident.data()) << object.id;
+    EXPECT_EQ(object.points.size(), resident.size()) << object.id;
+    EXPECT_EQ(object.t_min, object.blocks.front().t_min) << object.id;
+    EXPECT_EQ(object.t_max, object.blocks.back().t_max) << object.id;
+    for (const BlockSummary& block : object.blocks) {
+      EXPECT_LE(object.bounds.min.x, block.bounds.min.x) << object.id;
+      EXPECT_LE(object.bounds.min.y, block.bounds.min.y) << object.id;
+      EXPECT_GE(object.bounds.max.x, block.bounds.max.x) << object.id;
+      EXPECT_GE(object.bounds.max.y, block.bounds.max.y) << object.id;
+    }
   }
   EXPECT_EQ(blocks, 12u);  // 120 points => 2 blocks of 64/56 per object.
-  // An all-covering query returns every block exactly once.
-  const BoundingBox everything{{-1e9, -1e9}, {1e9, 1e9}};
-  EXPECT_EQ(index.CandidateBlocks(everything, -1e18, 1e18).size(), blocks);
+  // An all-covering query considers every block exactly once.
+  QueryRequest everything;
+  everything.type = QueryType::kRange;
+  everything.box = {{-1e9, -1e9}, {1e9, 1e9}};
+  everything.t0 = -1e18;
+  everything.t1 = 1e18;
+  const Result<QueryAnswer> answer = RunQuery(store, index, everything);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_EQ(answer->stats.blocks_total, blocks);
+  EXPECT_EQ(answer->stats.blocks_considered, blocks);
 }
 
-// The bisection is a narrowing device, never a filter: candidates must
-// equal a test of every summary, for any box and any window — unbounded,
-// or starting or ending exactly on a block's t_min or t_max.
+// The extents and the bisection are narrowing devices, never filters: the
+// blocks a range query considers must equal a test of every summary, for
+// any box and any window — unbounded, or starting or ending exactly on a
+// block's t_min or t_max.
 TEST(StIndexTest, CandidatesMatchSummaryScan) {
   TrajectoryStore store = FleetStore(8, 500);
   // One block 100 km across (two fixes) and a single-point object.
@@ -143,15 +191,14 @@ TEST(StIndexTest, CandidatesMatchSummaryScan) {
         t0 = rng.NextBool(0.5) ? t1 : std::min(t0, t1);
         break;
     }
-    EXPECT_EQ(index.CandidateBlocks(box, t0, t1),
-              BruteForceCandidates(index, box, t0, t1))
-        << "query " << q;
+    ExpectConsideredMatchesSummaryScan(store, index, box, t0, t1,
+                                       "query " + std::to_string(q));
   }
 }
 
 // A block whose bounds span 100 km is still one summary: the scan must
-// return it for every box it meets, near the fleet or far from it, and for
-// bounded as well as unbounded windows.
+// consider it for every box it meets, near the fleet or far from it, and
+// for bounded as well as unbounded windows.
 TEST(StIndexTest, OversizeBlocksStayExact) {
   TrajectoryStore store;
   // Two fixes 100 km apart inside one block.
@@ -160,19 +207,94 @@ TEST(StIndexTest, OversizeBlocksStayExact) {
                   .ok());
   ASSERT_TRUE(store.Insert("near", testutil::RandomWalk(40, 8)).ok());
   const SpatioTemporalIndex index = SpatioTemporalIndex::BuildFromStore(store);
-  ASSERT_EQ(index.objects().front().blocks.size(), 1u);
+  ASSERT_EQ(index.objects().back().id, "wide");
+  ASSERT_EQ(index.objects().back().blocks.size(), 1u);
   Rng rng(5);
   for (int q = 0; q < 20; ++q) {
     const Vec2 corner{rng.NextUniform(-1000.0, 100000.0),
                       rng.NextUniform(-1000.0, 100000.0)};
     const BoundingBox box{corner, corner + Vec2{500.0, 500.0}};
-    EXPECT_EQ(index.CandidateBlocks(box, -1e18, 1e18),
-              BruteForceCandidates(index, box, -1e18, 1e18));
+    ExpectConsideredMatchesSummaryScan(store, index, box, -1e18, 1e18,
+                                       "unbounded " + std::to_string(q));
     const double t0 = rng.NextUniform(-5.0, 15.0);
     const double t1 = t0 + rng.NextUniform(0.0, 10.0);
-    EXPECT_EQ(index.CandidateBlocks(box, t0, t1),
-              BruteForceCandidates(index, box, t0, t1));
+    ExpectConsideredMatchesSummaryScan(store, index, box, t0, t1,
+                                       "bounded " + std::to_string(q));
   }
+}
+
+// An index stays bound while its store is unchanged. Every successful
+// mutation unbinds it; a refused one leaves the store, and so the
+// binding, as it was.
+TEST(StIndexTest, BoundUntilTheStoreChanges) {
+  TrajectoryStore store = FleetStore(3, 40);
+  const std::string image = store.SerializeToString().value();
+  SpatioTemporalIndex index = SpatioTemporalIndex::BuildFromStore(store);
+  ASSERT_TRUE(index.BoundTo(store));
+  const auto expect_unbound_then_rebind = [&](const Status& status,
+                                              const std::string& what) {
+    ASSERT_TRUE(status.ok()) << what << ": " << status;
+    EXPECT_FALSE(index.BoundTo(store)) << what;
+    index = SpatioTemporalIndex::BuildFromStore(store);
+    ASSERT_TRUE(index.BoundTo(store)) << what;
+  };
+  const auto expect_still_bound = [&](const Status& status,
+                                      const std::string& what) {
+    ASSERT_FALSE(status.ok()) << what;
+    EXPECT_TRUE(index.BoundTo(store)) << what;
+  };
+
+  expect_unbound_then_rebind(
+      store.Insert("veh-9", testutil::RandomWalk(30, 1)), "insert");
+  expect_unbound_then_rebind(store.Append("veh-0", {1e7, 0.0, 0.0}),
+                             "append to an existing object");
+  expect_unbound_then_rebind(store.Append("veh-new", {5.0, 1.0, 2.0}),
+                             "append creating an object");
+  expect_unbound_then_rebind(store.Remove("veh-9"), "remove");
+  expect_unbound_then_rebind(store.LoadFromBuffer(image), "load");
+  expect_unbound_then_rebind(store.SalvageFromBuffer(image, nullptr),
+                             "salvage");
+
+  expect_still_bound(store.Append("veh-0", {0.0, 0.0, 0.0}),
+                     "refused append (time not after the last fix)");
+  expect_still_bound(store.Insert("veh-1", testutil::RandomWalk(5, 2)),
+                     "refused insert (duplicate id)");
+  expect_still_bound(store.Remove("ghost"), "refused remove (unknown id)");
+  expect_still_bound(store.LoadFromBuffer(image.substr(0, image.size() - 1)),
+                     "refused load (truncated image)");
+}
+
+// Copies and moves draw fresh stamps, at both ends of a move: no index is
+// bound to a copy, and none survives being moved from or assigned over.
+TEST(StIndexTest, CopiesAndMovesUnbind) {
+  const TrajectoryStore source = FleetStore(2, 50);
+  const SpatioTemporalIndex of_source =
+      SpatioTemporalIndex::BuildFromStore(source);
+
+  const TrajectoryStore copy(source);
+  EXPECT_FALSE(of_source.BoundTo(copy));
+  EXPECT_TRUE(of_source.BoundTo(source));  // Copying leaves the source be.
+
+  TrajectoryStore assigned = FleetStore(1, 60);
+  const SpatioTemporalIndex of_assigned =
+      SpatioTemporalIndex::BuildFromStore(assigned);
+  assigned = source;
+  EXPECT_FALSE(of_assigned.BoundTo(assigned));
+
+  TrajectoryStore from = FleetStore(2, 70);
+  const SpatioTemporalIndex of_from = SpatioTemporalIndex::BuildFromStore(from);
+  TrajectoryStore to(std::move(from));
+  EXPECT_FALSE(of_from.BoundTo(from));
+  EXPECT_FALSE(of_from.BoundTo(to));
+
+  const SpatioTemporalIndex of_to = SpatioTemporalIndex::BuildFromStore(to);
+  TrajectoryStore target = FleetStore(1, 80);
+  const SpatioTemporalIndex of_target =
+      SpatioTemporalIndex::BuildFromStore(target);
+  target = std::move(to);
+  EXPECT_FALSE(of_to.BoundTo(to));
+  EXPECT_FALSE(of_to.BoundTo(target));
+  EXPECT_FALSE(of_target.BoundTo(target));
 }
 
 TEST(StIndexTest, SerializeRoundTrips) {
@@ -189,12 +311,10 @@ TEST(StIndexTest, SerializeRoundTrips) {
     EXPECT_EQ(loaded->objects()[i].payload_crc,
               index.objects()[i].payload_crc);
     EXPECT_EQ(loaded->objects()[i].blocks, index.objects()[i].blocks);
+    EXPECT_TRUE(loaded->objects()[i].points.empty());
   }
-  EXPECT_TRUE(loaded->Matches(store));
-  // Same candidates from the parsed summaries.
-  const BoundingBox box{{-500.0, -500.0}, {1500.0, 1500.0}};
-  EXPECT_EQ(loaded->CandidateBlocks(box, 0.0, 400.0),
-            index.CandidateBlocks(box, 0.0, 400.0));
+  // Bytes carry no points, so a loaded index is bound to no store.
+  EXPECT_FALSE(loaded->BoundTo(store));
   // Deterministic bytes for a given logical content.
   EXPECT_EQ(loaded->SerializeToString(), image);
 }
@@ -206,65 +326,8 @@ TEST(StIndexTest, EmptyIndexRoundTrips) {
       SpatioTemporalIndex::LoadFromBuffer(index.SerializeToString());
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(loaded->objects().empty());
-  EXPECT_TRUE(loaded->Matches(store));
-}
-
-// A stale index must be detected even when object ids and point counts
-// all still agree — the payload CRC is what catches a same-shape rewrite.
-TEST(StIndexTest, MatchesDetectsStaleness) {
-  TrajectoryStore store = FleetStore(3, 40);
-  const SpatioTemporalIndex index = SpatioTemporalIndex::BuildFromStore(store);
-  ASSERT_TRUE(index.Matches(store));
-
-  // New object.
-  ASSERT_TRUE(store.Insert("veh-9", testutil::RandomWalk(30, 1)).ok());
-  EXPECT_FALSE(index.Matches(store));
-  ASSERT_TRUE(store.Remove("veh-9").ok());
-  EXPECT_TRUE(index.Matches(store));
-
-  // Appended fix (count changes).
-  ASSERT_TRUE(store.Append("veh-0", {1e7, 0.0, 0.0}).ok());
-  EXPECT_FALSE(index.Matches(store));
-
-  // Same id, same point count, different data (CRC changes).
-  TrajectoryStore rewritten;
-  for (size_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(rewritten
-                    .Insert("veh-" + std::to_string(i),
-                            testutil::RandomWalk(120, 4000 + i))
-                    .ok());
-  }
-  EXPECT_FALSE(index.Matches(rewritten));
-
-  // Removed object.
-  TrajectoryStore smaller = FleetStore(2, 40);
-  EXPECT_FALSE(index.Matches(smaller));
-}
-
-// Same ids, counts and payload CRCs but one summary changed: the scan
-// trusts the summaries, so an index whose table differs from the store's
-// must not be adopted.
-TEST(StIndexTest, MatchesComparesSummaryTables) {
-  const TrajectoryStore store = FleetStore(2, 70);
-  const SpatioTemporalIndex index = SpatioTemporalIndex::BuildFromStore(store);
-  ASSERT_TRUE(index.Matches(store));
-  const auto& blocks = index.objects().front().blocks;
-  ASSERT_GT(blocks.size(), 1u);
-  std::string image = index.SerializeToString();
-  const size_t offset = FirstBlockTMaxOffset(index);
-  std::string t_max;
-  PutDouble(blocks[0].t_max, &t_max);
-  ASSERT_EQ(image.substr(offset, 8), t_max);
-  // Still ordered (block 1 ends later), so the image stays loadable.
-  std::string later;
-  PutDouble(blocks[0].t_max + 0.5, &later);
-  image.replace(offset, 8, later);
-  RestampCrc(&image);
-  Result<SpatioTemporalIndex> loaded =
-      SpatioTemporalIndex::LoadFromBuffer(image);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->objects().front().blocks[0].t_max, blocks[0].t_max + 0.5);
-  EXPECT_FALSE(loaded->Matches(store));
+  EXPECT_EQ(loaded->SerializeToString(), index.SerializeToString());
+  EXPECT_FALSE(loaded->BoundTo(store));
 }
 
 // A table whose t_max decreases would break the bisection; no store

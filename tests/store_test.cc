@@ -441,11 +441,14 @@ TEST(TrajectoryStoreTest, StoragePointsMatchDecodedPayload) {
 void ExpectEncodedFromStoragePoints(const TrajectoryStore& store,
                                     const std::string& label) {
   ASSERT_GT(store.object_count(), 0u) << label;
-  store.VisitBlocks([&](const std::string& id, size_t num_points,
+  store.VisitBlocks([&](const std::string& id,
+                        std::span<const TimedPoint> points,
                         const std::vector<BlockSummary>& blocks,
                         std::string_view payload) {
-    const std::span<const TimedPoint> points = *store.StoragePoints(id);
-    ASSERT_EQ(num_points, points.size()) << label << " " << id;
+    // The visitor's span is StoragePoints' span.
+    const std::span<const TimedPoint> resident = *store.StoragePoints(id);
+    ASSERT_EQ(points.data(), resident.data()) << label << " " << id;
+    ASSERT_EQ(points.size(), resident.size()) << label << " " << id;
     std::string encoded;
     const Result<std::vector<BlockSummary>> expected =
         EncodeBlocked(points.data(), points.size(), store.codec(),
