@@ -63,10 +63,11 @@ class SpatioTemporalIndex {
     // Ordered by first_point; t_min and t_max are both nondecreasing
     // (LoadFromBuffer rejects a table where either decreases).
     std::vector<BlockSummary> blocks;
-    // Set by BuildFromStore only. The object's resident storage values
-    // (TrajectoryStore::StoragePoints), valid while the index is bound.
+    // The rest is set by BuildFromStore only and never serialised. The
+    // object's resident storage values (TrajectoryStore::StoragePoints),
+    // valid while the index is bound:
     std::span<const TimedPoint> points;
-    // The extents of the whole table: every block's time span lies in
+    // and the extents of the whole table: every block's time span lies in
     // [t_min, t_max] and its box in `bounds`, so an object whose extents
     // miss a query has no block that meets it. An object without blocks
     // gets t_min > t_max and an inverted box, which meet nothing.

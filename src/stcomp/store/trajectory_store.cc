@@ -29,7 +29,7 @@ struct StoreMetrics {
 // reused, whichever store draws them.
 uint64_t NextStamp() {
   static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
+  return next.fetch_add(1);
 }
 
 const StoreMetrics& Metrics() {

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -64,12 +65,13 @@ size_t FirstBlockTMaxOffset(const SpatioTemporalIndex& index) {
   return prefix.size() + 8;
 }
 
-// A range query over `box` and [t0, t1], with the blocks a test of every
-// summary in `store` makes candidates: those overlapping the window whose
-// box meets the query box inflated by the error bound.
-std::pair<QueryRequest, uint64_t> RangeAndSummaryScan(
-    const TrajectoryStore& store, const BoundingBox& box, double t0,
-    double t1) {
+// RunQuery's range query over `box` and [t0, t1] considers exactly the
+// blocks a test of every summary in `store` finds: those overlapping the
+// window whose box meets the query box inflated by the error bound.
+void ExpectConsideredMatchesSummaryScan(const TrajectoryStore& store,
+                                        const SpatioTemporalIndex& index,
+                                        const BoundingBox& box, double t0,
+                                        double t1, const std::string& label) {
   QueryRequest request;
   request.type = QueryType::kRange;
   request.box = box;
@@ -86,15 +88,6 @@ std::pair<QueryRequest, uint64_t> RangeAndSummaryScan(
       }
     }
   }
-  return {request, expected};
-}
-
-// RunQuery's blocks_considered for a range query equals the summary scan.
-void ExpectConsideredMatchesSummaryScan(const TrajectoryStore& store,
-                                        const SpatioTemporalIndex& index,
-                                        const BoundingBox& box, double t0,
-                                        double t1, const std::string& label) {
-  const auto [request, expected] = RangeAndSummaryScan(store, box, t0, t1);
   const Result<QueryAnswer> answer = RunQuery(store, index, request);
   ASSERT_TRUE(answer.ok()) << label << ": " << answer.status();
   EXPECT_EQ(answer->stats.blocks_considered, expected) << label;
