@@ -168,7 +168,7 @@ double TimeRun(const Workload& workload, PushFn push, FinishFn finish) {
 
 double OneInstrumentedRun(const Workload& workload, int rep) {
   TrajectoryStore store;
-  stcomp::FleetCompressor fleet([] { return MakeOpwTr(); }, &store,
+  stcomp::FleetCompressor fleet([] { return MakeOpwTr(); }, &store, {},
                                 "obs-overhead-" + std::to_string(rep));
   return TimeRun(
       workload,

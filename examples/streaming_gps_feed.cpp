@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
             epsilon, stcomp::algo::BreakPolicy::kNormal,
             stcomp::StreamCriterion::kSynchronized);
       },
-      &store, "gps-feed");
+      &store, {}, "gps-feed");
 
   // Network ingest: fleet_client devices land in a thread-safe sharded
   // engine (the single-threaded FleetCompressor above belongs to this

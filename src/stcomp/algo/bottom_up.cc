@@ -1,8 +1,7 @@
 #include "stcomp/algo/bottom_up.h"
 
 #include <algorithm>
-#include <limits>
-#include <vector>
+#include <cstddef>
 
 #include "stcomp/common/check.h"
 #include "stcomp/core/interpolation.h"
@@ -11,149 +10,38 @@ namespace stcomp::algo {
 
 namespace {
 
-using detail::HeapEntry;
-
-// Min-heap order on (cost, index): std::push_heap/pop_heap with this
-// comparator pop entries cheapest-first, lowest index on ties — the same
-// order std::priority_queue<Entry, vector, greater<>> produced before the
-// workspace refactor.
-bool CostGreater(const HeapEntry& a, const HeapEntry& b) {
-  if (a.key != b.key) {
-    return a.key > b.key;
-  }
-  return a.index > b.index;  // Deterministic tie-break: lowest index.
-}
-
-// Shared greedy engine. Runs removals in increasing cost order and stops
-// when `may_remove(next_cost, kept_count)` says so. All scratch lives in
-// the caller's Workspace.
-class BottomUpEngine {
- public:
-  BottomUpEngine(TrajectoryView trajectory, BottomUpMetric metric,
-                 Workspace& workspace)
-      : trajectory_(trajectory),
-        metric_(metric),
-        n_(static_cast<int>(trajectory.size())),
-        prev_(workspace.prev),
-        next_(workspace.next),
-        generation_(workspace.generation),
-        alive_(workspace.alive),
-        queue_(workspace.heap) {
-    prev_.resize(static_cast<size_t>(n_));
-    next_.resize(static_cast<size_t>(n_));
-    generation_.assign(static_cast<size_t>(n_), 0);
-    alive_.assign(static_cast<size_t>(n_), 1);
-    queue_.clear();
-    for (int i = 0; i < n_; ++i) {
-      prev_[static_cast<size_t>(i)] = i - 1;
-      next_[static_cast<size_t>(i)] = i + 1 < n_ ? i + 1 : -1;
-    }
-    for (int i = 1; i + 1 < n_; ++i) {
-      Push(i);
-    }
-    kept_count_ = n_;
-  }
-
-  // Removes points while `may_remove(cost, kept_count)` allows. Fills `out`
-  // with the surviving indices.
-  template <typename Predicate>
-  void Run(const Predicate& may_remove, IndexList& out) {
-    while (!queue_.empty()) {
-      const HeapEntry top = queue_.front();
-      std::pop_heap(queue_.begin(), queue_.end(), CostGreater);
-      queue_.pop_back();
-      if (!alive_[static_cast<size_t>(top.index)] ||
-          top.generation != generation_[static_cast<size_t>(top.index)]) {
-        continue;  // Stale entry.
-      }
-      if (!may_remove(top.key, kept_count_)) {
-        break;
-      }
-      Remove(top.index);
-    }
-    out.clear();
-    out.reserve(static_cast<size_t>(kept_count_));
-    for (int i = 0; i != -1 && i < n_; i = next_[static_cast<size_t>(i)]) {
-      out.push_back(i);
-      if (next_[static_cast<size_t>(i)] == -1) {
-        break;
-      }
-    }
-  }
-
- private:
-  // Cost of removing the (alive, interior) point `b`: the worst distance of
-  // any currently-dead-or-alive interior point of (prev(b), next(b)) from
-  // the merged approximation.
-  double RemovalCost(int b) const {
-    const int a = prev_[static_cast<size_t>(b)];
-    const int c = next_[static_cast<size_t>(b)];
-    STCOMP_DCHECK(a >= 0 && c >= 0);
+// The cost of removing b between a and c: the worst `metric` distance of
+// any original point strictly between a and c from the merged segment.
+auto MergeCost(TrajectoryView trajectory, BottomUpMetric metric) {
+  return [trajectory, metric](int a, int /*b*/, int c) {
     double worst = 0.0;
     for (int i = a + 1; i < c; ++i) {
       double d = 0.0;
-      if (metric_ == BottomUpMetric::kPerpendicular) {
+      if (metric == BottomUpMetric::kPerpendicular) {
         d = PointToSegmentDistance(
-            trajectory_[static_cast<size_t>(i)].position,
-            trajectory_[static_cast<size_t>(a)].position,
-            trajectory_[static_cast<size_t>(c)].position);
+            trajectory[static_cast<size_t>(i)].position,
+            trajectory[static_cast<size_t>(a)].position,
+            trajectory[static_cast<size_t>(c)].position);
       } else {
-        d = SynchronizedDistance(trajectory_[static_cast<size_t>(a)],
-                                 trajectory_[static_cast<size_t>(c)],
-                                 trajectory_[static_cast<size_t>(i)]);
+        d = SynchronizedDistance(trajectory[static_cast<size_t>(a)],
+                                 trajectory[static_cast<size_t>(c)],
+                                 trajectory[static_cast<size_t>(i)]);
       }
       worst = std::max(worst, d);
     }
     return worst;
-  }
-
-  void Push(int index) {
-    queue_.push_back(HeapEntry{RemovalCost(index), index,
-                               generation_[static_cast<size_t>(index)]});
-    std::push_heap(queue_.begin(), queue_.end(), CostGreater);
-  }
-
-  void Remove(int b) {
-    const int a = prev_[static_cast<size_t>(b)];
-    const int c = next_[static_cast<size_t>(b)];
-    alive_[static_cast<size_t>(b)] = 0;
-    next_[static_cast<size_t>(a)] = c;
-    prev_[static_cast<size_t>(c)] = a;
-    --kept_count_;
-    // Refresh the neighbours' costs (their merge ranges grew).
-    if (a > 0) {
-      ++generation_[static_cast<size_t>(a)];
-      Push(a);
-    }
-    if (c < n_ - 1) {
-      ++generation_[static_cast<size_t>(c)];
-      Push(c);
-    }
-  }
-
-  const TrajectoryView trajectory_;
-  const BottomUpMetric metric_;
-  const int n_;
-  std::vector<int>& prev_;
-  std::vector<int>& next_;
-  std::vector<int>& generation_;
-  std::vector<char>& alive_;
-  std::vector<HeapEntry>& queue_;
-  int kept_count_ = 0;
-};
+  };
+}
 
 }  // namespace
 
 void BottomUp(TrajectoryView trajectory, double epsilon, BottomUpMetric metric,
               Workspace& workspace, IndexList& out) {
   STCOMP_CHECK(epsilon >= 0.0);
-  if (trajectory.size() <= 2) {
-    KeepAll(trajectory, out);
-    return;
-  }
-  BottomUpEngine engine(trajectory, metric, workspace);
-  engine.Run([epsilon](double cost, int /*kept*/) { return cost <= epsilon; },
-             out);
+  RunBottomUp(
+      trajectory, MergeCost(trajectory, metric),
+      [epsilon](double cost, int /*kept*/) { return cost <= epsilon; },
+      workspace, out);
 }
 
 IndexList BottomUp(TrajectoryView trajectory, double epsilon,
@@ -168,14 +56,10 @@ void BottomUpMaxPoints(TrajectoryView trajectory, int max_points,
                        BottomUpMetric metric, Workspace& workspace,
                        IndexList& out) {
   STCOMP_CHECK(max_points >= 2);
-  if (static_cast<int>(trajectory.size()) <= max_points) {
-    KeepAll(trajectory, out);
-    return;
-  }
-  BottomUpEngine engine(trajectory, metric, workspace);
-  engine.Run(
+  RunBottomUp(
+      trajectory, MergeCost(trajectory, metric),
       [max_points](double /*cost*/, int kept) { return kept > max_points; },
-      out);
+      workspace, out);
 }
 
 IndexList BottomUpMaxPoints(TrajectoryView trajectory, int max_points,

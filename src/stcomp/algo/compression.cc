@@ -15,6 +15,18 @@ IndexList KeepAll(TrajectoryView trajectory) {
   return all;
 }
 
+void CollectKept(const std::vector<char>& keep, int kept_count,
+                 IndexList& out) {
+  out.clear();
+  out.reserve(static_cast<size_t>(kept_count));
+  const int n = static_cast<int>(keep.size());
+  for (int i = 0; i < n; ++i) {
+    if (keep[static_cast<size_t>(i)]) {
+      out.push_back(i);
+    }
+  }
+}
+
 bool IsValidIndexList(TrajectoryView trajectory, const IndexList& kept) {
   if (trajectory.empty()) {
     return kept.empty();

@@ -29,6 +29,12 @@ using IndexList = std::vector<int>;
 void KeepAll(TrajectoryView trajectory, IndexList& out);
 IndexList KeepAll(TrajectoryView trajectory);
 
+// The indices whose `keep` flag is set, ascending; `kept_count` (the
+// number of set flags) sizes the reserve. How the top-down family turns
+// its per-point keep flags into a result.
+void CollectKept(const std::vector<char>& keep, int kept_count,
+                 IndexList& out);
+
 // Returns true iff `kept` is sorted strictly ascending, within range, and
 // contains the endpoints (vacuously true for empty trajectories). Used by
 // tests and debug checks.

@@ -60,59 +60,19 @@ bool RangeLess(const detail::RangeEntry& a, const detail::RangeEntry& b) {
   return a.first > b.first;
 }
 
-// Copies the set-bit indices of `keep` into `out` (exact-size reserve).
-void CollectKept(const std::vector<char>& keep, int kept_count,
-                 IndexList& out) {
-  out.clear();
-  out.reserve(static_cast<size_t>(kept_count));
-  const int n = static_cast<int>(keep.size());
-  for (int i = 0; i < n; ++i) {
-    if (keep[static_cast<size_t>(i)]) {
-      out.push_back(i);
-    }
-  }
-}
-
 }  // namespace
 
 void TopDown(TrajectoryView trajectory, double epsilon,
              SplitCriterion criterion, Workspace& workspace, IndexList& out) {
   STCOMP_CHECK(epsilon >= 0.0);
-  const int n = static_cast<int>(trajectory.size());
-  if (n <= 2) {
-    KeepAll(trajectory, out);
-    return;
-  }
-  std::vector<char>& keep = workspace.keep;
-  keep.assign(static_cast<size_t>(n), 0);
-  keep[0] = 1;
-  keep[static_cast<size_t>(n) - 1] = 1;
-  int kept_count = 2;
-
-  // Explicit stack instead of recursion: GPS traces can be long and
-  // adversarial splits would otherwise risk stack exhaustion.
-  std::vector<std::pair<int, int>>& stack = workspace.ranges;
-  stack.clear();
-  stack.emplace_back(0, n - 1);
-  while (!stack.empty()) {
-    const auto [first, last] = stack.back();
-    stack.pop_back();
-    if (last - first < 2) {
-      continue;
-    }
-    const auto [split, max_distance] =
-        FarthestInterior(trajectory, first, last, criterion);
-    if (max_distance > epsilon) {
-      keep[static_cast<size_t>(split)] = 1;
-      ++kept_count;
-      // Push the right half first so the left half is processed first;
-      // order does not affect the result, only reproducibility of traces.
-      stack.emplace_back(split, last);
-      stack.emplace_back(first, split);
-    }
-  }
-
-  CollectKept(keep, kept_count, out);
+  RunTopDown(
+      trajectory,
+      [&](int first, int last) {
+        const auto [split, max_distance] =
+            FarthestInterior(trajectory, first, last, criterion);
+        return max_distance > epsilon ? split : -1;
+      },
+      workspace, out);
 }
 
 void DouglasPeucker(TrajectoryView trajectory, double epsilon_m,

@@ -56,8 +56,9 @@ int FirstWindowViolation(TrajectoryView trajectory, int anchor,
 
 void OpeningWindow(TrajectoryView trajectory, double epsilon,
                    BreakPolicy policy, WindowCriterion criterion,
-                   IndexList& out) {
+                   IndexList& out, int max_window) {
   STCOMP_CHECK(epsilon >= 0.0);
+  STCOMP_CHECK(max_window >= 2);
   const int n = static_cast<int>(trajectory.size());
   if (n <= 2) {
     KeepAll(trajectory, out);
@@ -75,14 +76,17 @@ void OpeningWindow(TrajectoryView trajectory, double epsilon,
     const int violation = FirstWindowViolation(trajectory, anchor,
                                                float_index, criterion,
                                                epsilon);
-    if (violation < 0) {
+    int cut = 0;
+    if (violation >= 0) {
+      cut = policy == BreakPolicy::kNormal ? violation : float_index - 1;
+    } else if (float_index - anchor >= max_window) {
+      cut = float_index;  // Window cap reached without a violation.
+    } else {
       ++float_index;
       continue;
     }
-    const int cut =
-        policy == BreakPolicy::kNormal ? violation : float_index - 1;
-    // Both choices are > anchor: violation >= anchor + 1 and
-    // float_index - 1 >= anchor + 1.
+    // Every cut is > anchor: violation >= anchor + 1, float_index - 1 >=
+    // anchor + 1 and float_index >= anchor + 2.
     out.push_back(cut);
     anchor = cut;
     float_index = anchor + 2;

@@ -1,11 +1,13 @@
 // Opening-window algorithms (paper Sec. 2.2): anchor a segment start,
 // grow the float until a threshold violation, cut, repeat. Parameterised
 // over the per-point distance criterion (perpendicular for the classic
-// NOPW/BOPW, synchronized time-ratio distance for OPW-TR) and over the
-// break policy.
+// NOPW/BOPW, synchronized time-ratio distance for OPW-TR), over the
+// break policy and over a window cap (the sliding window).
 
 #ifndef STCOMP_ALGO_OPENING_WINDOW_H_
 #define STCOMP_ALGO_OPENING_WINDOW_H_
+
+#include <limits>
 
 #include "stcomp/algo/compression.h"
 
@@ -45,13 +47,19 @@ int FirstWindowViolation(TrajectoryView trajectory, int anchor,
                          int float_index, WindowCriterion criterion,
                          double epsilon);
 
+// No cap on how far the float may advance past the anchor.
+inline constexpr int kUncappedWindow = std::numeric_limits<int>::max();
+
 // Opening window. A window is violated when any interior distance
-// exceeds `epsilon` (strictly). The final point is always kept (the
-// countermeasure for the "may lose the last few data points" issue the
-// paper notes). Precondition (checked): epsilon >= 0.
+// exceeds `epsilon` (strictly). When the float reaches `max_window` points
+// past the anchor without a violation, the window is cut at the float
+// (the sliding window, sliding_window.h). The final point is always kept
+// (the countermeasure for the "may lose the last few data points" issue
+// the paper notes). Preconditions (checked): epsilon >= 0,
+// max_window >= 2.
 void OpeningWindow(TrajectoryView trajectory, double epsilon,
                    BreakPolicy policy, WindowCriterion criterion,
-                   IndexList& out);
+                   IndexList& out, int max_window = kUncappedWindow);
 
 // Classic spatial variants (perpendicular distance).
 void Nopw(TrajectoryView trajectory, double epsilon_m, IndexList& out);

@@ -199,13 +199,7 @@ class PathHullDp {
         }
       }
     }
-    out.clear();
-    out.reserve(static_cast<size_t>(kept_count));
-    for (int i = 0; i < n; ++i) {
-      if (keep_[static_cast<size_t>(i)]) {
-        out.push_back(i);
-      }
-    }
+    CollectKept(keep_, kept_count, out);
   }
 
  private:

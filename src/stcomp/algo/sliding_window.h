@@ -11,9 +11,10 @@
 
 namespace stcomp::algo {
 
-// Opening window whose float may advance at most `max_window` points past
-// the anchor; when the cap is hit without a violation, the algorithm cuts
-// at the capped float and re-anchors. Perpendicular-distance criterion.
+// The normal opening window (OpeningWindow, kNormal) whose float may
+// advance at most `max_window` points past the anchor; when the cap is hit
+// without a violation, the algorithm cuts at the capped float and
+// re-anchors. Perpendicular-distance criterion.
 // Preconditions (checked): epsilon_m >= 0, max_window >= 2.
 void SlidingWindow(TrajectoryView trajectory, double epsilon_m,
                    int max_window, IndexList& out);

@@ -2,9 +2,9 @@
 
 #include <cmath>
 #include <cstddef>
-#include <utility>
 #include <vector>
 
+#include "stcomp/algo/douglas_peucker.h"
 #include "stcomp/common/check.h"
 #include "stcomp/geom/kernels.h"
 
@@ -96,74 +96,44 @@ void TdSp(TrajectoryView trajectory, double max_dist_error_m,
           double max_speed_error_mps, Workspace& workspace, IndexList& out) {
   STCOMP_CHECK(max_dist_error_m >= 0.0);
   STCOMP_CHECK(max_speed_error_mps >= 0.0);
-  const int n = static_cast<int>(trajectory.size());
-  if (n <= 2) {
-    KeepAll(trajectory, out);
-    return;
-  }
   FillSpeedJumps(trajectory, workspace.jumps);
   const std::vector<double>& jumps = workspace.jumps;
-  std::vector<char>& keep = workspace.keep;
-  keep.assign(static_cast<size_t>(n), 0);
-  keep[0] = 1;
-  keep[static_cast<size_t>(n) - 1] = 1;
-  int kept_count = 2;
-  std::vector<std::pair<int, int>>& stack = workspace.ranges;
-  stack.clear();
-  stack.emplace_back(0, n - 1);
-  while (!stack.empty()) {
-    const auto [first, last] = stack.back();
-    stack.pop_back();
-    if (last - first < 2) {
-      continue;
-    }
-    // One pass takes both maxima over the interior of the range. Each
-    // argmax starts from -1.0 and keeps the earliest strict maximum, so a
-    // NaN never wins. The speed jump needs a predecessor and successor
-    // sample in the full trajectory; interior points of any range always
-    // have both.
-    const TimedPoint& a = trajectory[static_cast<size_t>(first)];
-    const TimedPoint& b = trajectory[static_cast<size_t>(last)];
-    const kernels::SedSegment seg{a.position.x, a.position.y, a.t,
-                                  b.position.x, b.position.y, b.t};
-    int sed_index = first + 1;
-    double max_sed = -1.0;
-    int jump_index = first + 1;
-    double max_jump = -1.0;
-    for (int i = first + 1; i < last; ++i) {
-      const TimedPoint& p = trajectory[static_cast<size_t>(i)];
-      const double d =
-          kernels::SedDistancePoint(p.position.x, p.position.y, p.t, seg);
-      if (d > max_sed) {
-        max_sed = d;
-        sed_index = i;
-      }
-      const double jump = jumps[static_cast<size_t>(i)];
-      if (jump > max_jump) {
-        max_jump = jump;
-        jump_index = i;
-      }
-    }
-    int split = -1;
-    if (max_sed > max_dist_error_m) {
-      split = sed_index;
-    } else if (max_jump > max_speed_error_mps) {
-      split = jump_index;
-    }
-    if (split >= 0) {
-      keep[static_cast<size_t>(split)] = 1;
-      ++kept_count;
-      stack.emplace_back(split, last);
-      stack.emplace_back(first, split);
-    }
-  }
-  out.clear();
-  out.reserve(static_cast<size_t>(kept_count));
-  for (int i = 0; i < n; ++i) {
-    if (keep[static_cast<size_t>(i)]) {
-      out.push_back(i);
-    }
-  }
+  RunTopDown(
+      trajectory,
+      [&](int first, int last) {
+        // One pass takes both maxima over the interior of the range. Each
+        // argmax starts from -1.0 and keeps the earliest strict maximum,
+        // so a NaN never wins. The speed jump needs a predecessor and
+        // successor sample in the full trajectory; interior points of any
+        // range always have both.
+        const TimedPoint& a = trajectory[static_cast<size_t>(first)];
+        const TimedPoint& b = trajectory[static_cast<size_t>(last)];
+        const kernels::SedSegment seg{a.position.x, a.position.y, a.t,
+                                      b.position.x, b.position.y, b.t};
+        int sed_index = first + 1;
+        double max_sed = -1.0;
+        int jump_index = first + 1;
+        double max_jump = -1.0;
+        for (int i = first + 1; i < last; ++i) {
+          const TimedPoint& p = trajectory[static_cast<size_t>(i)];
+          const double d =
+              kernels::SedDistancePoint(p.position.x, p.position.y, p.t, seg);
+          if (d > max_sed) {
+            max_sed = d;
+            sed_index = i;
+          }
+          const double jump = jumps[static_cast<size_t>(i)];
+          if (jump > max_jump) {
+            max_jump = jump;
+            jump_index = i;
+          }
+        }
+        if (max_sed > max_dist_error_m) {
+          return sed_index;
+        }
+        return max_jump > max_speed_error_mps ? jump_index : -1;
+      },
+      workspace, out);
 }
 
 IndexList TdSp(TrajectoryView trajectory, double max_dist_error_m,

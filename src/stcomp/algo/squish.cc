@@ -9,7 +9,24 @@
 namespace stcomp::algo {
 
 namespace {
+
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
+
+// Feeds the whole trajectory through one buffer: the batch form of both
+// halting modes.
+void RunSquish(TrajectoryView trajectory, size_t capacity, double mu,
+               IndexList& out) {
+  if (trajectory.size() <= 2) {
+    KeepAll(trajectory, out);
+    return;
+  }
+  SquishBuffer buffer(capacity, mu);
+  for (size_t i = 0; i < trajectory.size(); ++i) {
+    buffer.Push(static_cast<int>(i), trajectory[i]);
+  }
+  buffer.Finalize(out);
+}
+
 }  // namespace
 
 SquishBuffer::SquishBuffer(size_t capacity, double mu)
@@ -121,11 +138,7 @@ SquishBufferState SquishBuffer::ExportState() const {
   SquishBufferState state;
   state.capacity = capacity_;
   state.mu = mu_;
-  state.nodes.reserve(nodes_.size());
-  for (const Node& node : nodes_) {
-    state.nodes.push_back({node.point, node.original_index, node.priority,
-                           node.carry, node.prev, node.next, node.alive});
-  }
+  state.nodes = nodes_;
   state.free_ids = free_ids_;
   state.head = head_;
   state.tail = tail_;
@@ -152,14 +165,11 @@ Status SquishBuffer::ImportState(const SquishBufferState& state) {
       return DataLossError("squish checkpoint free list is inconsistent");
     }
   }
-  nodes_.clear();
-  nodes_.reserve(state.nodes.size());
+  nodes_ = state.nodes;
   queue_.clear();
   nodes_alive_ = 0;
   for (int id = 0; id < size; ++id) {
-    const SquishBufferState::Node& node = state.nodes[static_cast<size_t>(id)];
-    nodes_.push_back({node.point, node.original_index, node.priority,
-                      node.carry, node.prev, node.next, node.alive});
+    const Node& node = nodes_[static_cast<size_t>(id)];
     if (node.alive) {
       ++nodes_alive_;
       // Exactly the live entries Push/Reprioritise maintain.
@@ -187,28 +197,10 @@ void SquishBuffer::Finalize(IndexList& out) const {
   }
 }
 
-std::vector<std::pair<int, TimedPoint>> SquishBuffer::FinalizePoints() const {
-  std::vector<std::pair<int, TimedPoint>> kept;
-  for (int id = head_; id >= 0;
-       id = nodes_[static_cast<size_t>(id)].next) {
-    const Node& node = nodes_[static_cast<size_t>(id)];
-    kept.emplace_back(node.original_index, node.point);
-  }
-  return kept;
-}
-
 void Squish(TrajectoryView trajectory, size_t buffer_capacity,
             IndexList& out) {
   STCOMP_CHECK(buffer_capacity >= 2);
-  if (trajectory.size() <= 2) {
-    KeepAll(trajectory, out);
-    return;
-  }
-  SquishBuffer buffer(buffer_capacity, 0.0);
-  for (size_t i = 0; i < trajectory.size(); ++i) {
-    buffer.Push(static_cast<int>(i), trajectory[i]);
-  }
-  buffer.Finalize(out);
+  RunSquish(trajectory, buffer_capacity, 0.0, out);
 }
 
 IndexList Squish(TrajectoryView trajectory, size_t buffer_capacity) {
@@ -219,15 +211,7 @@ IndexList Squish(TrajectoryView trajectory, size_t buffer_capacity) {
 
 void SquishE(TrajectoryView trajectory, double mu_m, IndexList& out) {
   STCOMP_CHECK(mu_m >= 0.0);
-  if (trajectory.size() <= 2) {
-    KeepAll(trajectory, out);
-    return;
-  }
-  SquishBuffer buffer(0, mu_m);
-  for (size_t i = 0; i < trajectory.size(); ++i) {
-    buffer.Push(static_cast<int>(i), trajectory[i]);
-  }
-  buffer.Finalize(out);
+  RunSquish(trajectory, 0, mu_m, out);
 }
 
 IndexList SquishE(TrajectoryView trajectory, double mu_m) {

@@ -16,8 +16,8 @@
 #ifndef STCOMP_ALGO_SQUISH_H_
 #define STCOMP_ALGO_SQUISH_H_
 
-#include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "stcomp/algo/compression.h"
@@ -30,11 +30,12 @@ namespace stcomp::algo {
 // and re-imports the in-memory structure. The priority queue is derived
 // state and is rebuilt on import.
 struct SquishBufferState {
+  // One buffered point; also the buffer's own working node.
   struct Node {
     TimedPoint point;
     int original_index = 0;
-    double priority = 0.0;
-    double carry = 0.0;
+    double priority = 0.0;  // Removal-error estimate (infinity: endpoint).
+    double carry = 0.0;     // Max priority inherited from removed neighbours.
     int prev = -1;
     int next = -1;
     bool alive = false;
@@ -66,9 +67,6 @@ class SquishBuffer {
   IndexList Finalize() const;
   void Finalize(IndexList& out) const;
 
-  // Kept points with their original indices (for streaming adapters).
-  std::vector<std::pair<int, TimedPoint>> FinalizePoints() const;
-
   // Applies `visit(original_index, point)` to every kept point in time
   // order, without materialising a result vector. The buffer remains
   // usable.
@@ -89,15 +87,7 @@ class SquishBuffer {
   Status ImportState(const SquishBufferState& state);
 
  private:
-  struct Node {
-    TimedPoint point;
-    int original_index;
-    double priority;  // Removal-error estimate (infinity for endpoints).
-    double carry;     // Max priority inherited from removed neighbours.
-    int prev;
-    int next;
-    bool alive;
-  };
+  using Node = SquishBufferState::Node;
 
   double SedPriority(const Node& node) const;
   void Reprioritise(int node_id);

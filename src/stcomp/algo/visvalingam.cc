@@ -1,155 +1,43 @@
 #include "stcomp/algo/visvalingam.h"
 
-#include <algorithm>
 #include <cmath>
-#include <vector>
+#include <cstddef>
 
+#include "stcomp/algo/bottom_up.h"
 #include "stcomp/common/check.h"
 
 namespace stcomp::algo {
 
 namespace {
 
-using detail::HeapEntry;
-
-// Min-heap order on (area, index); same pop order as the pre-workspace
-// std::priority_queue<Entry, vector, greater<>>.
-bool AreaGreater(const HeapEntry& a, const HeapEntry& b) {
-  if (a.key != b.key) {
-    return a.key > b.key;
-  }
-  return a.index > b.index;
+// The cost of removing b between a and c: the area of the triangle
+// (a, b, c) in the plane.
+auto PlanarArea(TrajectoryView t) {
+  return [t](int a, int b, int c) {
+    const Vec2 pa = t[static_cast<size_t>(a)].position;
+    const Vec2 pb = t[static_cast<size_t>(b)].position;
+    const Vec2 pc = t[static_cast<size_t>(c)].position;
+    return 0.5 * std::abs((pb - pa).Cross(pc - pa));
+  };
 }
 
-// Greedy least-area removal over a doubly-linked list with a lazily
-// invalidated heap (same engine shape as bottom_up.cc, but the cost is a
-// property of the removed point's triangle, not of the merged range). All
-// scratch lives in the caller's Workspace.
-class VisvalingamEngine {
- public:
-  using AreaFn = double (*)(TrajectoryView, int a, int b, int c,
-                            double weight);
-
-  VisvalingamEngine(TrajectoryView trajectory, AreaFn area, double weight,
-                    Workspace& workspace)
-      : trajectory_(trajectory),
-        area_(area),
-        weight_(weight),
-        n_(static_cast<int>(trajectory.size())),
-        prev_(workspace.prev),
-        next_(workspace.next),
-        generation_(workspace.generation),
-        alive_(workspace.alive),
-        queue_(workspace.heap) {
-    prev_.resize(static_cast<size_t>(n_));
-    next_.resize(static_cast<size_t>(n_));
-    generation_.assign(static_cast<size_t>(n_), 0);
-    alive_.assign(static_cast<size_t>(n_), 1);
-    queue_.clear();
-    for (int i = 0; i < n_; ++i) {
-      prev_[static_cast<size_t>(i)] = i - 1;
-      next_[static_cast<size_t>(i)] = i + 1 < n_ ? i + 1 : -1;
-    }
-    for (int i = 1; i + 1 < n_; ++i) {
-      Push(i);
-    }
-    kept_count_ = n_;
-  }
-
-  template <typename Predicate>
-  void Run(const Predicate& may_remove, IndexList& out) {
-    // Visvalingam detail: a removal can *reduce* a neighbour's area below
-    // an already-removed one's; the standard fix is to clamp each removal
-    // cost to be non-decreasing so the removal order is globally
-    // consistent.
-    double floor_area = 0.0;
-    while (!queue_.empty()) {
-      const HeapEntry top = queue_.front();
-      std::pop_heap(queue_.begin(), queue_.end(), AreaGreater);
-      queue_.pop_back();
-      if (!alive_[static_cast<size_t>(top.index)] ||
-          top.generation != generation_[static_cast<size_t>(top.index)]) {
-        continue;
-      }
-      const double effective = std::max(top.key, floor_area);
-      if (!may_remove(effective, kept_count_)) {
-        break;
-      }
-      floor_area = effective;
-      Remove(top.index);
-    }
-    out.clear();
-    out.reserve(static_cast<size_t>(kept_count_));
-    for (int i = 0; i != -1 && i < n_; i = next_[static_cast<size_t>(i)]) {
-      out.push_back(i);
-      if (next_[static_cast<size_t>(i)] == -1) {
-        break;
-      }
-    }
-  }
-
- private:
-  void Push(int index) {
-    const int a = prev_[static_cast<size_t>(index)];
-    const int c = next_[static_cast<size_t>(index)];
-    queue_.push_back(HeapEntry{area_(trajectory_, a, index, c, weight_),
-                               index,
-                               generation_[static_cast<size_t>(index)]});
-    std::push_heap(queue_.begin(), queue_.end(), AreaGreater);
-  }
-
-  void Remove(int b) {
-    const int a = prev_[static_cast<size_t>(b)];
-    const int c = next_[static_cast<size_t>(b)];
-    alive_[static_cast<size_t>(b)] = 0;
-    next_[static_cast<size_t>(a)] = c;
-    prev_[static_cast<size_t>(c)] = a;
-    --kept_count_;
-    if (a > 0) {
-      ++generation_[static_cast<size_t>(a)];
-      Push(a);
-    }
-    if (c < n_ - 1) {
-      ++generation_[static_cast<size_t>(c)];
-      Push(c);
-    }
-  }
-
-  const TrajectoryView trajectory_;
-  const AreaFn area_;
-  const double weight_;
-  const int n_;
-  std::vector<int>& prev_;
-  std::vector<int>& next_;
-  std::vector<int>& generation_;
-  std::vector<char>& alive_;
-  std::vector<HeapEntry>& queue_;
-  int kept_count_ = 0;
-};
-
-double SpatialArea(TrajectoryView t, int a, int b, int c, double /*weight*/) {
-  const Vec2 pa = t[static_cast<size_t>(a)].position;
-  const Vec2 pb = t[static_cast<size_t>(b)].position;
-  const Vec2 pc = t[static_cast<size_t>(c)].position;
-  return 0.5 * std::abs((pb - pa).Cross(pc - pa));
-}
-
-double SpatiotemporalArea(TrajectoryView t, int a, int b, int c,
-                          double weight) {
-  // Triangle area in (x, y, weight * time) space.
-  const TimedPoint& qa = t[static_cast<size_t>(a)];
-  const TimedPoint& qb = t[static_cast<size_t>(b)];
-  const TimedPoint& qc = t[static_cast<size_t>(c)];
-  const double e1x = qb.position.x - qa.position.x;
-  const double e1y = qb.position.y - qa.position.y;
-  const double e1t = weight * (qb.t - qa.t);
-  const double e2x = qc.position.x - qa.position.x;
-  const double e2y = qc.position.y - qa.position.y;
-  const double e2t = weight * (qc.t - qa.t);
-  const double cx = e1y * e2t - e1t * e2y;
-  const double cy = e1t * e2x - e1x * e2t;
-  const double cz = e1x * e2y - e1y * e2x;
-  return 0.5 * std::sqrt(cx * cx + cy * cy + cz * cz);
+// The same triangle in (x, y, weight * time) space.
+auto SpatiotemporalArea(TrajectoryView t, double weight) {
+  return [t, weight](int a, int b, int c) {
+    const TimedPoint& qa = t[static_cast<size_t>(a)];
+    const TimedPoint& qb = t[static_cast<size_t>(b)];
+    const TimedPoint& qc = t[static_cast<size_t>(c)];
+    const double e1x = qb.position.x - qa.position.x;
+    const double e1y = qb.position.y - qa.position.y;
+    const double e1t = weight * (qb.t - qa.t);
+    const double e2x = qc.position.x - qa.position.x;
+    const double e2y = qc.position.y - qa.position.y;
+    const double e2t = weight * (qc.t - qa.t);
+    const double cx = e1y * e2t - e1t * e2y;
+    const double cy = e1t * e2x - e1x * e2t;
+    const double cz = e1x * e2y - e1y * e2x;
+    return 0.5 * std::sqrt(cx * cx + cy * cy + cz * cz);
+  };
 }
 
 }  // namespace
@@ -157,14 +45,10 @@ double SpatiotemporalArea(TrajectoryView t, int a, int b, int c,
 void Visvalingam(TrajectoryView trajectory, double min_area_m2,
                  Workspace& workspace, IndexList& out) {
   STCOMP_CHECK(min_area_m2 >= 0.0);
-  if (trajectory.size() <= 2) {
-    KeepAll(trajectory, out);
-    return;
-  }
-  VisvalingamEngine engine(trajectory, SpatialArea, 0.0, workspace);
-  engine.Run(
+  RunBottomUp(
+      trajectory, PlanarArea(trajectory),
       [min_area_m2](double area, int /*kept*/) { return area < min_area_m2; },
-      out);
+      workspace, out);
 }
 
 IndexList Visvalingam(TrajectoryView trajectory, double min_area_m2) {
@@ -177,14 +61,10 @@ IndexList Visvalingam(TrajectoryView trajectory, double min_area_m2) {
 void VisvalingamMaxPoints(TrajectoryView trajectory, int max_points,
                           Workspace& workspace, IndexList& out) {
   STCOMP_CHECK(max_points >= 2);
-  if (static_cast<int>(trajectory.size()) <= max_points) {
-    KeepAll(trajectory, out);
-    return;
-  }
-  VisvalingamEngine engine(trajectory, SpatialArea, 0.0, workspace);
-  engine.Run(
+  RunBottomUp(
+      trajectory, PlanarArea(trajectory),
       [max_points](double /*area*/, int kept) { return kept > max_points; },
-      out);
+      workspace, out);
 }
 
 IndexList VisvalingamMaxPoints(TrajectoryView trajectory, int max_points) {
@@ -199,15 +79,10 @@ void VisvalingamTr(TrajectoryView trajectory, double min_area_m2,
                    IndexList& out) {
   STCOMP_CHECK(min_area_m2 >= 0.0);
   STCOMP_CHECK(time_weight_mps >= 0.0);
-  if (trajectory.size() <= 2) {
-    KeepAll(trajectory, out);
-    return;
-  }
-  VisvalingamEngine engine(trajectory, SpatiotemporalArea, time_weight_mps,
-                           workspace);
-  engine.Run(
+  RunBottomUp(
+      trajectory, SpatiotemporalArea(trajectory, time_weight_mps),
       [min_area_m2](double area, int /*kept*/) { return area < min_area_m2; },
-      out);
+      workspace, out);
 }
 
 IndexList VisvalingamTr(TrajectoryView trajectory, double min_area_m2,

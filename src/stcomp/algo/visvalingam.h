@@ -1,7 +1,8 @@
 // Visvalingam-Whyatt simplification: repeatedly remove the point whose
-// triangle with its neighbours has the least "effective area". A classic
+// triangle with its neighbours has the least area. A classic
 // line-generalization baseline complementing the distance-based ones in
-// the paper's Sec. 2 taxonomy (bottom-up category), plus a spatiotemporal
+// the paper's Sec. 2 taxonomy (bottom-up category: it runs on RunBottomUp,
+// bottom_up.h, with the triangle area as the cost), plus a spatiotemporal
 // variant whose area is measured in (time-scaled) space so that dwelling
 // points survive.
 

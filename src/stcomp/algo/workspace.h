@@ -23,8 +23,8 @@ namespace stcomp::algo {
 
 namespace detail {
 
-// (key, index, generation) node for the lazy-invalidation min-heaps of the
-// bottom-up and Visvalingam engines.
+// (key, index, generation) node for the lazy-invalidation min-heap of the
+// bottom-up engine (RunBottomUp, which Visvalingam shares).
 struct HeapEntry {
   double key = 0.0;
   int index = 0;
@@ -64,7 +64,7 @@ struct Workspace {
   std::vector<std::pair<int, int>> ranges;
 
   // Doubly-linked survivor list + lazy-heap bookkeeping for the bottom-up
-  // and Visvalingam engines.
+  // engine.
   std::vector<int> prev;
   std::vector<int> next;
   std::vector<int> generation;
@@ -78,9 +78,6 @@ struct Workspace {
   // Path-hull scratch: one deque + undo history per hull side.
   std::vector<int> hull_deque[2];
   std::vector<detail::HullUndo> hull_history[2];
-
-  // General-purpose index scratch (e.g. SQUISH finalisation).
-  std::vector<int> scratch_indices;
 
   // The SP family's per-point speed jumps (SpeedJump(i) at interior i),
   // computed once per run.

@@ -123,26 +123,19 @@ Status PartitionedSegmentStore::Open(const std::string& dir) {
     }
     shards_.push_back(std::make_unique<SegmentStore>(shard_options));
   }
+  // One recovery thread per partition: recovery cost is dominated by
+  // reading + replaying that partition's files, which is independent work
+  // (separate directories, separate metric atomics).
   std::vector<Status> results(count, Status::Ok());
-  const auto open_shard = [&](size_t i) {
-    results[i] = shards_[i]->Open(dir_ + "/" + ShardDirName(i));
-  };
-  if (options_.parallel_recovery && count > 1) {
-    // One recovery thread per partition: recovery cost is dominated by
-    // reading + replaying that partition's files, which is independent
-    // work (separate directories, separate metric atomics).
-    std::vector<std::thread> workers;
-    workers.reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-      workers.emplace_back(open_shard, i);
-    }
-    for (std::thread& worker : workers) {
-      worker.join();
-    }
-  } else {
-    for (size_t i = 0; i < count; ++i) {
-      open_shard(i);
-    }
+  std::vector<std::thread> workers;
+  workers.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    workers.emplace_back([this, &results, i] {
+      results[i] = shards_[i]->Open(dir_ + "/" + ShardDirName(i));
+    });
+  }
+  for (std::thread& worker : workers) {
+    worker.join();
   }
   for (size_t i = 0; i < count; ++i) {
     if (!results[i].ok()) {

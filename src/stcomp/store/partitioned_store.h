@@ -56,9 +56,6 @@ class PartitionedSegmentStore {
     // crash matrix uses this to fault exactly one shard's durable writes
     // while the others run clean.
     std::function<WriteFaultHook(size_t shard)> per_shard_hook;
-    // Recover partitions on worker threads (one per partition). Off turns
-    // Open() into a deterministic sequential scan — useful for debugging.
-    bool parallel_recovery = true;
   };
 
   PartitionedSegmentStore();

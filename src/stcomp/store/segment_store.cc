@@ -257,14 +257,6 @@ Status SegmentStore::Recover() {
   return Status::Ok();
 }
 
-Status SegmentStore::StageAndMaybeCommit(const WalRecord& record) {
-  STCOMP_RETURN_IF_ERROR(wal_.Append(record));
-  if (options_.commit_every_record) {
-    return wal_.Commit();
-  }
-  return Status::Ok();
-}
-
 Status SegmentStore::Append(const std::string& object_id,
                             const TimedPoint& point) {
   STCOMP_CHECK(open_);
@@ -275,7 +267,7 @@ Status SegmentStore::Append(const std::string& object_id,
   // values) decides what is worth logging.
   STCOMP_RETURN_IF_ERROR(store_.Append(object_id, point));
   STCOMP_FLIGHT_EVENT(kStoreAppend, object_id, boundary_, 0);
-  return StageAndMaybeCommit(WalRecord::Append(object_id, point));
+  return wal_.Append(WalRecord::Append(object_id, point));
 }
 
 Status SegmentStore::Insert(const std::string& object_id,
@@ -284,13 +276,13 @@ Status SegmentStore::Insert(const std::string& object_id,
   STCOMP_ASSIGN_OR_RETURN(std::string frame,
                           SerializeTrajectory(trajectory, options_.codec));
   STCOMP_RETURN_IF_ERROR(store_.Insert(object_id, trajectory));
-  return StageAndMaybeCommit(WalRecord::Insert(object_id, std::move(frame)));
+  return wal_.Append(WalRecord::Insert(object_id, std::move(frame)));
 }
 
 Status SegmentStore::Remove(const std::string& object_id) {
   STCOMP_CHECK(open_);
   STCOMP_RETURN_IF_ERROR(store_.Remove(object_id));
-  return StageAndMaybeCommit(WalRecord::Remove(object_id));
+  return wal_.Append(WalRecord::Remove(object_id));
 }
 
 Status SegmentStore::Commit() {

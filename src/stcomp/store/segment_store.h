@@ -90,9 +90,6 @@ class SegmentStore {
  public:
   struct Options {
     Codec codec = Codec::kDelta;
-    // Commit after every mutation (one record per batch). Convenient for
-    // tools; high-throughput ingest should batch and call Commit().
-    bool commit_every_record = false;
     // Crash-injection seam (testing::CrashPlan): consulted at every
     // durable write boundary of the WAL *and* of checkpoint snapshots.
     WriteFaultHook write_hook;
@@ -147,7 +144,6 @@ class SegmentStore {
   Status Recover();
   std::string SegmentPath(uint64_t sequence) const;
   std::string IndexPath() const;
-  Status StageAndMaybeCommit(const WalRecord& record);
 
   Options options_;
   std::string dir_;

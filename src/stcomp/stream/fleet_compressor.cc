@@ -35,12 +35,6 @@ FleetCompressor::AppendSink StoreSink(TrajectoryStore* store) {
 
 FleetCompressor::FleetCompressor(
     std::function<std::unique_ptr<OnlineCompressor>()> factory,
-    TrajectoryStore* store, std::string instance)
-    : FleetCompressor(std::move(factory), StoreSink(store), IngestPolicy{},
-                      std::move(instance)) {}
-
-FleetCompressor::FleetCompressor(
-    std::function<std::unique_ptr<OnlineCompressor>()> factory,
     TrajectoryStore* store, const IngestPolicy& policy, std::string instance)
     : FleetCompressor(std::move(factory), StoreSink(store), policy,
                       std::move(instance)) {}
@@ -276,21 +270,26 @@ Status FleetCompressor::RestoreState(std::string_view image) {
   return Status::Ok();
 }
 
+FleetCompressor::ObjectInfo FleetCompressor::MakeObjectInfo(
+    const std::string& object_id, const ObjectState& state) {
+  ObjectInfo info;
+  info.object_id = object_id;
+  info.fixes_in = state.fixes_in;
+  info.fixes_out = state.fixes_out;
+  info.buffered_points =
+      state.compressor->buffered_points() + state.gate.held_points();
+  info.dropped = state.gate.dropped();
+  info.repaired = state.gate.repaired();
+  info.quarantined = state.gate.quarantined();
+  return info;
+}
+
 std::vector<FleetCompressor::ObjectInfo> FleetCompressor::ObjectsSnapshot()
     const {
   std::vector<ObjectInfo> objects;
   objects.reserve(compressors_.size());
   for (const auto& [object_id, state] : compressors_) {
-    ObjectInfo info;
-    info.object_id = object_id;
-    info.fixes_in = state.fixes_in;
-    info.fixes_out = state.fixes_out;
-    info.buffered_points =
-        state.compressor->buffered_points() + state.gate.held_points();
-    info.dropped = state.gate.dropped();
-    info.repaired = state.gate.repaired();
-    info.quarantined = state.gate.quarantined();
-    objects.push_back(std::move(info));
+    objects.push_back(MakeObjectInfo(object_id, state));
   }
   return objects;
 }
@@ -301,36 +300,33 @@ std::optional<FleetCompressor::ObjectInfo> FleetCompressor::ObjectStats(
   if (it == compressors_.end()) {
     return std::nullopt;
   }
-  ObjectInfo info;
-  info.object_id = it->first;
-  info.fixes_in = it->second.fixes_in;
-  info.fixes_out = it->second.fixes_out;
-  info.buffered_points = it->second.compressor->buffered_points() +
-                         it->second.gate.held_points();
-  info.dropped = it->second.gate.dropped();
-  info.repaired = it->second.gate.repaired();
-  info.quarantined = it->second.gate.quarantined();
-  return info;
+  return MakeObjectInfo(it->first, it->second);
 }
 
 std::string FleetCompressor::RenderObjectsJson(size_t limit) const {
-  const size_t total = compressors_.size();
+  // compressors_ is ordered by id, and so is its snapshot.
+  return RenderObjectzJson(instance_, policy_.mode, std::nullopt,
+                           ObjectsSnapshot(), limit);
+}
+
+std::string RenderObjectzJson(
+    std::string_view instance, IngestMode mode, std::optional<size_t> shards,
+    const std::vector<FleetCompressor::ObjectInfo>& objects, size_t limit) {
+  const size_t total = objects.size();
   const bool truncated = limit > 0 && total > limit;
-  std::string out = StrFormat(
-      "{\"instance\":\"%s\",\"policy\":\"%s\",\"objects_total\":%zu,"
-      "\"truncated\":%s,\"objects\":[",
-      instance_.c_str(),
-      std::string(IngestModeToString(policy_.mode)).c_str(), total,
-      truncated ? "true" : "false");
-  bool first = true;
-  size_t rendered = 0;
-  for (const ObjectInfo& info : ObjectsSnapshot()) {
-    if (truncated && rendered >= limit) {
-      break;
-    }
-    ++rendered;
-    out += first ? "\n" : ",\n";
-    first = false;
+  std::string out =
+      StrFormat("{\"instance\":\"%s\",\"policy\":\"%s\",",
+                std::string(instance).c_str(),
+                std::string(IngestModeToString(mode)).c_str());
+  if (shards.has_value()) {
+    out += StrFormat("\"shards\":%zu,", *shards);
+  }
+  out += StrFormat("\"objects_total\":%zu,\"truncated\":%s,\"objects\":[",
+                   total, truncated ? "true" : "false");
+  const size_t rendered = truncated ? limit : total;
+  for (size_t i = 0; i < rendered; ++i) {
+    const FleetCompressor::ObjectInfo& info = objects[i];
+    out += i == 0 ? "\n" : ",\n";
     // Object ids come from feed identifiers; escape the JSON-hostile
     // characters a pathological feed could smuggle in.
     const std::string id = obs::JsonEscape(info.object_id);
@@ -349,7 +345,7 @@ std::string FleetCompressor::RenderObjectsJson(size_t limit) const {
         static_cast<unsigned long long>(info.repaired),
         info.quarantined ? "true" : "false");
   }
-  out += first ? "]}\n" : "\n]}\n";
+  out += rendered == 0 ? "]}\n" : "\n]}\n";
   return out;
 }
 

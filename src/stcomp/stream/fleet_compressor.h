@@ -22,7 +22,7 @@
 // ShardedFleetCompressor (stream/sharded_fleet.h). The sink constructor
 // lets committed points flow into any durability layer (a per-shard
 // SegmentStore partition, a network forwarder); the TrajectoryStore
-// constructors remain the single-shard in-memory case. Synchronization is
+// constructor remains the single-shard in-memory case. Synchronization is
 // the caller's — the sharded engine serializes all access per shard.
 
 #ifndef STCOMP_STREAM_FLEET_COMPRESSOR_H_
@@ -51,17 +51,13 @@ class FleetCompressor {
                            const TimedPoint& point)>;
 
   // `factory` builds a fresh compressor for every new object id; `store`
-  // receives committed points (must outlive the FleetCompressor).
-  // `instance` names this compressor's metric series; empty picks a unique
-  // "fleet-<n>" so concurrent instances never share counters.
+  // receives committed points (must outlive the FleetCompressor);
+  // `policy` is the ingest policy applied per object. `instance` names
+  // this compressor's metric series; empty picks a unique "fleet-<n>" so
+  // concurrent instances never share counters.
   FleetCompressor(
       std::function<std::unique_ptr<OnlineCompressor>()> factory,
-      TrajectoryStore* store, std::string instance = "");
-
-  // As above, with an explicit ingest policy applied per object.
-  FleetCompressor(
-      std::function<std::unique_ptr<OnlineCompressor>()> factory,
-      TrajectoryStore* store, const IngestPolicy& policy,
+      TrajectoryStore* store, const IngestPolicy& policy = {},
       std::string instance = "");
 
   // Generic-sink form: committed points go to `sink` instead of a
@@ -119,11 +115,8 @@ class FleetCompressor {
   // (heterogeneous lookup; no allocation on the miss path). nullopt for
   // unknown ids.
   std::optional<ObjectInfo> ObjectStats(std::string_view object_id) const;
-  // {"instance":..., "policy":..., "objects_total":N, "truncated":...,
-  //  "objects":[{...,"ratio":...}, ...]} — what the admin server's
-  // /objectz endpoint serves. `limit` bounds the rendered entries (0 =
-  // unlimited); when objects are cut, "truncated" is true and
-  // "objects_total" still reports the full count.
+  // What the admin server's /objectz endpoint serves: RenderObjectzJson
+  // over ObjectsSnapshot(), without a "shards" field.
   std::string RenderObjectsJson(size_t limit = 0) const;
 
   const IngestPolicy& policy() const { return policy_; }
@@ -158,6 +151,8 @@ class FleetCompressor {
 
   Status Drain(std::string_view object_id, ObjectState* state,
                std::vector<TimedPoint>* committed);
+  static ObjectInfo MakeObjectInfo(const std::string& object_id,
+                                   const ObjectState& state);
 
   std::function<std::unique_ptr<OnlineCompressor>()> factory_;
   AppendSink sink_;
@@ -178,6 +173,16 @@ class FleetCompressor {
   // Reused gate-output scratch (Push/FinishObject are not re-entrant).
   std::vector<TimedPoint> admitted_;
 };
+
+// The /objectz document over `objects`, which must be sorted by id:
+// {"instance":..., "policy":...[, "shards":N], "objects_total":N,
+//  "truncated":..., "objects":[{...,"ratio":...}, ...]}. "shards" appears
+// when `shards` holds a value (the sharded engine's aggregate). `limit`
+// bounds the rendered entries (0 = unlimited); when objects are cut,
+// "truncated" is true and "objects_total" still reports the full count.
+std::string RenderObjectzJson(
+    std::string_view instance, IngestMode mode, std::optional<size_t> shards,
+    const std::vector<FleetCompressor::ObjectInfo>& objects, size_t limit);
 
 }  // namespace stcomp
 

@@ -6,7 +6,6 @@
 
 #include "stcomp/common/check.h"
 #include "stcomp/common/strings.h"
-#include "stcomp/obs/exposition.h"
 #include "stcomp/obs/flight_recorder.h"
 #include "stcomp/obs/trace.h"
 #include "stcomp/stream/checkpoint.h"
@@ -410,36 +409,8 @@ std::string ShardedFleetCompressor::RenderObjectsJson(size_t limit) const {
                const FleetCompressor::ObjectInfo& b) {
               return a.object_id < b.object_id;
             });
-  const size_t total = objects.size();
-  const bool truncated = limit > 0 && total > limit;
-  std::string out = StrFormat(
-      "{\"instance\":\"%s\",\"policy\":\"%s\",\"shards\":%zu,"
-      "\"objects_total\":%zu,\"truncated\":%s,\"objects\":[",
-      instance_.c_str(),
-      std::string(IngestModeToString(options_.policy.mode)).c_str(),
-      shards_.size(), total, truncated ? "true" : "false");
-  const size_t rendered = truncated ? limit : total;
-  for (size_t i = 0; i < rendered; ++i) {
-    const FleetCompressor::ObjectInfo& info = objects[i];
-    out += i == 0 ? "\n" : ",\n";
-    const std::string id = obs::JsonEscape(info.object_id);
-    const double ratio =
-        info.fixes_in > 0
-            ? static_cast<double>(info.fixes_out) /
-                  static_cast<double>(info.fixes_in)
-            : 0.0;
-    out += StrFormat(
-        "  {\"object_id\":\"%s\",\"fixes_in\":%llu,\"fixes_out\":%llu,"
-        "\"ratio\":%.6f,\"buffered_points\":%zu,\"dropped\":%llu,"
-        "\"repaired\":%llu,\"quarantined\":%s}",
-        id.c_str(), static_cast<unsigned long long>(info.fixes_in),
-        static_cast<unsigned long long>(info.fixes_out), ratio,
-        info.buffered_points, static_cast<unsigned long long>(info.dropped),
-        static_cast<unsigned long long>(info.repaired),
-        info.quarantined ? "true" : "false");
-  }
-  out += rendered == 0 ? "]}\n" : "\n]}\n";
-  return out;
+  return RenderObjectzJson(instance_, options_.policy.mode, shards_.size(),
+                           objects, limit);
 }
 
 Status ShardedFleetCompressor::SaveState(std::string* out) {

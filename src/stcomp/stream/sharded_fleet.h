@@ -147,10 +147,10 @@ class ShardedFleetCompressor {
   };
   std::vector<ShardStats> StatsSnapshot() const;
 
-  // Cross-shard /objectz aggregation: same JSON shape as
-  // FleetCompressor::RenderObjectsJson plus "shards":N, objects merged
-  // from every shard. `limit` bounds rendered entries (0 = unlimited);
-  // "objects_total" always reports the full fleet. Thread-safe.
+  // Cross-shard /objectz aggregation: RenderObjectzJson over the objects
+  // of every shard, merged in id order, with "shards":N. `limit` bounds
+  // rendered entries (0 = unlimited); "objects_total" always reports the
+  // full fleet. Thread-safe.
   std::string RenderObjectsJson(size_t limit = 0) const;
 
   // Checkpoint/restore (see header comment). Both drain first; restore

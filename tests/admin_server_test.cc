@@ -208,7 +208,7 @@ TEST(AdminServerTest, ObjectzEscapesHostileObjectIds) {
         return std::make_unique<OpeningWindowStream>(
             5.0, algo::BreakPolicy::kNormal, StreamCriterion::kSynchronized);
       },
-      &store, "objectz-escape");
+      &store, {}, "objectz-escape");
   const std::string hostile = "veh-\"x\\y\n\xc3\xa9";
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(
@@ -388,7 +388,7 @@ TEST(AdminServerTest, ObjectzHonorsLimitQueryParam) {
         return std::make_unique<OpeningWindowStream>(
             5.0, algo::BreakPolicy::kNormal, StreamCriterion::kSynchronized);
       },
-      &store, "objectz-limit");
+      &store, {}, "objectz-limit");
   for (int object = 0; object < 5; ++object) {
     const std::string id = "veh-" + std::to_string(object);
     for (int i = 0; i < 3; ++i) {

@@ -1,14 +1,17 @@
 // Registry-wide property sweeps: invariants every compression algorithm
 // must satisfy on every input, parameterised over (algorithm x input
-// shape x threshold). Plus the rules the distance loops keep (DESIGN.md
-// §14), pinned on the algorithms that own them with hand-worked inputs.
+// shape x threshold). Plus the rules the distance loops and the greedy
+// removal engine keep (DESIGN.md §14), pinned on the algorithms that own
+// them with hand-worked inputs.
 
 #include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "stcomp/algo/bottom_up.h"
 #include "stcomp/algo/registry.h"
+#include "stcomp/algo/visvalingam.h"
 #include "stcomp/error/evaluation.h"
 #include "test_util.h"
 
@@ -139,6 +142,23 @@ TEST(LoopRuleTest, TiedMaximumSplitsAtTheEarlierPoint) {
   ExpectRuleCases({{"ndp", tie, 2.0, {0, 1, 3}},
                    {"td-tr", tie, 2.0, {0, 1, 3}},
                    {"td-sp", tie, 2.0, {0, 1, 3}}});
+}
+
+TEST(LoopRuleTest, TiedCheapestRemovalDropsTheEarlierPoint) {
+  // On the zig-zag t = x = 0..4, y = 0, 1, 0, 1, 0, every interior point
+  // costs exactly 1 to remove: it lies 1 from the segment joining its
+  // neighbours, perpendicular and synchronized, and spans a triangle of
+  // area 1 with them. One removal brings the five points down to four;
+  // the greedy engine drops point 1, the lowest index (dropping point 3
+  // would keep {0, 1, 2, 4}).
+  const Trajectory zigzag = testutil::Traj(
+      {{0, 0, 0}, {1, 1, 1}, {2, 2, 0}, {3, 3, 1}, {4, 4, 0}});
+  const IndexList expected = {0, 2, 3, 4};
+  EXPECT_EQ(BottomUpMaxPoints(zigzag, 4, BottomUpMetric::kPerpendicular),
+            expected);
+  EXPECT_EQ(BottomUpMaxPoints(zigzag, 4, BottomUpMetric::kSynchronized),
+            expected);
+  EXPECT_EQ(VisvalingamMaxPoints(zigzag, 4), expected);
 }
 
 TEST(LoopRuleTest, ThresholdIsStrictAndRadialKeepIsInclusive) {

@@ -148,7 +148,7 @@ TEST(FleetCompressorTest, DrainAccountingConsistentOnStoreError) {
 
 TEST(FleetCompressorTest, MetricsAgreeWithStoreAfterFinishAll) {
   TrajectoryStore store(Codec::kRaw);
-  FleetCompressor fleet([] { return MakeOpwTr(25.0); }, &store, "mtest");
+  FleetCompressor fleet([] { return MakeOpwTr(25.0); }, &store, {}, "mtest");
   EXPECT_EQ(fleet.instance(), "mtest");
   const Trajectory a = RandomWalk(70, 8);
   const Trajectory b = RandomWalk(90, 9);

@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "stcomp/common/strings.h"
-#include "test_util.h"
 
 namespace stcomp {
 namespace {
@@ -107,35 +106,6 @@ TEST(PartitionedStoreTest, ReshardedReopenRefuses) {
   EXPECT_NE(status.message().find("resharding requires an explicit migration"),
             std::string_view::npos)
       << status.ToString();
-}
-
-TEST(PartitionedStoreTest, SequentialRecoveryMatchesParallel) {
-  const std::string dir = FreshDir("seqpar");
-  {
-    PartitionedSegmentStore store(WithShards(4));
-    ASSERT_TRUE(store.Open(dir).ok());
-    const Trajectory walk = testutil::RandomWalk(30, 7);
-    for (int i = 0; i < 16; ++i) {
-      const std::string id = "w-" + std::to_string(i);
-      for (const TimedPoint& point : walk.points()) {
-        ASSERT_TRUE(store.Append(id, point).ok());
-      }
-    }
-    ASSERT_TRUE(store.Checkpoint().ok());
-  }
-  PartitionedSegmentStore::Options sequential = WithShards(0);
-  sequential.parallel_recovery = false;
-  PartitionedSegmentStore seq(sequential);
-  ASSERT_TRUE(seq.Open(dir).ok());
-  PartitionedSegmentStore par(WithShards(0));
-  ASSERT_TRUE(par.Open(dir).ok());
-  ASSERT_EQ(seq.num_shards(), par.num_shards());
-  for (size_t i = 0; i < seq.num_shards(); ++i) {
-    const Result<std::string> a = seq.shard(i).store().SerializeToString();
-    const Result<std::string> b = par.shard(i).store().SerializeToString();
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(*a, *b) << "shard " << i;
-  }
 }
 
 TEST(PartitionedStoreTest, FsckAggregatesShardFiles) {

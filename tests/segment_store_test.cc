@@ -112,25 +112,6 @@ TEST(SegmentStoreTest, CheckpointTruncatesWalAndPrunesSegments) {
   EXPECT_EQ(Image(reopened), checkpoint_image);
 }
 
-TEST(SegmentStoreTest, CommitEveryRecordNeedsNoExplicitCommit) {
-  const std::string dir = FreshDir("autocommit");
-  std::string image;
-  {
-    SegmentStore::Options options = RawOptions();
-    options.commit_every_record = true;
-    SegmentStore store(options);
-    ASSERT_TRUE(store.Open(dir).ok());
-    ASSERT_TRUE(store.Append("obj", TimedPoint(1.0, 1.0, 1.0)).ok());
-    ASSERT_TRUE(store.Append("obj", TimedPoint(2.0, 2.0, 2.0)).ok());
-    image = Image(store);
-    // No Commit() call: every record self-committed.
-  }
-  SegmentStore reopened(RawOptions());
-  ASSERT_TRUE(reopened.Open(dir).ok());
-  EXPECT_EQ(Image(reopened), image);
-  EXPECT_EQ(reopened.last_recovery().wal_records_replayed, 2u);
-}
-
 TEST(SegmentStoreTest, CorruptSegmentFallsBackToWal) {
   const std::string dir = FreshDir("corrupt_segment");
   std::string committed_image;

@@ -171,7 +171,7 @@ void RunDifferential(const Feed& feed, const std::vector<Trajectory>& walks,
   ASSERT_TRUE(engine.FinishAll().ok());
 
   TrajectoryStore reference_store;
-  FleetCompressor reference(MakeOpw, &reference_store,
+  FleetCompressor reference(MakeOpw, &reference_store, {},
                             instance + "-reference");
   for (const auto& [id, fix] : feed) {
     ASSERT_TRUE(reference.Push(id, fix).ok());
@@ -432,7 +432,8 @@ TEST(ShardedFleetTest, DurableModeCommitsEveryShardAndRecovers) {
 
   // Reference: single-shard run over the same feed.
   TrajectoryStore reference_store;
-  FleetCompressor reference(MakeOpw, &reference_store, "durable-reference");
+  FleetCompressor reference(MakeOpw, &reference_store, {},
+                            "durable-reference");
   for (const auto& [id, fix] : feed) {
     ASSERT_TRUE(reference.Push(id, fix).ok());
   }
