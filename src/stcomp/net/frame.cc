@@ -18,26 +18,6 @@ namespace {
 // before PR 4 closed it).
 constexpr uint64_t kMinEncodedFixBytes = 1 + 1 + 3 * 8;
 
-void AppendCrc(std::string* frame) {
-  const uint32_t crc = Crc32(*frame);
-  for (int i = 0; i < 4; ++i) {
-    frame->push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
-  }
-}
-
-Result<std::string> GetLengthPrefixedString(std::string_view* payload,
-                                            std::string_view what) {
-  STCOMP_ASSIGN_OR_RETURN(const uint64_t size, GetVarint(payload));
-  if (payload->size() < size) {
-    return DataLossError(StrFormat("net frame truncated in %.*s",
-                                   static_cast<int>(what.size()),
-                                   what.data()));
-  }
-  std::string value(payload->substr(0, size));
-  payload->remove_prefix(size);
-  return value;
-}
-
 }  // namespace
 
 std::string_view NetMessageTypeName(NetMessageType type) {
@@ -146,8 +126,7 @@ std::string EncodeNetFrame(const NetFrame& frame) {
   std::string payload;
   switch (frame.type) {
     case NetMessageType::kHello:
-      PutVarint(frame.client_id.size(), &payload);
-      payload += frame.client_id;
+      PutString(frame.client_id, &payload);
       PutVarint(frame.flags, &payload);
       break;
     case NetMessageType::kHelloAck:
@@ -158,11 +137,8 @@ std::string EncodeNetFrame(const NetFrame& frame) {
       PutVarint(frame.batch_seq, &payload);
       PutVarint(frame.fixes.size(), &payload);
       for (const NetFix& fix : frame.fixes) {
-        PutVarint(fix.object_id.size(), &payload);
-        payload += fix.object_id;
-        PutDouble(fix.fix.t, &payload);
-        PutDouble(fix.fix.position.x, &payload);
-        PutDouble(fix.fix.position.y, &payload);
+        PutString(fix.object_id, &payload);
+        PutTimedPoint(fix.fix, &payload);
       }
       break;
     case NetMessageType::kBatchAck:
@@ -171,8 +147,7 @@ std::string EncodeNetFrame(const NetFrame& frame) {
     case NetMessageType::kError:
     case NetMessageType::kGoAway:
       payload.push_back(static_cast<char>(frame.code));
-      PutVarint(frame.message.size(), &payload);
-      payload += frame.message;
+      PutString(frame.message, &payload);
       break;
     case NetMessageType::kBye:
       break;
@@ -180,9 +155,8 @@ std::string EncodeNetFrame(const NetFrame& frame) {
   std::string out(kNetMagic, sizeof(kNetMagic));
   out.push_back(static_cast<char>(kNetProtocolVersion));
   out.push_back(static_cast<char>(frame.type));
-  PutVarint(payload.size(), &out);
-  out += payload;
-  AppendCrc(&out);
+  PutString(payload, &out);
+  AppendCrc32Trailer(&out);
   return out;
 }
 
@@ -198,25 +172,9 @@ Result<NetFrame> DecodeNetFrame(std::string_view* input) {
   const uint8_t type_byte = static_cast<uint8_t>((*input)[5]);
   input->remove_prefix(6);
   STCOMP_ASSIGN_OR_RETURN(const uint64_t payload_size, GetVarint(input));
-  // Overflow-safe form of `size < payload_size + 4`: a hostile varint
-  // declaring ~2^64 bytes must read as truncation, not wrap the sum and
-  // sail past the bounds check into out-of-range reads.
-  if (input->size() < 4 || input->size() - 4 < payload_size) {
-    return DataLossError("net frame truncated in payload");
-  }
-  std::string_view payload = input->substr(0, payload_size);
-  input->remove_prefix(payload_size);
-  uint32_t stored_crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored_crc |= static_cast<uint32_t>(static_cast<uint8_t>((*input)[i]))
-                  << (8 * i);
-  }
-  const size_t crc_span =
-      static_cast<size_t>(input->data() - frame_start.data());
-  input->remove_prefix(4);
-  if (Crc32(frame_start.substr(0, crc_span)) != stored_crc) {
-    return DataLossError("net frame CRC mismatch");
-  }
+  STCOMP_ASSIGN_OR_RETURN(
+      std::string_view payload,
+      ReadCrc32Trailer(frame_start, input, payload_size, "net frame"));
   // The CRC held, so the version byte is what the peer really sent — a
   // future protocol speaking to this build, not corruption.
   if (version != kNetProtocolVersion) {
@@ -233,8 +191,9 @@ Result<NetFrame> DecodeNetFrame(std::string_view* input) {
   frame.type = static_cast<NetMessageType>(type_byte);
   switch (frame.type) {
     case NetMessageType::kHello: {
-      STCOMP_ASSIGN_OR_RETURN(frame.client_id,
-                              GetLengthPrefixedString(&payload, "client id"));
+      STCOMP_ASSIGN_OR_RETURN(const std::string_view client_id,
+                              GetString(&payload));
+      frame.client_id = std::string(client_id);
       STCOMP_ASSIGN_OR_RETURN(frame.flags, GetVarint(&payload));
       break;
     }
@@ -251,16 +210,13 @@ Result<NetFrame> DecodeNetFrame(std::string_view* input) {
       }
       frame.fixes.reserve(count);
       for (uint64_t i = 0; i < count; ++i) {
-        NetFix fix;
-        STCOMP_ASSIGN_OR_RETURN(fix.object_id,
-                                GetLengthPrefixedString(&payload, "object id"));
-        if (fix.object_id.empty()) {
+        STCOMP_ASSIGN_OR_RETURN(const std::string_view object_id,
+                                GetString(&payload));
+        if (object_id.empty()) {
           return DataLossError("net batch fix with empty object id");
         }
-        STCOMP_ASSIGN_OR_RETURN(fix.fix.t, GetDouble(&payload));
-        STCOMP_ASSIGN_OR_RETURN(fix.fix.position.x, GetDouble(&payload));
-        STCOMP_ASSIGN_OR_RETURN(fix.fix.position.y, GetDouble(&payload));
-        frame.fixes.push_back(std::move(fix));
+        STCOMP_ASSIGN_OR_RETURN(const TimedPoint fix, GetTimedPoint(&payload));
+        frame.fixes.push_back({std::string(object_id), fix});
       }
       break;
     }
@@ -275,8 +231,9 @@ Result<NetFrame> DecodeNetFrame(std::string_view* input) {
       }
       frame.code = static_cast<uint8_t>(payload[0]);
       payload.remove_prefix(1);
-      STCOMP_ASSIGN_OR_RETURN(frame.message,
-                              GetLengthPrefixedString(&payload, "message"));
+      STCOMP_ASSIGN_OR_RETURN(const std::string_view message,
+                              GetString(&payload));
+      frame.message = std::string(message);
       break;
     }
     case NetMessageType::kBye:
@@ -331,7 +288,8 @@ FrameScan ScanNetFrame(std::string_view buffer, size_t max_payload,
                   static_cast<unsigned long long>(payload_size), max_payload));
     return FrameScan::kError;
   }
-  const size_t total = cursor + static_cast<size_t>(payload_size) + 4;
+  const size_t total = cursor + static_cast<size_t>(payload_size) +
+                       kCrc32TrailerBytes;
   if (buffer.size() < total) {
     return FrameScan::kNeedMore;
   }

@@ -1,25 +1,26 @@
 // The stcomp network ingest wire protocol (DESIGN.md §18): length-
 // prefixed, CRC-framed binary messages carrying position fixes from
-// device links into the fleet engine. Reuses the WAL "STWL" framing
-// discipline — magic, version, type, payload length varint, payload,
-// CRC32 over everything before the CRC — so the decoder hardening story
-// (strict decode, fuzzed, salvage-free: a connection with one bad frame
-// is closed, never resynced) carries over.
+// device links into the fleet engine. Framed like the WAL's "STWL"
+// records, from the same primitives (store/varint.h fields, the
+// serialization.h CRC-32 trailer): magic, version, type, length-prefixed
+// payload, CRC32 over everything before the CRC. The decoder is strict,
+// fuzzed and salvage-free: a connection with one bad frame is closed,
+// never resynced.
 //
 // Frame layout (all little-endian):
 //
 //   magic "STNI" | version u8 | type u8 | payload len varint | payload
 //   | crc32 (4 bytes, over everything before it)
 //
-// Payloads by type:
+// Payloads by type (strings are length-prefixed: len varint + bytes):
 //
-//   kHello     client id (len varint + bytes) | flags varint (reserved 0)
+//   kHello     client id string | flags varint (reserved 0)
 //   kHelloAck  session id varint | last acked batch seq varint
 //   kBatch     batch seq varint | fix count varint | fixes, each:
-//              object id (len varint + bytes) | t, x, y raw doubles
+//              object id string | t, x, y raw doubles
 //   kBatchAck  batch seq varint
-//   kError     error code u8 | message (len varint + bytes)
-//   kGoAway    reason u8 | message (len varint + bytes)
+//   kError     error code u8 | message string
+//   kGoAway    reason u8 | message string
 //   kBye       (empty)
 //
 // Handshake and resume: a client opens with kHello carrying a stable

@@ -61,9 +61,7 @@ Status EncodePointsImpl(const TimedPoint* points, size_t count, Codec codec,
   switch (codec) {
     case Codec::kRaw:
       for (size_t i = 0; i < count; ++i) {
-        PutDouble(points[i].t, out);
-        PutDouble(points[i].position.x, out);
-        PutDouble(points[i].position.y, out);
+        PutTimedPoint(points[i], out);
       }
       return Status::Ok();
     case Codec::kDelta: {
@@ -104,10 +102,8 @@ Status DecodePointsImpl(std::string_view* input, Codec codec, size_t count,
   switch (codec) {
     case Codec::kRaw:
       for (size_t i = 0; i < count; ++i) {
-        STCOMP_ASSIGN_OR_RETURN(const double t, GetDouble(input));
-        STCOMP_ASSIGN_OR_RETURN(const double x, GetDouble(input));
-        STCOMP_ASSIGN_OR_RETURN(const double y, GetDouble(input));
-        out->emplace_back(t, x, y);
+        STCOMP_ASSIGN_OR_RETURN(const TimedPoint point, GetTimedPoint(input));
+        out->push_back(point);
       }
       return Status::Ok();
     case Codec::kDelta: {
@@ -155,9 +151,7 @@ Status EncodeNextPoint(const TimedPoint* previous, const TimedPoint& point,
                        Codec codec, std::string* out) {
   switch (codec) {
     case Codec::kRaw:
-      PutDouble(point.t, out);
-      PutDouble(point.position.x, out);
-      PutDouble(point.position.y, out);
+      PutTimedPoint(point, out);
       return Status::Ok();
     case Codec::kDelta: {
       int64_t previous_t = 0;

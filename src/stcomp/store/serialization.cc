@@ -66,19 +66,38 @@ uint32_t Crc32(std::string_view data) {
   return crc ^ 0xffffffffu;
 }
 
+void AppendCrc32Trailer(std::string* frame) {
+  PutFixed32(Crc32(*frame), frame);
+}
+
+Result<std::string_view> ReadCrc32Trailer(std::string_view frame_start,
+                                          std::string_view* input,
+                                          uint64_t payload_size,
+                                          std::string_view what) {
+  if (input->size() < kCrc32TrailerBytes ||
+      input->size() - kCrc32TrailerBytes < payload_size) {
+    return DataLossError(std::string(what) + " truncated before its CRC");
+  }
+  const std::string_view payload = input->substr(0, payload_size);
+  input->remove_prefix(payload_size);
+  const size_t covered =
+      static_cast<size_t>(input->data() - frame_start.data());
+  STCOMP_ASSIGN_OR_RETURN(const uint32_t stored, GetFixed32(input));
+  if (Crc32(frame_start.substr(0, covered)) != stored) {
+    return DataLossError(std::string(what) + " CRC mismatch");
+  }
+  return payload;
+}
+
 Result<std::string> SerializeTrajectory(const Trajectory& trajectory,
                                         Codec codec) {
   std::string out(kMagic, sizeof(kMagic));
   out.push_back(static_cast<char>(kVersion));
   out.push_back(static_cast<char>(codec));
-  PutVarint(trajectory.name().size(), &out);
-  out += trajectory.name();
+  PutString(trajectory.name(), &out);
   PutVarint(trajectory.size(), &out);
   STCOMP_RETURN_IF_ERROR(EncodePoints(trajectory, codec, &out));
-  const uint32_t crc = Crc32(out);
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
-  }
+  AppendCrc32Trailer(&out);
   return out;
 }
 
@@ -98,16 +117,12 @@ Result<std::string> SerializeBlockedFrame(
   std::string out(kMagic, sizeof(kMagic));
   out.push_back(static_cast<char>(kVersionBlocked));
   out.push_back(static_cast<char>(codec));
-  PutVarint(name.size(), &out);
-  out += name;
+  PutString(name, &out);
   PutVarint(points, &out);
   PutVarint(blocks.size(), &out);
   AppendSummaryTable(blocks, &out);
   out += payload;
-  const uint32_t crc = Crc32(out);
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
-  }
+  AppendCrc32Trailer(&out);
   return out;
 }
 
@@ -142,12 +157,7 @@ Result<Trajectory> DeserializeTrajectory(std::string_view* input,
     return DataLossError("unknown codec id");
   }
   const Codec codec = static_cast<Codec>(codec_byte);
-  STCOMP_ASSIGN_OR_RETURN(const uint64_t name_size, GetVarint(input));
-  if (input->size() < name_size) {
-    return DataLossError("trajectory frame truncated in name");
-  }
-  std::string name(input->substr(0, name_size));
-  input->remove_prefix(name_size);
+  STCOMP_ASSIGN_OR_RETURN(const std::string_view name, GetString(input));
   STCOMP_ASSIGN_OR_RETURN(const uint64_t count, GetVarint(input));
   std::vector<TimedPoint> points;
   std::vector<BlockSummary> blocks;
@@ -178,23 +188,11 @@ Result<Trajectory> DeserializeTrajectory(std::string_view* input,
     payload =
         payload_start.substr(0, payload_start.size() - input->size());
   }
-  if (input->size() < 4) {
-    return DataLossError("trajectory frame truncated before CRC");
-  }
-  uint32_t stored_crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored_crc |= static_cast<uint32_t>(static_cast<uint8_t>((*input)[i]))
-                  << (8 * i);
-  }
-  const size_t frame_size =
-      static_cast<size_t>(input->data() - frame_start.data());
-  input->remove_prefix(4);
-  if (Crc32(frame_start.substr(0, frame_size)) != stored_crc) {
-    return DataLossError("trajectory frame CRC mismatch");
-  }
+  STCOMP_RETURN_IF_ERROR(
+      ReadCrc32Trailer(frame_start, input, 0, "trajectory frame").status());
   STCOMP_ASSIGN_OR_RETURN(Trajectory trajectory,
                           Trajectory::FromPoints(std::move(points)));
-  trajectory.set_name(std::move(name));
+  trajectory.set_name(std::string(name));
   if (layout != nullptr) {
     layout->codec = codec;
     layout->blocks = std::move(blocks);
@@ -211,37 +209,22 @@ std::vector<Trajectory> ScanTrajectoryFrames(
     stats = &local;
   }
   std::vector<Trajectory> frames;
-  const std::string_view magic(kMagic, sizeof(kMagic));
-  std::string_view cursor = image;
-  while (!cursor.empty()) {
-    const size_t offset = static_cast<size_t>(cursor.data() - image.data());
-    std::string_view attempt = cursor;
-    FrameLayout layout;
-    Result<Trajectory> frame = DeserializeTrajectory(
-        &attempt, layouts != nullptr ? &layout : nullptr);
-    if (frame.ok()) {
-      frames.push_back(*std::move(frame));
-      if (layouts != nullptr) {
-        layouts->push_back(std::move(layout));
-      }
-      ++stats->frames_good;
-      cursor = attempt;
-      continue;
-    }
-    // Resync: skip at least one byte, then hunt for the next magic. No
-    // later magic means the failure is the interrupted final write.
-    const size_t next = cursor.substr(1).find(magic);
-    if (next == std::string_view::npos) {
-      stats->torn_tail = true;
-      stats->log.push_back("torn-tail@" + std::to_string(offset) + ": " +
-                           frame.status().ToString());
-      break;
-    }
-    ++stats->frames_salvaged_past;
-    stats->log.push_back("salvaged-past@" + std::to_string(offset) + ": " +
-                         frame.status().ToString());
-    cursor.remove_prefix(next + 1);
-  }
+  SalvageFrames(
+      image, std::string_view(kMagic, sizeof(kMagic)), stats,
+      [&](std::string_view* cursor) {
+        FrameLayout layout;
+        Result<Trajectory> frame = DeserializeTrajectory(
+            cursor, layouts != nullptr ? &layout : nullptr);
+        if (!frame.ok()) {
+          return frame.status();
+        }
+        frames.push_back(*std::move(frame));
+        if (layouts != nullptr) {
+          layouts->push_back(std::move(layout));
+        }
+        ++stats->frames_good;
+        return Status::Ok();
+      });
   return frames;
 }
 

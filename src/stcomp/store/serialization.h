@@ -36,6 +36,70 @@ namespace stcomp {
 // step (slicing-by-8); the same value as the bytewise table form.
 uint32_t Crc32(std::string_view data);
 
+// The CRC-32 trailer that closes every checksummed format (STCT, STWL,
+// STNI, STIX): Crc32 of all of the frame's bytes before it, as four
+// little-endian bytes.
+inline constexpr size_t kCrc32TrailerBytes = 4;
+
+// Appends the trailer over everything in `*frame` so far.
+void AppendCrc32Trailer(std::string* frame);
+
+// Reads the end of a frame from the front of `*input`: `payload_size`
+// payload bytes, then the trailer, which must equal Crc32 of the frame
+// from its first byte (where `frame_start` begins; `*input` views a
+// suffix of it) up to the trailer. Returns the payload and advances
+// `*input` past the trailer. kDataLoss, naming `what`, when fewer than
+// payload_size + 4 bytes remain or the checksum disagrees; the length
+// test never forms that sum, so a hostile declared length near 2^64
+// reads as truncation.
+Result<std::string_view> ReadCrc32Trailer(std::string_view frame_start,
+                                          std::string_view* input,
+                                          uint64_t payload_size,
+                                          std::string_view what);
+
+// What a salvaging scan skipped (SalvageFrames below).
+struct SalvageStats {
+  size_t frames_salvaged_past = 0;  // Corrupted frames skipped via resync.
+  bool torn_tail = false;  // The final write was interrupted mid-frame.
+  std::vector<std::string> log;  // One human-readable line per skip.
+};
+
+// Salvaging scan (DESIGN.md §13) over an image of back-to-back frames
+// that each open with `magic`, shared by the segment (STCT) and WAL
+// (STWL) scanners. Strict decoding turns one flipped bit into kDataLoss
+// for the whole image; this scan instead recovers every intact frame. At
+// each position `decode_one(&cursor)` strict-decodes one frame from the
+// front of a copy of the cursor, advancing the copy, and returns its
+// Status; on success the scan goes on behind the frame. A frame that
+// fails is skipped: the scan moves at least one byte on and
+// resynchronises at the next `magic`. A failure with no later magic is a
+// torn tail (an interrupted final write), counted apart from mid-image
+// corruption, and ends the scan.
+template <typename DecodeOne>
+void SalvageFrames(std::string_view image, std::string_view magic,
+                   SalvageStats* stats, DecodeOne&& decode_one) {
+  std::string_view cursor = image;
+  while (!cursor.empty()) {
+    std::string_view attempt = cursor;
+    const Status status = decode_one(&attempt);
+    if (status.ok()) {
+      cursor = attempt;
+      continue;
+    }
+    const std::string at =
+        std::to_string(static_cast<size_t>(cursor.data() - image.data()));
+    const size_t next = cursor.substr(1).find(magic);
+    if (next == std::string_view::npos) {
+      stats->torn_tail = true;
+      stats->log.push_back("torn-tail@" + at + ": " + status.ToString());
+      return;
+    }
+    ++stats->frames_salvaged_past;
+    stats->log.push_back("salvaged-past@" + at + ": " + status.ToString());
+    cursor.remove_prefix(next + 1);
+  }
+}
+
 Result<std::string> SerializeTrajectory(const Trajectory& trajectory,
                                         Codec codec);
 
@@ -70,17 +134,9 @@ struct FrameLayout {
 Result<Trajectory> DeserializeTrajectory(std::string_view* input,
                                          FrameLayout* layout = nullptr);
 
-// Salvaging frame scan (DESIGN.md §13). Strict decoding (above) turns one
-// flipped bit into kDataLoss for the whole image; the scanner instead
-// recovers every intact frame: a frame that fails to decode is skipped and
-// the scan resynchronises at the next magic. A trailing failure with no
-// later resync point is a torn tail (an interrupted final write), counted
-// separately from mid-image corruption.
-struct FrameScanStats {
+// Salvaging scan of an image of trajectory frames (SalvageFrames).
+struct FrameScanStats : SalvageStats {
   size_t frames_good = 0;
-  size_t frames_salvaged_past = 0;  // Corrupted frames skipped via resync.
-  bool torn_tail = false;
-  std::vector<std::string> log;  // One human-readable line per skip.
 };
 
 // Returns every decodable frame in order. `stats` may be null; `layouts`

@@ -16,12 +16,6 @@ constexpr uint8_t kIndexVersion = 1;
 // The v1 header's cell size: written as-is, checked on load, else unused.
 constexpr double kCellSizeM = 250.0;
 
-void PutCrc(uint32_t crc, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
-  }
-}
-
 }  // namespace
 
 std::pair<size_t, size_t> BlocksOverlappingTime(
@@ -73,14 +67,13 @@ std::string SpatioTemporalIndex::SerializeToString() const {
   PutDouble(kCellSizeM, &out);
   PutVarint(objects_.size(), &out);
   for (const ObjectEntry& entry : objects_) {
-    PutVarint(entry.id.size(), &out);
-    out += entry.id;
+    PutString(entry.id, &out);
     PutVarint(entry.num_points, &out);
-    PutCrc(entry.payload_crc, &out);
+    PutFixed32(entry.payload_crc, &out);
     PutVarint(entry.blocks.size(), &out);
     AppendSummaryTable(entry.blocks, &out);
   }
-  PutCrc(Crc32(out), &out);
+  AppendCrc32Trailer(&out);
   return out;
 }
 
@@ -93,16 +86,11 @@ Result<SpatioTemporalIndex> SpatioTemporalIndex::LoadFromBuffer(
     return DataLossError("bad magic; not an index image");
   }
   // Whole-image CRC first: everything after this parses trusted bytes.
-  uint32_t stored_crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored_crc |= static_cast<uint32_t>(
-                      static_cast<uint8_t>(data[data.size() - 4 + i]))
-                  << (8 * i);
-  }
-  if (Crc32(data.substr(0, data.size() - 4)) != stored_crc) {
-    return DataLossError("index image CRC mismatch");
-  }
-  std::string_view cursor = data.substr(4, data.size() - 8);
+  std::string_view rest = data.substr(sizeof(kIndexMagic));
+  STCOMP_ASSIGN_OR_RETURN(
+      std::string_view cursor,
+      ReadCrc32Trailer(data, &rest,
+                       rest.size() - kCrc32TrailerBytes, "index image"));
   const uint8_t version = static_cast<uint8_t>(cursor[0]);
   cursor.remove_prefix(1);
   if (version != kIndexVersion) {
@@ -120,12 +108,8 @@ Result<SpatioTemporalIndex> SpatioTemporalIndex::LoadFromBuffer(
   index.objects_.reserve(object_count);
   for (uint64_t i = 0; i < object_count; ++i) {
     ObjectEntry entry;
-    STCOMP_ASSIGN_OR_RETURN(const uint64_t id_size, GetVarint(&cursor));
-    if (cursor.size() < id_size) {
-      return DataLossError("index truncated in object id");
-    }
-    entry.id.assign(cursor.substr(0, id_size));
-    cursor.remove_prefix(id_size);
+    STCOMP_ASSIGN_OR_RETURN(const std::string_view id, GetString(&cursor));
+    entry.id.assign(id);
     if (entry.id.empty()) {
       return DataLossError("index object without an id");
     }
@@ -133,15 +117,7 @@ Result<SpatioTemporalIndex> SpatioTemporalIndex::LoadFromBuffer(
       return DataLossError("index object ids out of order");
     }
     STCOMP_ASSIGN_OR_RETURN(entry.num_points, GetVarint(&cursor));
-    if (cursor.size() < 4) {
-      return DataLossError("index truncated in payload CRC");
-    }
-    entry.payload_crc = 0;
-    for (int b = 0; b < 4; ++b) {
-      entry.payload_crc |=
-          static_cast<uint32_t>(static_cast<uint8_t>(cursor[b])) << (8 * b);
-    }
-    cursor.remove_prefix(4);
+    STCOMP_ASSIGN_OR_RETURN(entry.payload_crc, GetFixed32(&cursor));
     STCOMP_ASSIGN_OR_RETURN(const uint64_t block_count, GetVarint(&cursor));
     STCOMP_ASSIGN_OR_RETURN(
         entry.blocks, ParseSummaryTable(&cursor, block_count,

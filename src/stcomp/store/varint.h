@@ -1,4 +1,6 @@
-// LEB128 varint and zigzag primitives for the trajectory codec.
+// The field primitives every stcomp byte format is built from: LEB128
+// varints, zigzag, fixed-width little-endian words and doubles,
+// length-prefixed strings and raw (t, x, y) points.
 
 #ifndef STCOMP_STORE_VARINT_H_
 #define STCOMP_STORE_VARINT_H_
@@ -9,6 +11,7 @@
 #include <string_view>
 
 #include "stcomp/common/result.h"
+#include "stcomp/core/trajectory.h"
 
 namespace stcomp {
 
@@ -39,9 +42,22 @@ constexpr int64_t ZigZagDecode(uint64_t value) {
 void PutSignedVarint(int64_t value, std::string* out);
 Result<int64_t> GetSignedVarint(std::string_view* input);
 
-// Fixed-width little-endian doubles (for the raw codec).
+// Fixed-width little-endian words and doubles (the raw codec, CRCs).
+// Readers take the cursor by pointer and advance it; a short input is
+// kDataLoss.
+void PutFixed32(uint32_t value, std::string* out);
+Result<uint32_t> GetFixed32(std::string_view* input);
 void PutDouble(double value, std::string* out);
 Result<double> GetDouble(std::string_view* input);
+
+// Length-prefixed bytes: the length as a varint, then the bytes. The
+// view GetString returns aliases `*input`.
+void PutString(std::string_view value, std::string* out);
+Result<std::string_view> GetString(std::string_view* input);
+
+// One point as three raw doubles, t, x, y, so it reads back bit for bit.
+void PutTimedPoint(const TimedPoint& point, std::string* out);
+Result<TimedPoint> GetTimedPoint(std::string_view* input);
 
 }  // namespace stcomp
 

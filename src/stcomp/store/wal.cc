@@ -25,13 +25,6 @@ constexpr char kWalMagic[4] = {'S', 'T', 'W', 'L'};
   return slash == std::string_view::npos ? path : path.substr(slash + 1);
 }
 
-void AppendCrc(std::string* frame) {
-  const uint32_t crc = Crc32(*frame);
-  for (int i = 0; i < 4; ++i) {
-    frame->push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
-  }
-}
-
 }  // namespace
 
 WalRecord WalRecord::Append(std::string object_id, const TimedPoint& point) {
@@ -66,31 +59,17 @@ WalRecord WalRecord::Commit() {
 std::string EncodeWalFrame(const WalRecord& record) {
   std::string payload;
   payload.push_back(static_cast<char>(record.type));
-  switch (record.type) {
-    case WalRecordType::kAppend:
-      PutVarint(record.object_id.size(), &payload);
-      payload += record.object_id;
-      PutDouble(record.point.t, &payload);
-      PutDouble(record.point.position.x, &payload);
-      PutDouble(record.point.position.y, &payload);
-      break;
-    case WalRecordType::kInsert:
-      PutVarint(record.object_id.size(), &payload);
-      payload += record.object_id;
-      PutVarint(record.payload.size(), &payload);
-      payload += record.payload;
-      break;
-    case WalRecordType::kRemove:
-      PutVarint(record.object_id.size(), &payload);
-      payload += record.object_id;
-      break;
-    case WalRecordType::kCommit:
-      break;
+  if (record.type != WalRecordType::kCommit) {
+    PutString(record.object_id, &payload);
+  }
+  if (record.type == WalRecordType::kAppend) {
+    PutTimedPoint(record.point, &payload);
+  } else if (record.type == WalRecordType::kInsert) {
+    PutString(record.payload, &payload);
   }
   std::string frame(kWalMagic, sizeof(kWalMagic));
-  PutVarint(payload.size(), &frame);
-  frame += payload;
-  AppendCrc(&frame);
+  PutString(payload, &frame);
+  AppendCrc32Trailer(&frame);
   return frame;
 }
 
@@ -104,22 +83,9 @@ Result<WalRecord> DecodeWalFrame(std::string_view* input) {
   }
   input->remove_prefix(4);
   STCOMP_ASSIGN_OR_RETURN(const uint64_t payload_size, GetVarint(input));
-  if (input->size() < payload_size + 4) {
-    return DataLossError("wal frame truncated in payload");
-  }
-  std::string_view payload = input->substr(0, payload_size);
-  input->remove_prefix(payload_size);
-  uint32_t stored_crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored_crc |= static_cast<uint32_t>(static_cast<uint8_t>((*input)[i]))
-                  << (8 * i);
-  }
-  const size_t frame_size =
-      static_cast<size_t>(input->data() - frame_start.data());
-  input->remove_prefix(4);
-  if (Crc32(frame_start.substr(0, frame_size)) != stored_crc) {
-    return DataLossError("wal frame CRC mismatch");
-  }
+  STCOMP_ASSIGN_OR_RETURN(
+      std::string_view payload,
+      ReadCrc32Trailer(frame_start, input, payload_size, "wal frame"));
   if (payload.empty()) {
     return DataLossError("wal frame with empty payload");
   }
@@ -132,32 +98,14 @@ Result<WalRecord> DecodeWalFrame(std::string_view* input) {
   }
   record.type = static_cast<WalRecordType>(type_byte);
   if (record.type != WalRecordType::kCommit) {
-    STCOMP_ASSIGN_OR_RETURN(const uint64_t id_size, GetVarint(&payload));
-    if (payload.size() < id_size) {
-      return DataLossError("wal record truncated in object id");
-    }
-    record.object_id = std::string(payload.substr(0, id_size));
-    payload.remove_prefix(id_size);
+    STCOMP_ASSIGN_OR_RETURN(const std::string_view id, GetString(&payload));
+    record.object_id = std::string(id);
   }
-  switch (record.type) {
-    case WalRecordType::kAppend: {
-      STCOMP_ASSIGN_OR_RETURN(record.point.t, GetDouble(&payload));
-      STCOMP_ASSIGN_OR_RETURN(record.point.position.x, GetDouble(&payload));
-      STCOMP_ASSIGN_OR_RETURN(record.point.position.y, GetDouble(&payload));
-      break;
-    }
-    case WalRecordType::kInsert: {
-      STCOMP_ASSIGN_OR_RETURN(const uint64_t frame_len, GetVarint(&payload));
-      if (payload.size() < frame_len) {
-        return DataLossError("wal insert record truncated in payload");
-      }
-      record.payload = std::string(payload.substr(0, frame_len));
-      payload.remove_prefix(frame_len);
-      break;
-    }
-    case WalRecordType::kRemove:
-    case WalRecordType::kCommit:
-      break;
+  if (record.type == WalRecordType::kAppend) {
+    STCOMP_ASSIGN_OR_RETURN(record.point, GetTimedPoint(&payload));
+  } else if (record.type == WalRecordType::kInsert) {
+    STCOMP_ASSIGN_OR_RETURN(const std::string_view frame, GetString(&payload));
+    record.payload = std::string(frame);
   }
   if (!payload.empty()) {
     return DataLossError("wal record has trailing bytes");
@@ -170,39 +118,25 @@ std::vector<WalRecord> ScanWal(std::string_view image, WalScanStats* stats) {
   if (stats == nullptr) {
     stats = &local;
   }
-  const std::string_view magic(kWalMagic, sizeof(kWalMagic));
   std::vector<WalRecord> committed;
   std::vector<WalRecord> batch;
-  std::string_view cursor = image;
-  while (!cursor.empty()) {
-    const size_t offset = static_cast<size_t>(cursor.data() - image.data());
-    std::string_view attempt = cursor;
-    Result<WalRecord> record = DecodeWalFrame(&attempt);
-    if (record.ok()) {
-      cursor = attempt;
-      if (record->type == WalRecordType::kCommit) {
-        stats->records_replayed += batch.size();
-        for (WalRecord& sealed : batch) {
-          committed.push_back(std::move(sealed));
-        }
-        batch.clear();
-      } else {
-        batch.push_back(*std::move(record));
-      }
-      continue;
-    }
-    const size_t next = cursor.substr(1).find(magic);
-    if (next == std::string_view::npos) {
-      stats->torn_tail = true;
-      stats->log.push_back("torn-tail@" + std::to_string(offset) + ": " +
-                           record.status().ToString());
-      break;
-    }
-    ++stats->frames_salvaged_past;
-    stats->log.push_back("salvaged-past@" + std::to_string(offset) + ": " +
-                         record.status().ToString());
-    cursor.remove_prefix(next + 1);
-  }
+  SalvageFrames(image, std::string_view(kWalMagic, sizeof(kWalMagic)), stats,
+                [&](std::string_view* cursor) {
+                  Result<WalRecord> record = DecodeWalFrame(cursor);
+                  if (!record.ok()) {
+                    return record.status();
+                  }
+                  if (record->type != WalRecordType::kCommit) {
+                    batch.push_back(*std::move(record));
+                    return Status::Ok();
+                  }
+                  stats->records_replayed += batch.size();
+                  for (WalRecord& sealed : batch) {
+                    committed.push_back(std::move(sealed));
+                  }
+                  batch.clear();
+                  return Status::Ok();
+                });
   if (!batch.empty()) {
     stats->records_dropped_uncommitted += batch.size();
     stats->log.push_back("dropped " + std::to_string(batch.size()) +

@@ -1,28 +1,11 @@
 #include "stcomp/stream/checkpoint.h"
 
-#include "stcomp/store/varint.h"
-
 namespace stcomp {
 
 namespace {
 constexpr char kCheckpointMagic[4] = {'S', 'T', 'C', 'K'};
 constexpr uint8_t kCheckpointVersion = 1;
 }  // namespace
-
-void PutString(std::string_view value, std::string* out) {
-  PutVarint(value.size(), out);
-  out->append(value);
-}
-
-Result<std::string_view> GetString(std::string_view* input) {
-  STCOMP_ASSIGN_OR_RETURN(const uint64_t size, GetVarint(input));
-  if (input->size() < size) {
-    return DataLossError("checkpoint string truncated");
-  }
-  const std::string_view value = input->substr(0, size);
-  input->remove_prefix(size);
-  return value;
-}
 
 void PutBool(bool value, std::string* out) {
   out->push_back(value ? '\1' : '\0');
@@ -38,20 +21,6 @@ Result<bool> GetBool(std::string_view* input) {
     return DataLossError("checkpoint bool out of range");
   }
   return byte == '\1';
-}
-
-void PutTimedPoint(const TimedPoint& point, std::string* out) {
-  PutDouble(point.t, out);
-  PutDouble(point.position.x, out);
-  PutDouble(point.position.y, out);
-}
-
-Result<TimedPoint> GetTimedPoint(std::string_view* input) {
-  TimedPoint point;
-  STCOMP_ASSIGN_OR_RETURN(point.t, GetDouble(input));
-  STCOMP_ASSIGN_OR_RETURN(point.position.x, GetDouble(input));
-  STCOMP_ASSIGN_OR_RETURN(point.position.y, GetDouble(input));
-  return point;
 }
 
 void PutPointVector(const std::vector<TimedPoint>& points, std::string* out) {

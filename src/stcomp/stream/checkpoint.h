@@ -6,8 +6,9 @@
 //   section = tag (len varint + bytes) | body (len varint + bytes)
 //
 // Each OnlineCompressor::SaveState body is an opaque field sequence built
-// from the primitives below; every implementation leads with a
-// configuration echo (name + the constructor parameters) that
+// from the store/varint.h field primitives (varints, doubles, strings,
+// points) and the checkpoint-only ones below; every implementation leads
+// with a configuration echo (name + the constructor parameters) that
 // RestoreState validates, so a checkpoint can only be loaded into a
 // compressor constructed the same way — restoring into the wrong shape
 // fails loudly with kInvalidArgument instead of resuming garbage.
@@ -25,18 +26,15 @@
 
 #include "stcomp/common/result.h"
 #include "stcomp/core/trajectory.h"
+#include "stcomp/store/varint.h"
 
 namespace stcomp {
 
-// Field primitives shared by the SaveState/RestoreState implementations.
+// Field primitives only the SaveState/RestoreState implementations use.
 // Readers take the cursor by pointer and advance it; all failures are
 // kDataLoss.
-void PutString(std::string_view value, std::string* out);
-Result<std::string_view> GetString(std::string_view* input);
 void PutBool(bool value, std::string* out);
 Result<bool> GetBool(std::string_view* input);
-void PutTimedPoint(const TimedPoint& point, std::string* out);
-Result<TimedPoint> GetTimedPoint(std::string_view* input);
 void PutPointVector(const std::vector<TimedPoint>& points, std::string* out);
 Status GetPointVector(std::string_view* input, std::vector<TimedPoint>* out);
 

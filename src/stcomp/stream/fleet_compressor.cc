@@ -316,7 +316,7 @@ std::string RenderObjectzJson(
   const bool truncated = limit > 0 && total > limit;
   std::string out =
       StrFormat("{\"instance\":\"%s\",\"policy\":\"%s\",",
-                std::string(instance).c_str(),
+                obs::JsonEscape(instance).c_str(),
                 std::string(IngestModeToString(mode)).c_str());
   if (shards.has_value()) {
     out += StrFormat("\"shards\":%zu,", *shards);

@@ -229,6 +229,30 @@ TEST(AdminServerTest, ObjectzEscapesHostileObjectIds) {
   ASSERT_TRUE(fleet.FinishAll().ok());
 }
 
+// The instance name goes through the same escaping as the object ids.
+TEST(AdminServerTest, ObjectzEscapesHostileInstanceName) {
+  TrajectoryStore store;
+  FleetCompressor fleet(
+      [] {
+        return std::make_unique<OpeningWindowStream>(
+            5.0, algo::BreakPolicy::kNormal, StreamCriterion::kSynchronized);
+      },
+      &store, {}, "ob\"jz");
+  ASSERT_TRUE(fleet.Push("veh-1", {0.0, {0.0, 0.0}}).ok());
+  AdminServer server;
+  RegisterStandardEndpoints(
+      server, [&fleet](size_t limit) { return fleet.RenderObjectsJson(limit); });
+  ASSERT_TRUE(server.Start(0).ok());
+  const HttpResponse response = Get(server.port(), "/objectz");
+  EXPECT_EQ(response.status, 200);
+  EXPECT_NE(response.body.find("\"instance\":\"ob\\\"jz\""),
+            std::string::npos)
+      << response.body;
+  EXPECT_EQ(response.body.find("ob\"jz"), std::string::npos) << response.body;
+  server.Stop();
+  ASSERT_TRUE(fleet.FinishAll().ok());
+}
+
 TEST(AdminServerTest, ClientDisconnectMidResponseDoesNotKillProcess) {
   AdminServer server;
   server.Handle("/big", [](const AdminRequest&) {

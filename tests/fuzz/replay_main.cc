@@ -8,7 +8,9 @@
 //
 // Usage: fuzz_replay --corpus=<dir> [--mutants=N] [--seed=S]
 // Fails (exit 1) if any registered target has no corpus file: every
-// entrypoint must ship seeds.
+// entrypoint must ship seeds. Fails too on a corpus directory that names
+// no registered target: the libFuzzer legs of scripts/check.sh and CI
+// fuzz one target per directory.
 
 #include <algorithm>
 #include <cstdint>
@@ -78,6 +80,19 @@ int main(int argc, char** argv) {
     return 1;
   }
   bool ok = true;
+  std::error_code error;
+  for (const auto& entry : fs::directory_iterator(corpus_root, error)) {
+    const std::string name = entry.path().filename().string();
+    if (entry.is_directory() &&
+        std::none_of(targets.begin(), targets.end(),
+                     [&name](const stcomp::fuzz::FuzzTarget& target) {
+                       return name == target.name;
+                     })) {
+      std::fprintf(stderr, "FAIL %s: corpus directory without a target\n",
+                   name.c_str());
+      ok = false;
+    }
+  }
   size_t total_inputs = 0;
   for (const stcomp::fuzz::FuzzTarget& target : targets) {
     const fs::path dir = fs::path(corpus_root) / target.name;

@@ -4,9 +4,11 @@
 //
 //   ./golden_gen <tests/golden dir> <tests/fuzz/corpus dir>
 //
-// golden_format_test locks the emitted bytes: if it fails after a code
-// change, the change broke format compatibility — regenerating the blob is
-// the last resort, not the first fix.
+// golden_format_test decodes the STCT blobs, and the golden_lock ctest
+// runs this tool into the build tree and byte-compares every file it
+// writes with the checked-in copy: if either fails after a code change,
+// the change broke format compatibility — regenerating the files is the
+// last resort, not the first fix.
 
 #include <cstdio>
 #include <filesystem>
@@ -160,6 +162,14 @@ int main(int argc, char** argv) {
   WriteFile(corpus_dir / "wal" / "uncommitted_tail", wal_batch + uncommitted);
   WriteFile(corpus_dir / "wal" / "torn_tail",
             wal_batch + uncommitted.substr(0, uncommitted.size() / 2));
+  // The WAL twin of ingest_frame/overflow_len below: a 10-byte length
+  // varint declaring a ~2^64 payload plus a few bytes of tail must read
+  // as truncation, not wrap `payload_size + 4` past the bounds check.
+  std::string wal_overflow("STWL");
+  wal_overflow.append(9, static_cast<char>(0xff));
+  wal_overflow.push_back(0x01);
+  wal_overflow += "junk";
+  WriteFile(corpus_dir / "wal" / "overflow_len", wal_overflow);
 
   // STNI wire-protocol seed corpus (fuzz_ingest_frame.cc): one of every
   // frame type, a whole handshake-plus-batch conversation, and a torn
