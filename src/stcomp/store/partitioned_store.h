@@ -11,9 +11,9 @@
 // checkpoint and recover independently — a torn write in one shard's WAL
 // costs that shard at most its last uncommitted batch and never touches
 // the others (the property the sharded crash-matrix test asserts).
-// Open() recovers every partition, in parallel when asked; object ids
-// route to partitions by FNV-1a 64 of the id, the same mapping
-// ShardedFleetCompressor uses.
+// Open() recovers the partitions concurrently, always with one recovery
+// thread per partition; object ids route to partitions by FNV-1a 64 of
+// the id, the same mapping ShardedFleetCompressor uses.
 //
 // Resharding requires an explicit migration: the shard an object's
 // history lives in is a pure function of (id, shard count), so reopening

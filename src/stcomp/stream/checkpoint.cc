@@ -32,6 +32,12 @@ void PutPointVector(const std::vector<TimedPoint>& points, std::string* out) {
 
 Status GetPointVector(std::string_view* input, std::vector<TimedPoint>* out) {
   STCOMP_ASSIGN_OR_RETURN(const uint64_t count, GetVarint(input));
+  // Every point takes at least one byte, so a count beyond the bytes left
+  // is corruption; checking before reserve() keeps a hostile count from
+  // demanding an absurd allocation (DESIGN.md §12).
+  if (count > input->size()) {
+    return DataLossError("checkpoint point count exceeds the bytes left");
+  }
   out->reserve(out->size() + count);
   for (uint64_t i = 0; i < count; ++i) {
     STCOMP_ASSIGN_OR_RETURN(const TimedPoint point, GetTimedPoint(input));
@@ -76,6 +82,10 @@ Result<ShardManifestView> ParseShardManifest(std::string_view image) {
   }
   view.hash_scheme = static_cast<uint8_t>(image.front());
   image.remove_prefix(1);
+  // Every shard image takes at least its length byte.
+  if (view.shard_count > image.size()) {
+    return DataLossError("sharded manifest shard count exceeds the bytes left");
+  }
   view.shard_images.reserve(view.shard_count);
   for (uint64_t i = 0; i < view.shard_count; ++i) {
     STCOMP_ASSIGN_OR_RETURN(const std::string_view shard_image,

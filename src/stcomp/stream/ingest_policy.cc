@@ -29,8 +29,7 @@ IngestCounters IngestCounters::ForInstance(const std::string& instance) {
   return IngestCounters{
       registry.GetCounter("stcomp_ingest_dropped_total", labels),
       registry.GetCounter("stcomp_ingest_repaired_total", labels),
-      registry.GetCounter("stcomp_ingest_quarantined_total", labels),
-      registry.GetCounter("stcomp_ingest_retries_total", labels)};
+      registry.GetCounter("stcomp_ingest_quarantined_total", labels)};
 }
 
 IngestGate::IngestGate(const IngestPolicy& policy,

@@ -65,9 +65,6 @@ struct IngestCounters {
   obs::Counter* dropped = nullptr;
   obs::Counter* repaired = nullptr;
   obs::Counter* quarantined = nullptr;
-  // Transient-source retries (stcomp_ingest_retries_total): incremented by
-  // PolicedCompressor::DrainSource for every kUnavailable it retries.
-  obs::Counter* retries = nullptr;
 
   // The stcomp_ingest_* series labelled {compressor=instance}.
   static IngestCounters ForInstance(const std::string& instance);

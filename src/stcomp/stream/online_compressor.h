@@ -11,7 +11,6 @@
 #define STCOMP_STREAM_ONLINE_COMPRESSOR_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -49,18 +48,6 @@ class OnlineCompressor {
   // default is kUnimplemented: adapters opt in.
   virtual Status SaveState(std::string* out) const;
   virtual Status RestoreState(std::string_view state);
-};
-
-// Pull-based fix feed for drain loops (PolicedCompressor::DrainSource).
-// Next() yields the next fix, nullopt once the feed is exhausted, or a
-// non-OK status: kUnavailable marks a *transient* failure — the same call
-// may succeed if retried — anything else is terminal. Interface-only so
-// test fakes (testing/faulty_source.h) implement it without linking the
-// stream library.
-class FixSource {
- public:
-  virtual ~FixSource() = default;
-  virtual Result<std::optional<TimedPoint>> Next() = 0;
 };
 
 // Shared Push precondition for adapters: kInvalidArgument if the fix has a

@@ -76,7 +76,12 @@ Status SquishStream::RestoreState(std::string_view state) {
   STCOMP_ASSIGN_OR_RETURN(const double last_time, GetDouble(&state));
   STCOMP_ASSIGN_OR_RETURN(const bool any_pushed, GetBool(&state));
   STCOMP_ASSIGN_OR_RETURN(const bool finished, GetBool(&state));
+  // Each node and each free id takes at least one byte, so a count beyond
+  // the bytes left is corruption, refused before reserve() (DESIGN.md §12).
   STCOMP_ASSIGN_OR_RETURN(const uint64_t node_count, GetVarint(&state));
+  if (node_count > state.size()) {
+    return DataLossError("squish checkpoint node count exceeds the bytes left");
+  }
   buffer_state.nodes.reserve(node_count);
   for (uint64_t i = 0; i < node_count; ++i) {
     algo::SquishBufferState::Node node;
@@ -93,6 +98,9 @@ Status SquishStream::RestoreState(std::string_view state) {
     buffer_state.nodes.push_back(node);
   }
   STCOMP_ASSIGN_OR_RETURN(const uint64_t free_count, GetVarint(&state));
+  if (free_count > state.size()) {
+    return DataLossError("squish checkpoint free count exceeds the bytes left");
+  }
   buffer_state.free_ids.reserve(free_count);
   for (uint64_t i = 0; i < free_count; ++i) {
     STCOMP_ASSIGN_OR_RETURN(const int64_t id, GetSignedVarint(&state));

@@ -78,20 +78,4 @@ bool FaultyFixSource::Next(FaultyFeedEvent* event) {
   return true;
 }
 
-FaultyFeedFixSource::FaultyFeedFixSource(FaultyFixSource* source)
-    : source_(source) {
-  STCOMP_CHECK(source_ != nullptr);
-}
-
-Result<std::optional<TimedPoint>> FaultyFeedFixSource::Next() {
-  FaultyFeedEvent event;
-  if (!source_->Next(&event)) {
-    return std::optional<TimedPoint>();
-  }
-  if (event.kind == FaultyFeedEvent::Kind::kTransientError) {
-    return event.error;
-  }
-  return std::optional<TimedPoint>(event.fix.fix);
-}
-
 }  // namespace stcomp::testing

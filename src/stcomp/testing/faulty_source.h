@@ -16,7 +16,6 @@
 
 #include "stcomp/common/status.h"
 #include "stcomp/core/trajectory.h"
-#include "stcomp/stream/online_compressor.h"
 #include "stcomp/testing/fault_plan.h"
 
 namespace stcomp::testing {
@@ -54,22 +53,6 @@ class FaultyFixSource {
   size_t index_ = 0;
   size_t events_emitted_ = 0;
   std::deque<FaultyFeedEvent> pending_;
-};
-
-// Adapts a single-object faulty feed to the stream layer's pull-based
-// FixSource: kFix events yield the fix, kTransientError events surface
-// their kUnavailable status (the fix itself arrives on the retried call),
-// exhaustion yields nullopt. The standard harness for
-// PolicedCompressor::DrainSource retry tests.
-class FaultyFeedFixSource final : public FixSource {
- public:
-  // `source` must outlive the adapter.
-  explicit FaultyFeedFixSource(FaultyFixSource* source);
-
-  Result<std::optional<TimedPoint>> Next() override;
-
- private:
-  FaultyFixSource* source_;
 };
 
 }  // namespace stcomp::testing

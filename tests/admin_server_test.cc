@@ -1,8 +1,8 @@
 // Admin-server tests: HTTP plumbing over a real loopback socket, the six
-// standard endpoints, and the PR's end-to-end acceptance path — one
-// object's fixes pushed through the policed compressor into a segment
-// store with tracing at period 1, its connected span tree then retrieved
-// via /tracez and exported as Perfetto JSON.
+// standard endpoints, and the end-to-end acceptance path — one object's
+// fixes pushed through a FleetCompressor into a segment store with
+// tracing at period 1, its connected span tree then retrieved via /tracez
+// and exported as Perfetto JSON.
 
 #include <gtest/gtest.h>
 
@@ -28,7 +28,6 @@
 #include "stcomp/store/trajectory_store.h"
 #include "stcomp/stream/fleet_compressor.h"
 #include "stcomp/stream/opening_window_stream.h"
-#include "stcomp/stream/policed_compressor.h"
 
 namespace stcomp::obs {
 namespace {
@@ -316,31 +315,27 @@ TEST(AdminServerTest, ObjectJourneySpanTreeRetrievableViaTracez) {
   {
     SegmentStore store;
     ASSERT_TRUE(store.Open(dir).ok());
-    PolicedCompressor policed(
-        std::make_unique<OpeningWindowStream>(5.0, algo::BreakPolicy::kNormal,
-                                              StreamCriterion::kSynchronized),
+    FleetCompressor fleet(
+        [] {
+          return std::make_unique<OpeningWindowStream>(
+              5.0, algo::BreakPolicy::kNormal, StreamCriterion::kSynchronized);
+        },
+        [&store](const std::string& object_id, const TimedPoint& point) {
+          return store.Append(object_id, point);
+        },
         IngestPolicy{}, "admin-e2e");
-    std::vector<TimedPoint> committed;
     for (int i = 0; i < 40; ++i) {
-      // Explicit per-fix root; the policed push, any WAL commit and the
-      // store append all become its descendants.
+      // Explicit per-fix root; the fleet push, its store appends and any
+      // WAL commit all become its descendants.
       TraceSpan root("ingest.fix", "admin-e2e-obj");
-      committed.clear();
       ASSERT_TRUE(
-          policed.Push(TimedPoint(i, i * 7.0 * (i % 3), 0.5 * i), &committed)
+          fleet.Push("admin-e2e-obj", TimedPoint(i, i * 7.0 * (i % 3), 0.5 * i))
               .ok());
-      for (const TimedPoint& point : committed) {
-        ASSERT_TRUE(store.Append("admin-e2e-obj", point).ok());
-      }
       ASSERT_TRUE(store.Commit().ok());
     }
     {
       TraceSpan finish("ingest.finish", "admin-e2e-obj");
-      committed.clear();
-      policed.Finish(&committed);
-      for (const TimedPoint& point : committed) {
-        ASSERT_TRUE(store.Append("admin-e2e-obj", point).ok());
-      }
+      ASSERT_TRUE(fleet.FinishAll().ok());
       ASSERT_TRUE(store.Checkpoint().ok());
     }
   }
@@ -355,7 +350,7 @@ TEST(AdminServerTest, ObjectJourneySpanTreeRetrievableViaTracez) {
   const std::string tree = Get(server.port(), "/tracez").body;
   EXPECT_NE(tree.find("  ingest.fix admin-e2e-obj"), std::string::npos)
       << tree;
-  EXPECT_NE(tree.find("    policed.push"), std::string::npos) << tree;
+  EXPECT_NE(tree.find("    fleet.push"), std::string::npos) << tree;
   EXPECT_NE(tree.find("    segment_store.append"), std::string::npos) << tree;
   EXPECT_NE(tree.find("    wal.commit"), std::string::npos) << tree;
 
@@ -372,7 +367,7 @@ TEST(AdminServerTest, ObjectJourneySpanTreeRetrievableViaTracez) {
     }
     const std::string line = json.substr(line_start, line_end - line_start);
     line_start = line_end + 1;
-    if (line.find("\"name\":\"policed.push\"") == std::string::npos &&
+    if (line.find("\"name\":\"fleet.push\"") == std::string::npos &&
         line.find("\"name\":\"wal.commit\"") == std::string::npos &&
         line.find("\"name\":\"segment_store.append\"") == std::string::npos) {
       continue;

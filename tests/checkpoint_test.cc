@@ -1,11 +1,14 @@
 // Checkpoint/restore matrix (DESIGN.md §13): for every checkpointing
 // compressor, interrupting a stream with SaveState + RestoreState into a
 // freshly constructed instance must be invisible — the resumed run's output
-// is bit-for-bit identical to an uninterrupted one.
+// is bit-for-bit identical to an uninterrupted one. Hostile or out-of-order
+// images must come back as a clean Status, never an abort.
 
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -13,12 +16,13 @@
 
 #include "stcomp/algo/registry.h"
 #include "stcomp/store/trajectory_store.h"
+#include "stcomp/store/varint.h"
 #include "stcomp/stream/batch_adapter.h"
+#include "stcomp/stream/checkpoint.h"
 #include "stcomp/stream/dead_reckoning_stream.h"
 #include "stcomp/stream/fleet_compressor.h"
 #include "stcomp/stream/ingest_policy.h"
 #include "stcomp/stream/opening_window_stream.h"
-#include "stcomp/stream/policed_compressor.h"
 #include "stcomp/stream/squish_stream.h"
 #include "test_util.h"
 
@@ -117,21 +121,64 @@ TEST(CheckpointTest, SquishStreamResumesBitIdentical) {
                   "squish-error-driven");
 }
 
-TEST(CheckpointTest, PolicedCompressorResumesBitIdenticalUnderRepair) {
-  // Repair mode with a reorder window keeps fixes *held inside the gate*
-  // across the checkpoint — exactly the state a restart must not lose.
+// A FleetCompressor sink that collects every committed point.
+FleetCompressor::AppendSink CollectInto(std::vector<TimedPoint>* out) {
+  return [out](const std::string&, const TimedPoint& point) {
+    out->push_back(point);
+    return Status::Ok();
+  };
+}
+
+std::unique_ptr<OnlineCompressor> MakeOpwTr() {
+  return std::make_unique<OpeningWindowStream>(
+      25.0, algo::BreakPolicy::kNormal, StreamCriterion::kSynchronized);
+}
+
+IngestPolicy RepairPolicy(double reorder_window_s) {
   IngestPolicy policy;
   policy.mode = IngestMode::kRepair;
-  policy.reorder_window_s = 20.0;
-  CheckEverySplit(
-      [policy] {
-        return std::make_unique<PolicedCompressor>(
-            std::make_unique<OpeningWindowStream>(
-                25.0, algo::BreakPolicy::kNormal,
-                StreamCriterion::kSynchronized),
-            policy, "ckpt-policed");
-      },
-      "policed-repair");
+  policy.reorder_window_s = reorder_window_s;
+  return policy;
+}
+
+TEST(CheckpointTest, FleetCompressorResumesHeldFixesBitIdenticalUnderRepair) {
+  // Repair mode with a reorder window keeps fixes *held inside the gate*
+  // across the checkpoint — exactly the state a restart must not lose.
+  const IngestPolicy policy = RepairPolicy(20.0);
+  const std::vector<TimedPoint> points = RandomWalk(40, 77).points();
+  std::vector<TimedPoint> reference;
+  {
+    FleetCompressor fleet(MakeOpwTr, CollectInto(&reference), policy,
+                          "ckpt-fleet-repair");
+    for (const TimedPoint& point : points) {
+      ASSERT_TRUE(fleet.Push("walker", point).ok());
+    }
+    ASSERT_TRUE(fleet.FinishAll().ok());
+  }
+  for (size_t split = 0; split <= points.size(); split += 7) {
+    const std::string what = "fleet-repair split=" + std::to_string(split);
+    std::vector<TimedPoint> resumed;
+    std::string image;
+    {
+      FleetCompressor first(MakeOpwTr, CollectInto(&resumed), policy,
+                            "ckpt-fleet-repair");
+      for (size_t i = 0; i < split; ++i) {
+        ASSERT_TRUE(first.Push("walker", points[i]).ok()) << what;
+      }
+      ASSERT_TRUE(first.SaveState(&image).ok()) << what;
+      // `first` is destroyed here — the "process" died after checkpointing.
+    }
+    {
+      FleetCompressor second(MakeOpwTr, CollectInto(&resumed), policy,
+                             "ckpt-fleet-repair");
+      ASSERT_TRUE(second.RestoreState(image).ok()) << what;
+      for (size_t i = split; i < points.size(); ++i) {
+        ASSERT_TRUE(second.Push("walker", points[i]).ok()) << what;
+      }
+      ASSERT_TRUE(second.FinishAll().ok()) << what;
+    }
+    ExpectBitIdentical(reference, resumed, what);
+  }
 }
 
 TEST(CheckpointTest, ConfigEchoMismatchIsInvalidArgument) {
@@ -168,7 +215,7 @@ TEST(CheckpointTest, MalformedBlobIsDataLoss) {
 }
 
 // A compressor that never opted into checkpointing reports kUnimplemented,
-// and PolicedCompressor propagates it instead of writing a partial image.
+// and FleetCompressor propagates it instead of writing a partial image.
 class NoCheckpointCompressor final : public OnlineCompressor {
  public:
   Status Push(const TimedPoint&, std::vector<TimedPoint>*) override {
@@ -185,10 +232,14 @@ TEST(CheckpointTest, UnimplementedPropagates) {
   EXPECT_EQ(bare.SaveState(&state).code(), StatusCode::kUnimplemented);
   EXPECT_EQ(bare.RestoreState("").code(), StatusCode::kUnimplemented);
 
-  PolicedCompressor policed(std::make_unique<NoCheckpointCompressor>(),
-                            IngestPolicy{}, "ckpt-unimpl");
+  std::vector<TimedPoint> committed;
+  FleetCompressor fleet(
+      [] { return std::make_unique<NoCheckpointCompressor>(); },
+      CollectInto(&committed), IngestPolicy{}, "ckpt-unimpl");
+  ASSERT_TRUE(fleet.Push("car", TimedPoint(1.0, 0.0, 0.0)).ok());
   state.clear();
-  EXPECT_EQ(policed.SaveState(&state).code(), StatusCode::kUnimplemented);
+  EXPECT_EQ(fleet.SaveState(&state).code(), StatusCode::kUnimplemented);
+  EXPECT_TRUE(state.empty());
 }
 
 TEST(CheckpointTest, IngestGateResumesHeldFixes) {
@@ -299,6 +350,89 @@ TEST(CheckpointTest, FleetCompressorResumesBitIdenticalStore) {
   FleetCompressor busy(factory, &scratch, policy, "ckpt-fleet-busy");
   ASSERT_TRUE(busy.Push("bus-a", TimedPoint(1.0, 0.0, 0.0)).ok());
   EXPECT_EQ(busy.RestoreState(image).code(), StatusCode::kFailedPrecondition);
+}
+
+// --- Hostile and out-of-order images ---------------------------------------
+//
+// STCK and STSM carry no CRC, so a corrupt image reaches these readers as
+// is. Each reader must refuse it with a Status, never abort.
+
+TEST(CheckpointTest, FleetFinishRefusesOutOfOrderHeldFixes) {
+  // No gate holds fixes out of time order, but a corrupt image can: swap
+  // two held fixes in a real image. The restore takes it as is; finishing
+  // the object then fails at the first fix the compressor refuses, and
+  // what reached the sink is still in time order.
+  const IngestPolicy policy = RepairPolicy(100.0);
+  const TimedPoint late(2.0, 20.0, -30.0);
+  const TimedPoint last(3.0, 40.0, 30.0);
+  std::vector<TimedPoint> committed;
+  std::string image;
+  {
+    FleetCompressor fleet(MakeOpwTr, CollectInto(&committed), policy,
+                          "ckpt-unordered");
+    for (const TimedPoint& fix : {TimedPoint(1.0, 0.0, 0.0), late, last}) {
+      ASSERT_TRUE(fleet.Push("walker", fix).ok());
+    }
+    ASSERT_TRUE(fleet.SaveState(&image).ok());
+  }
+  ASSERT_TRUE(committed.empty());  // All three are held in the gate.
+  std::string in_order;
+  PutTimedPoint(late, &in_order);
+  PutTimedPoint(last, &in_order);
+  std::string swapped;
+  PutTimedPoint(last, &swapped);
+  PutTimedPoint(late, &swapped);
+  const size_t at = image.find(in_order);
+  ASSERT_NE(at, std::string::npos);
+  image.replace(at, in_order.size(), swapped);
+
+  FleetCompressor fleet(MakeOpwTr, CollectInto(&committed), policy,
+                        "ckpt-unordered");
+  ASSERT_TRUE(fleet.RestoreState(image).ok());
+  EXPECT_EQ(fleet.FinishAll().code(), StatusCode::kInvalidArgument);
+  ASSERT_FALSE(committed.empty());
+  for (size_t i = 1; i < committed.size(); ++i) {
+    EXPECT_LT(committed[i - 1].t, committed[i].t) << i;
+  }
+}
+
+// The checkpoint fuzz seeds that golden_gen writes with one count set to
+// 2^62, one per reader that reserves by a count from the image.
+std::string ReadHostileSeed(const std::string& name) {
+  std::ifstream file(
+      std::string(STCOMP_FUZZ_CORPUS_DIR) + "/checkpoint/" + name,
+      std::ios::binary);
+  EXPECT_TRUE(static_cast<bool>(file)) << "seed missing: " << name;
+  std::ostringstream buffer;
+  buffer << file.rdbuf();
+  return buffer.str();
+}
+
+TEST(CheckpointTest, HostileHeldCountIsDataLoss) {
+  // GetPointVector, behind the gate state of a fleet image; golden_gen
+  // writes it under a 30 s reorder window.
+  std::vector<TimedPoint> committed;
+  FleetCompressor fleet(MakeOpwTr, CollectInto(&committed),
+                        RepairPolicy(30.0), "ckpt-hostile");
+  EXPECT_EQ(fleet.RestoreState(ReadHostileSeed("hostile_held_count")).code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(CheckpointTest, HostileShardCountIsDataLoss) {
+  const std::string image = ReadHostileSeed("hostile_shard_count");
+  EXPECT_EQ(ParseShardManifest(image).status().code(), StatusCode::kDataLoss);
+}
+
+TEST(CheckpointTest, HostileSquishNodeCountIsDataLoss) {
+  SquishStream squish(8, 0.0);
+  EXPECT_EQ(squish.RestoreState(ReadHostileSeed("hostile_squish_nodes")).code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(CheckpointTest, HostileSquishFreeCountIsDataLoss) {
+  SquishStream squish(8, 0.0);
+  EXPECT_EQ(squish.RestoreState(ReadHostileSeed("hostile_squish_free")).code(),
+            StatusCode::kDataLoss);
 }
 
 }  // namespace

@@ -76,7 +76,7 @@ TEST(FaultPlanTest, DescribeNamesSeed) {
   EXPECT_NE(plan.Describe().find("seed=99"), std::string::npos);
 }
 
-std::vector<FaultyFeedEvent> DrainSource(FaultyFixSource* source) {
+std::vector<FaultyFeedEvent> DrainEvents(FaultyFixSource* source) {
   std::vector<FaultyFeedEvent> events;
   FaultyFeedEvent event;
   while (source->Next(&event)) {
@@ -91,8 +91,8 @@ TEST(FaultyFixSourceTest, SameSeedSameEventSequence) {
   FaultPlan plan_b(2024);
   FaultyFixSource source_a(feed, &plan_a);
   FaultyFixSource source_b(feed, &plan_b);
-  const std::vector<FaultyFeedEvent> events_a = DrainSource(&source_a);
-  const std::vector<FaultyFeedEvent> events_b = DrainSource(&source_b);
+  const std::vector<FaultyFeedEvent> events_a = DrainEvents(&source_a);
+  const std::vector<FaultyFeedEvent> events_b = DrainEvents(&source_b);
   ASSERT_EQ(events_a.size(), events_b.size());
   for (size_t i = 0; i < events_a.size(); ++i) {
     EXPECT_EQ(events_a[i].kind, events_b[i].kind) << "event " << i;
@@ -110,7 +110,7 @@ TEST(FaultyFixSourceTest, SameSeedSameEventSequence) {
 TEST(FaultyFixSourceTest, InjectsEveryFaultKind) {
   FaultPlan plan(7);
   FaultyFixSource source(CleanFeed(600), &plan);
-  (void)DrainSource(&source);
+  (void)DrainEvents(&source);
   bool saw_dup = false, saw_regress = false, saw_jitter = false,
        saw_nan = false, saw_io = false;
   for (const std::string& entry : plan.log()) {

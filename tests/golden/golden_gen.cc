@@ -10,10 +10,13 @@
 // the change broke format compatibility — regenerating the files is the
 // last resort, not the first fix.
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "stcomp/common/check.h"
@@ -21,7 +24,12 @@
 #include "stcomp/store/serialization.h"
 #include "stcomp/store/st_index.h"
 #include "stcomp/store/trajectory_store.h"
+#include "stcomp/store/varint.h"
 #include "stcomp/store/wal.h"
+#include "stcomp/stream/checkpoint.h"
+#include "stcomp/stream/fleet_compressor.h"
+#include "stcomp/stream/opening_window_stream.h"
+#include "stcomp/stream/squish_stream.h"
 
 namespace {
 
@@ -39,6 +47,54 @@ stcomp::Trajectory GoldenTrajectory() {
   STCOMP_CHECK_OK(trajectory.status());
   trajectory->set_name("golden-v1");
   return std::move(trajectory).value();
+}
+
+// The settings tests/fuzz/fuzz_checkpoint.cc restores under, so the
+// checkpoint seeds pass each config echo.
+constexpr double kCheckpointEpsilonM = 25.0;
+constexpr double kCheckpointReorderWindowS = 30.0;
+constexpr size_t kCheckpointSquishCapacity = 8;
+
+stcomp::IngestPolicy CheckpointPolicy() {
+  stcomp::IngestPolicy policy;
+  policy.mode = stcomp::IngestMode::kRepair;
+  policy.reorder_window_s = kCheckpointReorderWindowS;
+  return policy;
+}
+
+std::unique_ptr<stcomp::OnlineCompressor> CheckpointCompressor() {
+  return std::make_unique<stcomp::OpeningWindowStream>(
+      kCheckpointEpsilonM, stcomp::algo::BreakPolicy::kNormal,
+      stcomp::StreamCriterion::kSynchronized);
+}
+
+// The STCK image of a fleet that got `points` for each of `ids`.
+std::string FleetImage(const std::vector<std::string>& ids,
+                       const std::vector<stcomp::TimedPoint>& points) {
+  stcomp::FleetCompressor fleet(
+      CheckpointCompressor,
+      [](const std::string&, const stcomp::TimedPoint&) {
+        return stcomp::Status::Ok();
+      },
+      CheckpointPolicy(), "golden-gen");
+  for (const stcomp::TimedPoint& point : points) {
+    for (const std::string& id : ids) {
+      STCOMP_CHECK_OK(fleet.Push(id, point));
+    }
+  }
+  std::string image;
+  STCOMP_CHECK_OK(fleet.SaveState(&image));
+  return image;
+}
+
+// `image` with the one-byte count `old_count` at `offset` replaced by
+// `count`.
+std::string WithCount(const std::string& image, size_t offset,
+                      uint8_t old_count, uint64_t count) {
+  STCOMP_CHECK(static_cast<uint8_t>(image.at(offset)) == old_count);
+  std::string out = image.substr(0, offset);
+  stcomp::PutVarint(count, &out);
+  return out + image.substr(offset + 1);
 }
 
 void WriteFile(const std::filesystem::path& path, const std::string& bytes) {
@@ -219,5 +275,71 @@ int main(int argc, char** argv) {
   overflow.push_back(0x01);
   overflow += "junk";
   WriteFile(corpus_dir / "ingest_frame" / "overflow_len", overflow);
+
+  // Streaming-state checkpoint seed corpus (fuzz_checkpoint.cc): a fleet
+  // image whose gates hold fixes (the 30 s reorder window holds all but
+  // the first golden fix), a two-shard STSM manifest, a SquishStream state
+  // with evictions behind it, and a torn prefix.
+  const std::string fleet_held =
+      FleetImage({"bus-1", "tram-7"}, trajectory.points());
+  WriteFile(corpus_dir / "checkpoint" / "fleet_held", fleet_held);
+  WriteFile(corpus_dir / "checkpoint" / "two_shards",
+            stcomp::WriteShardManifest(
+                stcomp::kShardHashFnv1a64,
+                {FleetImage({"bus-1"}, trajectory.points()),
+                 FleetImage({"tram-7"}, trajectory.points())}));
+  stcomp::SquishStream squish(kCheckpointSquishCapacity, 0.0);
+  std::vector<stcomp::TimedPoint> squish_out;
+  for (int i = 0; i < 20; ++i) {
+    STCOMP_CHECK_OK(squish.Push(
+        {10.0 * i, 7.0 * i * (i % 3), -3.0 * i * (i % 4)}, &squish_out));
+  }
+  std::string squish_state;
+  STCOMP_CHECK_OK(squish.SaveState(&squish_state));
+  WriteFile(corpus_dir / "checkpoint" / "squish_state", squish_state);
+  WriteFile(corpus_dir / "checkpoint" / "truncated",
+            fleet_held.substr(0, fleet_held.size() / 2));
+
+  // One 2^62 count per reader that reserves by a count from the image;
+  // each must read as kDataLoss, not throw from reserve()
+  // (checkpoint_test reads these four seeds).
+  constexpr uint64_t kHostileCount = uint64_t{1} << 62;
+  // "STSM" | version | shard_count | hash_scheme, and no shard images.
+  WriteFile(corpus_dir / "checkpoint" / "hostile_shard_count",
+            WithCount(stcomp::WriteShardManifest(stcomp::kShardHashFnv1a64,
+                                                 {}),
+                      5, 0, kHostileCount));
+  // A fresh SquishStream's state ends with its node count, free-id count,
+  // head and tail, one byte each.
+  std::string fresh_squish;
+  STCOMP_CHECK_OK(stcomp::SquishStream(kCheckpointSquishCapacity, 0.0)
+                      .SaveState(&fresh_squish));
+  WriteFile(corpus_dir / "checkpoint" / "hostile_squish_nodes",
+            WithCount(fresh_squish, fresh_squish.size() - 4, 0,
+                      kHostileCount));
+  WriteFile(corpus_dir / "checkpoint" / "hostile_squish_free",
+            WithCount(fresh_squish, fresh_squish.size() - 3, 0,
+                      kHostileCount));
+  // A one-object fleet image whose gate holds one fix behind a 2^62
+  // count. The gate state's held count follows its policy echo: the mode
+  // byte, the reorder window and a one-byte quarantine_after.
+  stcomp::CheckpointReader reader;
+  const std::string one_held =
+      FleetImage({"bus-1"}, {trajectory.points().front()});
+  STCOMP_CHECK_OK(reader.Parse(one_held));
+  std::string_view body = reader.sections()[1].body;
+  const std::string object_id(stcomp::GetString(&body).value());
+  const std::string gate(stcomp::GetString(&body).value());
+  const std::string compressor(stcomp::GetString(&body).value());
+  std::string hostile_body;
+  stcomp::PutString(object_id, &hostile_body);
+  stcomp::PutString(WithCount(gate, 10, 1, kHostileCount), &hostile_body);
+  stcomp::PutString(compressor, &hostile_body);
+  hostile_body += body;  // The object's fixes in/out counters.
+  stcomp::CheckpointWriter writer;
+  writer.AddSection(reader.sections()[0].tag, reader.sections()[0].body);
+  writer.AddSection(reader.sections()[1].tag, hostile_body);
+  WriteFile(corpus_dir / "checkpoint" / "hostile_held_count",
+            writer.Finish());
   return 0;
 }

@@ -1,9 +1,9 @@
 # Golden lock: runs golden_gen into a fresh directory and byte-compares
 # every file it writes with the checked-in copy under tests/golden/ and
 # tests/fuzz/corpus/. golden_format_test decodes the STCT blobs; this
-# script also locks the bytes of the WAL (STWL), wire (STNI) and index
-# (STIX) seeds and the store images, so a writer change that moves any
-# byte of any format fails here.
+# script also locks the bytes of the WAL (STWL), wire (STNI), index
+# (STIX) and checkpoint (STCK, STSM) seeds and the store images, so a
+# writer change that moves any byte of any format fails here.
 #
 #   cmake -DGOLDEN_GEN=<golden_gen> -DSOURCE_DIR=<tests dir>
 #         -DOUT_DIR=<scratch dir> -P golden_lock.cmake

@@ -3,14 +3,13 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "stcomp/stream/fleet_compressor.h"
 #include "stcomp/stream/opening_window_stream.h"
-#include "stcomp/stream/policed_compressor.h"
-#include "stcomp/testing/faulty_source.h"
 
 namespace stcomp {
 namespace {
@@ -150,26 +149,31 @@ TEST(IngestGateTest, CleanFixResetsQuarantineCounter) {
   EXPECT_FALSE(gate.quarantined());
 }
 
-TEST(PolicedCompressorTest, ShieldsInnerFromDirtyFeed) {
+TEST(FleetCompressorTest, GateShieldsCompressorFromDirtyFeed) {
   IngestPolicy policy;
   policy.mode = IngestMode::kRepair;
   policy.reorder_window_s = 100.0;
-  PolicedCompressor compressor(
-      std::make_unique<OpeningWindowStream>(1000.0, algo::BreakPolicy::kNormal,
-                                            StreamCriterion::kSynchronized),
-      policy, "policed-test");
   std::vector<TimedPoint> out;
+  FleetCompressor fleet(
+      [] {
+        return std::make_unique<OpeningWindowStream>(
+            1000.0, algo::BreakPolicy::kNormal, StreamCriterion::kSynchronized);
+      },
+      [&out](const std::string&, const TimedPoint& point) {
+        out.push_back(point);
+        return Status::Ok();
+      },
+      policy, "fleet-shield-test");
   const double dirty_times[] = {0.0, 50.0, 20.0, 50.0, kNan, 80.0, 10.0};
   for (double t : dirty_times) {
-    ASSERT_TRUE(compressor.Push({t, t, 0.0}, &out).ok()) << t;
+    ASSERT_TRUE(fleet.Push("car", {t, t, 0.0}).ok()) << t;
   }
-  compressor.Finish(&out);
+  ASSERT_TRUE(fleet.FinishAll().ok());
   for (size_t i = 1; i < out.size(); ++i) {
     EXPECT_LT(out[i - 1].t, out[i].t);
   }
   EXPECT_EQ(out.front().t, 0.0);
   EXPECT_EQ(out.back().t, 80.0);
-  EXPECT_EQ(compressor.name(), "opw-tr-stream-policed");
 }
 
 TEST(FleetCompressorTest, PolicyOverloadExposesCounters) {
@@ -210,173 +214,6 @@ TEST(FleetCompressorTest, DefaultPolicyStillRejects) {
   EXPECT_EQ(fleet.Push("car", {2.0, kNan, 0.0}).code(),
             StatusCode::kInvalidArgument);
   ASSERT_TRUE(fleet.FinishAll().ok());
-}
-
-// --- DrainSource retry semantics -----------------------------------------
-
-// A FixSource that fails `failures_per_fix` times with kUnavailable before
-// yielding each fix (the feed position is preserved across failures).
-class FlakySource final : public FixSource {
- public:
-  FlakySource(std::vector<TimedPoint> fixes, int failures_per_fix)
-      : fixes_(std::move(fixes)),
-        failures_per_fix_(failures_per_fix),
-        remaining_failures_(failures_per_fix) {}
-
-  Result<std::optional<TimedPoint>> Next() override {
-    if (index_ >= fixes_.size()) {
-      return std::optional<TimedPoint>();
-    }
-    if (remaining_failures_ > 0) {
-      --remaining_failures_;
-      return UnavailableError("flaky feed");
-    }
-    remaining_failures_ = failures_per_fix_;
-    return std::optional<TimedPoint>(fixes_[index_++]);
-  }
-
- private:
-  std::vector<TimedPoint> fixes_;
-  int failures_per_fix_;
-  int remaining_failures_;
-  size_t index_ = 0;
-};
-
-class AlwaysDownSource final : public FixSource {
- public:
-  Result<std::optional<TimedPoint>> Next() override {
-    ++calls_;
-    return UnavailableError("feed is down");
-  }
-  size_t calls() const { return calls_; }
-
- private:
-  size_t calls_ = 0;
-};
-
-class BrokenSource final : public FixSource {
- public:
-  Result<std::optional<TimedPoint>> Next() override {
-    ++calls_;
-    return InvalidArgumentError("terminal feed error");
-  }
-  size_t calls() const { return calls_; }
-
- private:
-  size_t calls_ = 0;
-};
-
-std::unique_ptr<PolicedCompressor> MakePoliced(const std::string& instance) {
-  IngestPolicy policy;
-  policy.mode = IngestMode::kRepair;
-  return std::make_unique<PolicedCompressor>(
-      std::make_unique<OpeningWindowStream>(5.0, algo::BreakPolicy::kNormal,
-                                            StreamCriterion::kSynchronized),
-      policy, instance);
-}
-
-TEST(DrainSourceTest, RetriesWithExponentialBackoff) {
-  std::vector<TimedPoint> fixes;
-  for (int i = 0; i < 5; ++i) {
-    fixes.emplace_back(1.0 * i, 2.0 * i, -1.0 * i);
-  }
-  FlakySource source(fixes, /*failures_per_fix=*/2);
-  std::unique_ptr<PolicedCompressor> policed = MakePoliced("drain-backoff");
-
-  std::vector<double> sleeps;
-  RetryPolicy retry;
-  retry.max_attempts = 4;
-  retry.initial_backoff_s = 0.5;
-  retry.backoff_multiplier = 3.0;
-  retry.sleep = [&sleeps](double seconds) { sleeps.push_back(seconds); };
-
-  std::vector<TimedPoint> out;
-  ASSERT_TRUE(policed->DrainSource(&source, retry, &out).ok());
-  policed->Finish(&out);
-
-  // Every fix costs 2 retries (0.5s then 1.5s); backoff resets per feed
-  // position. Exhaustion (nullopt) is not an error and costs nothing.
-  ASSERT_EQ(sleeps.size(), 2u * fixes.size());
-  for (size_t i = 0; i < sleeps.size(); i += 2) {
-    EXPECT_DOUBLE_EQ(sleeps[i], 0.5);
-    EXPECT_DOUBLE_EQ(sleeps[i + 1], 1.5);
-  }
-  EXPECT_EQ(IngestCounters::ForInstance("drain-backoff").retries->value(),
-            sleeps.size());
-  // Nothing in the feed was lost: the stream saw all 5 fixes in order.
-  ASSERT_FALSE(out.empty());
-  EXPECT_EQ(out.front().t, 0.0);
-  EXPECT_EQ(out.back().t, 4.0);
-}
-
-TEST(DrainSourceTest, GivesUpAfterMaxAttempts) {
-  AlwaysDownSource source;
-  std::unique_ptr<PolicedCompressor> policed = MakePoliced("drain-giveup");
-  std::vector<double> sleeps;
-  RetryPolicy retry;
-  retry.max_attempts = 3;
-  retry.initial_backoff_s = 0.25;
-  retry.sleep = [&sleeps](double seconds) { sleeps.push_back(seconds); };
-
-  std::vector<TimedPoint> out;
-  EXPECT_EQ(policed->DrainSource(&source, retry, &out).code(),
-            StatusCode::kUnavailable);
-  EXPECT_EQ(source.calls(), 3u);   // Initial try + 2 retries.
-  EXPECT_EQ(sleeps.size(), 2u);    // One sleep per retry.
-  EXPECT_EQ(IngestCounters::ForInstance("drain-giveup").retries->value(), 2u);
-}
-
-TEST(DrainSourceTest, TerminalErrorsAreNotRetried) {
-  BrokenSource source;
-  std::unique_ptr<PolicedCompressor> policed = MakePoliced("drain-terminal");
-  std::vector<double> sleeps;
-  RetryPolicy retry;
-  retry.sleep = [&sleeps](double seconds) { sleeps.push_back(seconds); };
-  std::vector<TimedPoint> out;
-  EXPECT_EQ(policed->DrainSource(&source, retry, &out).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(source.calls(), 1u);
-  EXPECT_TRUE(sleeps.empty());
-  EXPECT_EQ(IngestCounters::ForInstance("drain-terminal").retries->value(), 0u);
-}
-
-TEST(DrainSourceTest, FaultyFeedHarnessDeliversEveryFix) {
-  // The standard harness: a FaultyFixSource injecting only transient I/O
-  // errors, adapted through FaultyFeedFixSource — every retried pull
-  // re-delivers the fix, so the drain completes with zero data loss.
-  testing::FaultPlanOptions only_io;
-  only_io.duplicate_fix_probability = 0.0;
-  only_io.regress_time_probability = 0.0;
-  only_io.jitter_time_probability = 0.0;
-  only_io.nan_coordinate_probability = 0.0;
-  only_io.io_error_probability = 0.4;
-  testing::FaultPlan plan(20260805, only_io);
-  std::vector<testing::FleetFix> feed;
-  for (int i = 0; i < 60; ++i) {
-    feed.push_back({"bus-1", TimedPoint(5.0 * i, 0.5 * i, -0.25 * i)});
-  }
-  testing::FaultyFixSource faulty(feed, &plan);
-  testing::FaultyFeedFixSource source(&faulty);
-
-  std::unique_ptr<PolicedCompressor> policed = MakePoliced("drain-faulty");
-  std::vector<double> sleeps;
-  RetryPolicy retry;
-  retry.sleep = [&sleeps](double seconds) { sleeps.push_back(seconds); };
-  std::vector<TimedPoint> out;
-  ASSERT_TRUE(policed->DrainSource(&source, retry, &out).ok());
-  policed->Finish(&out);
-
-  size_t io_errors = 0;
-  for (const std::string& entry : plan.log()) {
-    io_errors += entry.rfind("io-error", 0) == 0;
-  }
-  ASSERT_GT(io_errors, 0u) << plan.Describe();
-  EXPECT_EQ(sleeps.size(), io_errors);
-  EXPECT_EQ(IngestCounters::ForInstance("drain-faulty").retries->value(),
-            io_errors);
-  // The last fix of the clean feed made it through the gate + compressor.
-  ASSERT_FALSE(out.empty());
-  EXPECT_EQ(out.back().t, 5.0 * 59);
 }
 
 }  // namespace

@@ -24,8 +24,8 @@
 #include "stcomp/algo/registry.h"
 #include "stcomp/stream/batch_adapter.h"
 #include "stcomp/stream/dead_reckoning_stream.h"
+#include "stcomp/stream/fleet_compressor.h"
 #include "stcomp/stream/opening_window_stream.h"
-#include "stcomp/stream/policed_compressor.h"
 #include "stcomp/stream/squish_stream.h"
 #include "test_util.h"
 
@@ -191,8 +191,9 @@ TEST(ProptestGenerator, FamiliesCoverDegenerateSizes) {
 // Every stream adapter — including a BatchAdapter over every registered
 // algorithm — is fed the dirty families (duplicate/non-monotonic/NaN
 // timestamps, NaN coordinates) and must answer each Push with a clean
-// Status and emit strictly ordered, finite output. The same feeds wrapped
-// in a PolicedCompressor must additionally never fail a Push at all.
+// Status and emit strictly ordered, finite output. The same feeds pushed
+// through a one-object FleetCompressor under a kDropAndCount or kRepair
+// IngestPolicy must additionally never fail a Push at all.
 
 struct AdapterFactory {
   std::string name;
@@ -278,13 +279,18 @@ TEST(DirtyMatrix, PolicedAdaptersAbsorbEveryFault) {
               "repro: family=" + family + " seed=" + std::to_string(seed) +
               " adapter=" + factory.name +
               " mode=" + std::string(IngestModeToString(mode));
-          PolicedCompressor adapter(factory.make(), policy,
-                                    "dirty-matrix-" + factory.name);
           std::vector<TimedPoint> out;
+          FleetCompressor fleet(
+              factory.make,
+              [&out](const std::string&, const TimedPoint& point) {
+                out.push_back(point);
+                return Status::Ok();
+              },
+              policy, "dirty-matrix-" + factory.name);
           for (const TimedPoint& fix : GenerateDirty(family, seed)) {
-            EXPECT_TRUE(adapter.Push(fix, &out).ok()) << repro;
+            EXPECT_TRUE(fleet.Push("dirty", fix).ok()) << repro;
           }
-          adapter.Finish(&out);
+          EXPECT_TRUE(fleet.FinishAll().ok()) << repro;
           ExpectCleanOrderedOutput(out, repro);
         }
       }
