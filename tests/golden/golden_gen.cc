@@ -1,15 +1,17 @@
-// Regenerates the checked-in golden store-format blob and the binary seed
-// corpora for the serialization/store fuzz targets. Run manually only when
-// the on-disk format changes *on purpose*:
+// Regenerates the checked-in golden store-format blobs, the query-answer
+// lock (query_answers.txt: every hit and QueryStats count of a fixed query
+// mix on a fixed store) and the binary seed corpora for the fuzz targets.
+// Run manually only when a format or an answer changes *on purpose*:
 //
 //   ./golden_gen <tests/golden dir> <tests/fuzz/corpus dir>
 //
 // golden_format_test decodes the STCT blobs, and the golden_lock ctest
 // runs this tool into the build tree and byte-compares every file it
 // writes with the checked-in copy: if either fails after a code change,
-// the change broke format compatibility — regenerating the files is the
-// last resort, not the first fix.
+// the change broke format compatibility or moved a query answer —
+// regenerating the files is the last resort, not the first fix.
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -21,6 +23,7 @@
 
 #include "stcomp/common/check.h"
 #include "stcomp/net/frame.h"
+#include "stcomp/store/query.h"
 #include "stcomp/store/serialization.h"
 #include "stcomp/store/st_index.h"
 #include "stcomp/store/trajectory_store.h"
@@ -106,6 +109,139 @@ void WriteFile(const std::filesystem::path& path, const std::string& bytes) {
   std::printf("wrote %s (%zu bytes)\n", path.string().c_str(), bytes.size());
 }
 
+// A 32-bit LCG: the query fixtures draw every value from it as an integer,
+// so neither the store nor the mix depends on libm or on sim/.
+int64_t Draw(uint32_t* state, int64_t lo, int64_t hi) {
+  *state = *state * 1664525u + 1013904223u;
+  return lo + static_cast<int64_t>(*state >> 8) % (hi - lo + 1);
+}
+
+// The query-answer fixture: a kDelta store of integer-valued random walks.
+// Ids arrive out of order, half of the objects by Insert and half fix by
+// fix, with point counts around the 64-point block (0 and 1 included), and
+// one object is inserted and removed again.
+stcomp::TrajectoryStore QueryFixtureStore() {
+  constexpr std::string_view kIds[] = {"veh-07", "veh-02", "veh-11",
+                                       "veh-00", "veh-05", "veh-09",
+                                       "veh-01", "veh-10", "veh-04",
+                                       "veh-08", "veh-03", "veh-06"};
+  constexpr int64_t kCounts[] = {1, 2, 63, 64, 65, 129, 200, 40, 3, 130, 0, 90};
+  uint32_t state = 20261019;
+  stcomp::TrajectoryStore store(stcomp::Codec::kDelta);
+  for (size_t o = 0; o < std::size(kIds); ++o) {
+    const std::string id(kIds[o]);
+    int64_t t = Draw(&state, 0, 100) * 10;
+    int64_t x = Draw(&state, -1000, 1000);
+    int64_t y = Draw(&state, -1000, 1000);
+    std::vector<stcomp::TimedPoint> points;
+    for (int64_t i = 0; i < kCounts[o]; ++i) {
+      points.push_back({static_cast<double>(t), static_cast<double>(x),
+                        static_cast<double>(y)});
+      t += Draw(&state, 1, 20);
+      x += Draw(&state, -20, 60);
+      y += Draw(&state, -60, 20);
+    }
+    if (o % 2 == 0) {
+      auto trajectory = stcomp::Trajectory::FromPoints(std::move(points));
+      STCOMP_CHECK_OK(trajectory.status());
+      STCOMP_CHECK_OK(store.Insert(id, *trajectory));
+    } else {
+      for (const stcomp::TimedPoint& point : points) {
+        STCOMP_CHECK_OK(store.Append(id, point));
+      }
+    }
+    if (o == 5) {
+      STCOMP_CHECK_OK(store.Append("veh-99", {0.0, 0.0, 0.0}));
+      STCOMP_CHECK_OK(store.Remove("veh-99"));
+    }
+  }
+  return store;
+}
+
+// Twelve queries of each type over the fixture, with integer parameters;
+// every fourth one declares a 5 m simplification error.
+std::vector<stcomp::QueryRequest> QueryFixtureMix() {
+  uint32_t state = 61;
+  std::vector<stcomp::QueryRequest> mix;
+  for (const stcomp::QueryType type :
+       {stcomp::QueryType::kTimeWindow, stcomp::QueryType::kRange,
+        stcomp::QueryType::kCorridor, stcomp::QueryType::kNearest}) {
+    for (int q = 0; q < 12; ++q) {
+      stcomp::QueryRequest request;
+      request.type = type;
+      if (q > 0) {  // The first of each type spans all of time.
+        request.t0 = static_cast<double>(Draw(&state, -500, 3000));
+        request.t1 = request.t0 + static_cast<double>(Draw(&state, 0, 1200));
+      }
+      request.declared_error_m = q % 4 == 3 ? 5.0 : 0.0;
+      const auto coordinate = [&state] {
+        return static_cast<double>(Draw(&state, -1200, 1200));
+      };
+      switch (type) {
+        case stcomp::QueryType::kTimeWindow:
+          break;
+        case stcomp::QueryType::kRange: {
+          const double half = static_cast<double>(Draw(&state, 50, 900));
+          const stcomp::Vec2 center{coordinate(), coordinate()};
+          request.box = {{center.x - half, center.y - half},
+                         {center.x + half, center.y + half}};
+          break;
+        }
+        case stcomp::QueryType::kCorridor: {
+          const int64_t waypoints = Draw(&state, 1, 4);
+          for (int64_t w = 0; w < waypoints; ++w) {
+            request.corridor.push_back({coordinate(), coordinate()});
+          }
+          request.radius_m = static_cast<double>(Draw(&state, 0, 400));
+          break;
+        }
+        case stcomp::QueryType::kNearest:
+          request.point = {coordinate(), coordinate()};
+          request.k = static_cast<size_t>(Draw(&state, 1, 14));
+          break;
+      }
+      mix.push_back(std::move(request));
+    }
+  }
+  return mix;
+}
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+// Every answer of the mix on the fixture: per query its type, the bits of
+// its error bound and its four QueryStats counts, then one line per hit
+// with the bits of first_hit_t and distance_m.
+std::string QueryAnswersText() {
+  const stcomp::TrajectoryStore store = QueryFixtureStore();
+  const stcomp::SpatioTemporalIndex index =
+      stcomp::SpatioTemporalIndex::BuildFromStore(store);
+  std::string out;
+  char line[256];
+  const std::vector<stcomp::QueryRequest> mix = QueryFixtureMix();
+  for (size_t q = 0; q < mix.size(); ++q) {
+    const auto answer = stcomp::RunQuery(store, index, mix[q]);
+    STCOMP_CHECK_OK(answer.status());
+    const stcomp::QueryStats& stats = answer->stats;
+    std::snprintf(line, sizeof(line),
+                  "q%02zu %s error_bound %016llx stats %llu %llu %llu %llu\n",
+                  q, std::string(stcomp::QueryTypeName(mix[q].type)).c_str(),
+                  static_cast<unsigned long long>(Bits(answer->error_bound_m)),
+                  static_cast<unsigned long long>(stats.objects_considered),
+                  static_cast<unsigned long long>(stats.blocks_total),
+                  static_cast<unsigned long long>(stats.blocks_considered),
+                  static_cast<unsigned long long>(stats.blocks_decoded));
+    out += line;
+    for (const stcomp::QueryHit& hit : answer->hits) {
+      std::snprintf(line, sizeof(line), "  %s %016llx %016llx\n",
+                    hit.id.c_str(),
+                    static_cast<unsigned long long>(Bits(hit.first_hit_t)),
+                    static_cast<unsigned long long>(Bits(hit.distance_m)));
+      out += line;
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -133,6 +269,7 @@ int main(int argc, char** argv) {
       stcomp::SerializeTrajectoryBlocked(trajectory, stcomp::Codec::kDelta, 2)
           .value();
   WriteFile(golden_dir / "trajectory_v2.stct", raw_blocked + delta_blocked);
+  WriteFile(golden_dir / "query_answers.txt", QueryAnswersText());
 
   WriteFile(corpus_dir / "serialization" / "raw_frame", raw);
   WriteFile(corpus_dir / "serialization" / "delta_frame", delta);
