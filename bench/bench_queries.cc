@@ -1,4 +1,4 @@
-// Query-engine benchmark: index-accelerated RunQuery vs the brute-force
+// Query-engine benchmark: summary-accelerated RunQuery vs the brute-force
 // decode-everything oracle across a selectivity x dataset-size matrix.
 // Every timed pair is also checked for bitwise-equal answers, so this
 // doubles as a large-input differential smoke. The JSON lands in
@@ -25,7 +25,6 @@
 #include "stcomp/obs/metrics.h"
 #include "stcomp/sim/paper_dataset.h"
 #include "stcomp/store/query.h"
-#include "stcomp/store/st_index.h"
 #include "stcomp/store/trajectory_store.h"
 
 namespace {
@@ -105,8 +104,6 @@ int main(int argc, char** argv) {
       STCOMP_CHECK_OK(store.Insert(
           trip.name(), trip.Subset(stcomp::algo::TdTr(trip, epsilon))));
     }
-    const stcomp::SpatioTemporalIndex index =
-        stcomp::SpatioTemporalIndex::BuildFromStore(store);
 
     for (const Shape& shape : shapes) {
       stcomp::Rng rng(9 + fleet);
@@ -128,7 +125,7 @@ int main(int argc, char** argv) {
       uint64_t blocks_decoded = 0;
       for (const stcomp::QueryRequest& request : requests) {
         const stcomp::Result<stcomp::QueryAnswer> engine =
-            stcomp::RunQuery(store, index, request);
+            stcomp::RunQuery(store, request);
         const stcomp::Result<stcomp::QueryAnswer> oracle =
             stcomp::BruteForceQuery(store, request);
         STCOMP_CHECK_OK(engine.status());
@@ -148,7 +145,7 @@ int main(int argc, char** argv) {
       const double engine_us = TimeUs(
           [&] {
             for (const stcomp::QueryRequest& request : requests) {
-              STCOMP_CHECK_OK(stcomp::RunQuery(store, index, request).status());
+              STCOMP_CHECK_OK(stcomp::RunQuery(store, request).status());
             }
           },
           repetitions);

@@ -77,6 +77,24 @@ stcomp::Status WriteAny(const stcomp::Trajectory& trajectory,
   return stcomp::WriteCsvTrajectoryFile(trajectory, path);
 }
 
+// The rest of --recover on an opened store (SegmentStore or
+// PartitionedSegmentStore): prints its recovery report, then persists the
+// recovered state as a fresh clean segment per partition so the salvage
+// does not have to be repeated on the next open.
+template <typename Store>
+int CheckpointRecovered(Store& store, const std::string& report,
+                        size_t objects, const std::string& dir) {
+  std::printf("%s\n", report.c_str());
+  if (const stcomp::Status status = store.Checkpoint(); !status.ok()) {
+    std::fprintf(stderr, "checkpoint after recovery failed: %s\n",
+                 status.ToString().c_str());
+    return 1;
+  }
+  std::printf("recovered %zu objects; checkpointed into %s\n", objects,
+              dir.c_str());
+  return 0;
+}
+
 // Epilogue dumps requested via flags; main() runs them after Run() so
 // every exit path (including early errors) still produces them.
 bool g_flight_dump = false;
@@ -167,9 +185,16 @@ int Run(int argc, char** argv) {
     }
     return 0;
   }
+  // A partitioned store keeps one segment store per shard-NNN directory;
+  // the store verbs run on every partition of such a root.
+  const auto is_partitioned = [](const std::string& dir) {
+    return std::filesystem::is_directory(dir + "/shard-000");
+  };
   if (!fsck_dir.empty()) {
     const stcomp::Result<stcomp::FsckReport> report =
-        stcomp::SegmentStore::Fsck(fsck_dir);
+        is_partitioned(fsck_dir)
+            ? stcomp::PartitionedSegmentStore::Fsck(fsck_dir)
+            : stcomp::SegmentStore::Fsck(fsck_dir);
     if (!report.ok()) {
       std::fprintf(stderr, "fsck failed: %s\n",
                    report.status().ToString().c_str());
@@ -179,22 +204,24 @@ int Run(int argc, char** argv) {
     return report->clean() ? 0 : 2;
   }
   if (!recover_dir.empty()) {
+    if (is_partitioned(recover_dir)) {
+      stcomp::PartitionedSegmentStore store;
+      if (const stcomp::Status status = store.Open(recover_dir);
+          !status.ok()) {
+        std::fprintf(stderr, "recover failed: %s\n",
+                     status.ToString().c_str());
+        return 1;
+      }
+      return CheckpointRecovered(store, store.DescribeRecovery(),
+                                 store.object_count(), recover_dir);
+    }
     stcomp::SegmentStore store;
     if (const stcomp::Status status = store.Open(recover_dir); !status.ok()) {
       std::fprintf(stderr, "recover failed: %s\n", status.ToString().c_str());
       return 1;
     }
-    std::printf("%s\n", store.last_recovery().Describe().c_str());
-    // Persist the recovered state as a fresh clean segment so the salvage
-    // does not have to be repeated on the next open.
-    if (const stcomp::Status status = store.Checkpoint(); !status.ok()) {
-      std::fprintf(stderr, "checkpoint after recovery failed: %s\n",
-                   status.ToString().c_str());
-      return 1;
-    }
-    std::printf("recovered %zu objects; checkpointed into %s\n",
-                store.store().object_count(), recover_dir.c_str());
-    return 0;
+    return CheckpointRecovered(store, store.last_recovery().Describe(),
+                               store.store().object_count(), recover_dir);
   }
   if (!query_spec.empty()) {
     if (store_dir.empty()) {
@@ -210,7 +237,7 @@ int Run(int argc, char** argv) {
     request->declared_error_m = declared_error;
     stcomp::Result<stcomp::QueryAnswer> answer =
         stcomp::InternalError("query not run");
-    if (std::filesystem::is_directory(store_dir + "/shard-000")) {
+    if (is_partitioned(store_dir)) {
       if (oracle) {
         std::fprintf(stderr,
                      "--oracle only supports the plain store layout\n");

@@ -19,6 +19,9 @@ namespace {
 
 constexpr size_t kReadChunk = 4096;
 
+// No ack within this window declares the link dead and reconnects.
+constexpr std::chrono::milliseconds kAckTimeout{5000};
+
 }  // namespace
 
 FleetClient::FleetClient(FleetClientOptions options)
@@ -187,9 +190,7 @@ Status FleetClient::SendUnsent() {
 }
 
 Status FleetClient::ReadOneFrame() {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(options_.ack_timeout_ms);
+  const auto deadline = std::chrono::steady_clock::now() + kAckTimeout;
   while (true) {
     NetFrame frame;
     Status error;
@@ -243,8 +244,8 @@ Status FleetClient::ReadOneFrame() {
     const auto now = std::chrono::steady_clock::now();
     if (now >= deadline) {
       return UnavailableError(
-          StrFormat("no ack within %llu ms",
-                    static_cast<unsigned long long>(options_.ack_timeout_ms)));
+          StrFormat("no ack within %lld ms",
+                    static_cast<long long>(kAckTimeout.count())));
     }
     const int wait_ms = static_cast<int>(
         std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)

@@ -4,7 +4,7 @@
 //
 // The client keeps every sent-but-unacked batch (bounded by
 // max_inflight_batches — that bound is the client-side backpressure).
-// On any link failure — connection reset, ack deadline, a kError or
+// On any link failure — connection reset, no ack within 5 s, a kError or
 // kGoAway frame from the server — it reconnects, replays the handshake,
 // drops every pending batch the kHelloAck reports acked, and resends the
 // rest byte-identically (same encoding, same sequence numbers). The
@@ -41,8 +41,6 @@ struct FleetClientOptions {
   size_t batch_size = 64;
   // Sent-but-unacked batches Push() tolerates before blocking on acks.
   size_t max_inflight_batches = 8;
-  // No ack within this window ⇒ declare the link dead and reconnect.
-  uint64_t ack_timeout_ms = 5000;
   // Reconnect budget over the client's lifetime; exhausting it fails the
   // pending operation with kUnavailable.
   size_t max_reconnects = 100;
@@ -93,7 +91,7 @@ class FleetClient {
   // (Flush) or pending < max_inflight (Push) is satisfied.
   Status Pump(bool need_all);
   Status SendUnsent();
-  // Blocks up to ack_timeout_ms for one server frame; dispatches it.
+  // Blocks up to the ack timeout for one server frame; dispatches it.
   Status ReadOneFrame();
   void HandleAck(uint64_t seq);
 

@@ -25,6 +25,18 @@ constexpr int kPollSliceMs = 50;
 // starve the poll loop; the loop comes back for the rest next tick.
 constexpr size_t kReadChunk = 4096;
 
+// Per-session inbound+outbound buffer budget; exceeding it sheds the
+// session.
+constexpr size_t kSessionBufferBudget = 4u << 20;
+
+// Sum of buffered bytes across all sessions; exceeding it sheds the
+// session whose read tipped the total (shed-newest-traffic).
+constexpr size_t kGlobalBufferBudget = 64u << 20;
+
+// Stop() flush budget: buffered acks/GOAWAYs get this long to reach
+// clients before the sockets are closed anyway.
+constexpr std::chrono::seconds kDrainTimeout{1};
+
 std::atomic<uint64_t> g_instance_counter{1};
 
 double SecondsSince(std::chrono::steady_clock::time_point then,
@@ -177,8 +189,7 @@ void IngestServer::AcceptPending() {
     auto session = std::make_unique<Session>();
     session->fd = fd;
     session->id = next_session_id_++;
-    session->reader =
-        std::make_unique<FrameReader>(options_.max_payload_bytes);
+    session->reader = std::make_unique<FrameReader>(kNetMaxPayloadBytes);
     session->accepted_at = std::chrono::steady_clock::now();
     session->last_activity = session->accepted_at;
     Session* raw = session.get();
@@ -211,8 +222,8 @@ bool IngestServer::ReadSession(Session* session) {
         RefreshBufferGauge(session);
         const size_t session_total =
             session->reader->buffered_bytes() + session->outbound.size();
-        if (session_total > options_.session_buffer_budget ||
-            TotalBufferedBytes() > options_.global_buffer_budget) {
+        if (session_total > kSessionBufferBudget ||
+            TotalBufferedBytes() > kGlobalBufferBudget) {
           GoAwaySession(session, GoAwayReason::kOverloaded,
                         "buffer budget exhausted");
           return true;
@@ -501,11 +512,8 @@ void IngestServer::DrainAndCloseAll() {
     }
     ++drained;
   }
-  // 2. Give buffered acks/GOAWAYs drain_timeout_s to reach their peers.
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(options_.drain_timeout_s));
+  // 2. Give buffered acks/GOAWAYs kDrainTimeout to reach their peers.
+  const auto deadline = std::chrono::steady_clock::now() + kDrainTimeout;
   bool pending = true;
   while (pending && std::chrono::steady_clock::now() < deadline) {
     pending = false;

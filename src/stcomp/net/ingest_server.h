@@ -14,9 +14,9 @@
 //   from the admin server, generalized), and bounded inbound/outbound
 //   buffers.
 //
-//   Backpressure and shedding.  A per-session buffer budget and a global
-//   budget across sessions bound memory; exceeding either sheds the
-//   session — a typed GOAWAY(overloaded) frame, counted in
+//   Backpressure and shedding.  A per-session buffer budget (4 MiB) and
+//   a global budget across sessions (64 MiB) bound memory; exceeding
+//   either sheds the session — a typed GOAWAY(overloaded) frame, counted in
 //   stcomp_net_sessions_shed_total, never a silent drop. Accepts beyond
 //   max_sessions shed-newest the same way. Push backpressure from the
 //   fleet engine (a full shard queue) blocks the poll thread, which
@@ -24,8 +24,9 @@
 //   end-to-end backpressure with no unbounded queue anywhere.
 //
 //   Protocol-error quarantine.  A malformed frame (bad magic, CRC
-//   mismatch, oversize, truncation) or an out-of-state frame yields a
-//   typed kError frame and a close — never a crash, never a resync.
+//   mismatch, a payload over kNetMaxPayloadBytes, truncation) or an
+//   out-of-state frame yields a typed kError frame and a close — never a
+//   crash, never a resync.
 //   Counted and flight-recorded per NetErrorCode.
 //
 //   Acked batches, exactly-once.  Batches apply only at seq ==
@@ -40,7 +41,7 @@
 //
 //   Graceful drain.  Stop() processes every complete frame already
 //   buffered, acks what it applied, sends GOAWAY(draining) to every
-//   session, flushes within drain_timeout_s, then closes. Nothing acked
+//   session, flushes within one second, then closes. Nothing acked
 //   is ever dropped on the floor.
 //
 // Observability: stcomp_net_* counters/gauges under {server=<instance>},
@@ -73,21 +74,11 @@ namespace stcomp::net {
 struct IngestServerOptions {
   // Accepts beyond this many live sessions are shed (GOAWAY + close).
   size_t max_sessions = 4096;
-  // Cap on one frame's declared payload (oversize ⇒ typed error + close).
-  size_t max_payload_bytes = kNetMaxPayloadBytes;
-  // Per-session inbound+outbound buffer budget; exceeding sheds it.
-  size_t session_buffer_budget = 4u << 20;
-  // Sum of buffered bytes across all sessions; exceeding sheds the
-  // session whose read tipped the total (shed-newest-traffic).
-  size_t global_buffer_budget = 64u << 20;
   // A session that sends no bytes for this long is closed
   // (GOAWAY(idle_timeout)); devices are expected to stream continuously.
   double idle_timeout_s = 30.0;
   // The kHello must arrive this fast after accept.
   double handshake_timeout_s = 5.0;
-  // Stop() flush budget: buffered acks/GOAWAYs get this long to reach
-  // clients before the sockets are closed anyway.
-  double drain_timeout_s = 1.0;
   // Metric-instance label; empty picks a unique "ingest-<n>".
   std::string instance;
 };

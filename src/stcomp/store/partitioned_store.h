@@ -87,7 +87,7 @@ class PartitionedSegmentStore {
   Result<Trajectory> Get(const std::string& object_id) const;
 
   // Cross-shard query fan-out (query.h): runs `request` against every
-  // partition's index and merges the answers — object ids are disjoint
+  // partition's store and merges the answers — object ids are disjoint
   // across shards, so set queries concatenate and re-sort by id, and
   // kNearest keeps the global top k by (distance, id). Stats and the
   // error bound aggregate across partitions. Answers are identical to

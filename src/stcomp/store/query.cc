@@ -225,22 +225,38 @@ std::span<const TimedPoint> SegmentsInWindow(std::span<const TimedPoint> points,
   return {first, stop + 1};
 }
 
-// One block's points plus its junction (the next block's first point,
-// where the block's last segment ends), sliced from the object's
-// resident storage values. kOutOfRange when the summary reaches past
-// them; a bound index never does, so this is only a cheap defence.
-Result<std::span<const TimedPoint>> BlockPoints(
-    std::span<const TimedPoint> points, const BlockSummary& block) {
-  if (block.first_point > points.size() ||
-      block.count > points.size() - block.first_point) {
-    return OutOfRangeError("block summary reaches past the object's points");
-  }
-  const size_t available = points.size() - block.first_point;
-  return points.subspan(block.first_point,
-                        std::min<size_t>(block.count + size_t{1}, available));
+// The blocks of one object's summary table whose time spans overlap
+// [t0, t1], as a [begin, end) index range. Timestamps strictly increase
+// and a block's t_max is its junction point's time, so t_min and t_max
+// are both nondecreasing along a table and those blocks form one run:
+// from the first block ending at or after t0 to the last starting at or
+// before t1. Two bisections find it.
+std::pair<size_t, size_t> BlocksOverlappingTime(
+    const std::vector<BlockSummary>& blocks, double t0, double t1) {
+  const auto begin = std::partition_point(
+      blocks.begin(), blocks.end(),
+      [t0](const BlockSummary& block) { return block.t_max < t0; });
+  const auto end = std::partition_point(
+      begin, blocks.end(),
+      [t1](const BlockSummary& block) { return block.t_min <= t1; });
+  return {static_cast<size_t>(begin - blocks.begin()),
+          static_cast<size_t>(end - blocks.begin())};
 }
 
-// A k-nearest candidate block: objects()[object].blocks[block], with the
+// One block's points plus its junction (the next block's first point,
+// where the block's last segment ends), sliced from the object's
+// resident storage values. The store keeps each summary table in step
+// with its points, so the slice never reaches past them.
+std::span<const TimedPoint> BlockPoints(const TrajectoryStore::Entry& object,
+                                        const BlockSummary& block) {
+  const std::span<const TimedPoint> points(object.decoded.points());
+  return points.subspan(
+      block.first_point,
+      std::min<size_t>(block.count + size_t{1},
+                       points.size() - block.first_point));
+}
+
+// A k-nearest candidate block: EntryAt(object).blocks[block], with the
 // distance lower bound of its summary box. Ordered by the full key, so a
 // min-heap pops candidates in exactly the order a sort would give.
 struct NearestCandidate {
@@ -358,35 +374,29 @@ double QueryErrorBound(const QueryRequest& request, Codec codec) {
 }
 
 Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
-                             const SpatioTemporalIndex& index,
                              const QueryRequest& request) {
   STCOMP_RETURN_IF_ERROR(ValidateQuery(request));
-  if (!index.BoundTo(store)) {
-    // The entries' spans point into the store the index was built from;
-    // any other pairing would read points that are gone or stale.
-    return FailedPreconditionError(
-        "index is not bound to this store; rebuild it with BuildFromStore");
-  }
   STCOMP_SCOPED_TIMER(Metrics().seconds);
   Metrics().by_type[static_cast<size_t>(request.type)]->Increment();
   QueryAnswer answer;
   answer.error_bound_m = QueryErrorBound(request, store.codec());
   const double t0 = request.t0;
   const double t1 = request.t1;
-  const auto& objects = index.objects();
-  answer.stats.objects_considered = objects.size();
-  for (const auto& object : objects) {
-    answer.stats.blocks_total += object.blocks.size();
-  }
-  // An object whose table extents miss the window has no block in it.
-  const auto overlaps_window = [t0, t1](const auto& object) {
+  const size_t object_count = store.object_count();
+  answer.stats.objects_considered = object_count;
+  // Each pass below walks every object once and adds its blocks to
+  // blocks_total. An object whose table extents miss the window has no
+  // block in it.
+  const auto overlaps_window = [t0, t1](const TrajectoryStore::Entry& object) {
     return object.t_min <= t1 && object.t_max >= t0;
   };
 
   if (request.type == QueryType::kTimeWindow) {
     // Extents only: block time spans are exact (summaries are built from
     // storage values and time is monotone), so no point is read.
-    for (const auto& object : objects) {
+    for (size_t o = 0; o < object_count; ++o) {
+      const TrajectoryStore::Entry& object = store.EntryAt(o);
+      answer.stats.blocks_total += object.blocks.size();
       if (overlaps_window(object)) {
         answer.hits.push_back(
             QueryHit{object.id, std::max(t0, object.t_min), 0.0});
@@ -405,11 +415,13 @@ Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
     // pops in the order a sort of every candidate would give, and only
     // the popped ones pay for their ordering.
     std::vector<NearestCandidate> candidates;
-    for (uint32_t o = 0; o < objects.size(); ++o) {
-      if (!overlaps_window(objects[o])) {
+    for (uint32_t o = 0; o < object_count; ++o) {
+      const TrajectoryStore::Entry& object = store.EntryAt(o);
+      answer.stats.blocks_total += object.blocks.size();
+      if (!overlaps_window(object)) {
         continue;
       }
-      const std::vector<BlockSummary>& blocks = objects[o].blocks;
+      const std::vector<BlockSummary>& blocks = object.blocks;
       const auto [begin, end] = BlocksOverlappingTime(blocks, t0, t1);
       for (size_t b = begin; b < end; ++b) {
         candidates.push_back(NearestCandidate{
@@ -427,10 +439,9 @@ Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
       if (top.size() == request.k && candidate.lower_bound > top.back().first) {
         break;
       }
-      const auto& object = objects[candidate.object];
-      STCOMP_ASSIGN_OR_RETURN(
-          const std::span<const TimedPoint> block,
-          BlockPoints(object.points, object.blocks[candidate.block]));
+      const TrajectoryStore::Entry& object = store.EntryAt(candidate.object);
+      const std::span<const TimedPoint> block =
+          BlockPoints(object, object.blocks[candidate.block]);
       ++answer.stats.blocks_decoded;
       double distance = 0.0;
       if (MinDistanceInSpan(SegmentsInWindow(block, t0, t1), t0, t1,
@@ -439,7 +450,7 @@ Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
       }
     }
     for (const auto& [distance, object] : top) {
-      answer.hits.push_back(QueryHit{objects[object].id, 0.0, distance});
+      answer.hits.push_back(QueryHit{store.EntryAt(object).id, 0.0, distance});
     }
     Metrics().blocks_considered->Increment(answer.stats.blocks_considered);
     Metrics().blocks_decoded->Increment(answer.stats.blocks_decoded);
@@ -485,7 +496,9 @@ Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
     return false;
   };
   const bool corridor = request.type == QueryType::kCorridor;
-  for (const auto& object : objects) {
+  for (size_t o = 0; o < object_count; ++o) {
+    const TrajectoryStore::Entry& object = store.EntryAt(o);
+    answer.stats.blocks_total += object.blocks.size();
     if (!overlaps_window(object) || !object.bounds.Intersects(reach)) {
       continue;
     }
@@ -504,8 +517,7 @@ Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
       if (hit) {
         continue;
       }
-      STCOMP_ASSIGN_OR_RETURN(const std::span<const TimedPoint> block,
-                              BlockPoints(object.points, blocks[b]));
+      const std::span<const TimedPoint> block = BlockPoints(object, blocks[b]);
       ++answer.stats.blocks_decoded;
       hit = FirstHitInSpan(SegmentsInWindow(block, t0, t1), t0, t1, pred,
                            &first_hit_t);

@@ -1,8 +1,9 @@
-// Queries over the compressed store (DESIGN.md §17): the spatio-temporal
-// index (st_index.h) holds one entry per object — its block summaries
-// (block_summary.h), their extents and its resident storage values — and
-// narrows the search to candidate blocks, whose points alone are read,
-// bisected on time, without decoding the payload. Four query types:
+// Queries over the compressed store (DESIGN.md §17): the store's own
+// directory (trajectory_store.h) holds one entry per object — its block
+// summaries (block_summary.h), their extents and its resident storage
+// values — and the engine walks it in id order, narrowing the search to
+// candidate blocks, whose points alone are read, bisected on time,
+// without decoding the payload. Four query types:
 //
 //   kTimeWindow — objects whose motion overlaps [t0, t1] (extents only;
 //                 no points read at all).
@@ -21,7 +22,7 @@
 // predicate is therefore never missed; the answer reports the bound it
 // used.
 //
-// RunQuery (index-accelerated) and BruteForceQuery (decode everything;
+// RunQuery (summary-accelerated) and BruteForceQuery (decode everything;
 // the oracle) produce bitwise-identical hits for the same store and
 // request: the resident storage values equal the decoded payload bit for
 // bit, both sides walk them through the same clipping and predicate
@@ -42,7 +43,6 @@
 
 #include "stcomp/common/result.h"
 #include "stcomp/geom/geometry.h"
-#include "stcomp/store/st_index.h"
 #include "stcomp/store/trajectory_store.h"
 
 namespace stcomp {
@@ -109,12 +109,9 @@ Status ValidateQuery(const QueryRequest& request);
 // codec's quantisation bound (kCoordQuantumM for kDelta, 0 for kRaw).
 double QueryErrorBound(const QueryRequest& request, Codec codec);
 
-// Index-accelerated evaluation. kFailedPrecondition, for every query
-// type, unless `index` is bound to `store` (index.BoundTo(store)): built
-// from it by BuildFromStore, with no mutation since. The segment store
-// maintains this. Increments the query metrics (/queryz).
+// Summary-accelerated evaluation over the store's directory. Increments
+// the query metrics (/queryz).
 Result<QueryAnswer> RunQuery(const TrajectoryStore& store,
-                             const SpatioTemporalIndex& index,
                              const QueryRequest& request);
 
 // The oracle: decodes every object in full and evaluates the predicate on

@@ -135,15 +135,9 @@ std::string SegmentStore::IndexPath() const {
   return dir_ + "/" + std::string(kIndexFileName);
 }
 
-const SpatioTemporalIndex& SegmentStore::Index() const {
-  if (!index_.BoundTo(store_)) {
-    index_ = SpatioTemporalIndex::BuildFromStore(store_);
-  }
+const SpatioTemporalIndex& SegmentStore::Index() {
+  index_ = SpatioTemporalIndex::BuildFromStore(store_);
   return index_;
-}
-
-Result<QueryAnswer> SegmentStore::Query(const QueryRequest& request) const {
-  return RunQuery(store_, Index(), request);
 }
 
 Status SegmentStore::Open(const std::string& dir) {
@@ -306,9 +300,10 @@ Status SegmentStore::Checkpoint() {
   // Persist the index next to the snapshot it describes, for Fsck and
   // the benchmark. Recovery never reads it, so a crash at either durable
   // boundary, which leaves the old index (or none), costs nothing.
-  STCOMP_RETURN_IF_ERROR(AtomicWriteFile(IndexPath(),
-                                         Index().SerializeToString(),
-                                         options_.write_hook, &boundary_));
+  STCOMP_RETURN_IF_ERROR(AtomicWriteFile(
+      IndexPath(),
+      SpatioTemporalIndex::BuildFromStore(store_).SerializeToString(),
+      options_.write_hook, &boundary_));
   // The snapshot now owns the log's contents. A crash before the truncate
   // re-replays the log over the snapshot at the next Open — idempotent,
   // surfaced as replay conflicts.
@@ -331,6 +326,14 @@ Result<FsckReport> SegmentStore::Fsck(const std::string& dir) {
   FsckReport report;
   std::vector<std::pair<uint64_t, std::string>> segments = ListSegments(dir);
   std::sort(segments.begin(), segments.end());
+  const std::string wal_path = dir + "/" + std::string(kWalFileName);
+  const std::string index_path = dir + "/" + std::string(kIndexFileName);
+  if (segments.empty() && !std::filesystem::exists(wal_path) &&
+      !std::filesystem::exists(index_path)) {
+    // Nothing to scan is no store, not a clean one: a partitioned root
+    // holds its files one level down (PartitionedSegmentStore::Fsck).
+    return NotFoundError("no segment, wal or index file in " + dir);
+  }
   for (const auto& [sequence, name] : segments) {
     STCOMP_ASSIGN_OR_RETURN(const std::string image,
                             ReadFileToString(dir + "/" + name));
@@ -341,7 +344,6 @@ Result<FsckReport> SegmentStore::Fsck(const std::string& dir) {
                                           stats.frames_salvaged_past,
                                           stats.torn_tail});
   }
-  const std::string wal_path = dir + "/" + std::string(kWalFileName);
   if (std::filesystem::exists(wal_path)) {
     STCOMP_ASSIGN_OR_RETURN(const std::string image,
                             ReadFileToString(wal_path));
@@ -352,7 +354,6 @@ Result<FsckReport> SegmentStore::Fsck(const std::string& dir) {
         stats.records_replayed + stats.records_dropped_uncommitted,
         stats.frames_salvaged_past, stats.torn_tail});
   }
-  const std::string index_path = dir + "/" + std::string(kIndexFileName);
   if (std::filesystem::exists(index_path)) {
     STCOMP_ASSIGN_OR_RETURN(const std::string image,
                             ReadFileToString(index_path));

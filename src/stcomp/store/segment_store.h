@@ -16,8 +16,8 @@
 // segment, writes the index sidecar, truncates the log and prunes older
 // segments. Open() recovers: the newest readable segment is loaded
 // (salvaging intact frames from a corrupted one), then every committed
-// WAL batch is replayed on top. The index is built from the recovered
-// store on first use; recovery never reads the sidecar.
+// WAL batch is replayed on top; recovery never reads the sidecar, and
+// queries walk the in-memory store's own directory.
 // Recovery is salvage-first — a torn tail or a flipped bit costs the
 // affected frame, never the store — and is observable:
 //
@@ -124,20 +124,23 @@ class SegmentStore {
   // mutation, committed or not).
   const TrajectoryStore& store() const { return store_; }
 
-  // The spatio-temporal index over the current contents, bound to
-  // store(); rebuilt on first use after any mutation. The reference stays
-  // valid until the next mutation.
-  const SpatioTemporalIndex& Index() const;
+  // Builds the STIX index of the current contents (st_index.h), the
+  // image Checkpoint writes to index.stidx, and returns it; the reference
+  // stays valid until the next call. Queries do not read it.
+  const SpatioTemporalIndex& Index();
 
-  // Index-accelerated query over the current contents (query.h).
-  Result<QueryAnswer> Query(const QueryRequest& request) const;
+  // Query over the current contents (query.h).
+  Result<QueryAnswer> Query(const QueryRequest& request) const {
+    return RunQuery(store_, request);
+  }
 
   const RecoveryReport& last_recovery() const { return recovery_; }
   const std::string& directory() const { return dir_; }
   size_t staged_records() const { return wal_.staged_records(); }
   bool dead() const { return wal_.dead(); }
 
-  // Read-only integrity scan of every segment + wal file in `dir`.
+  // Read-only integrity scan of every segment, wal and index file in
+  // `dir`; kNotFound if `dir` holds none of them.
   static Result<FsckReport> Fsck(const std::string& dir);
 
  private:
@@ -153,9 +156,7 @@ class SegmentStore {
   size_t boundary_ = 0;  // Global durable-write boundary counter.
   RecoveryReport recovery_;
   bool open_ = false;
-  // Rebuilt by Index() whenever it is not bound to store_: a mutation
-  // changes the store's stamp, and a default index is bound to nothing.
-  mutable SpatioTemporalIndex index_;
+  SpatioTemporalIndex index_;  // Index()'s last build.
 };
 
 }  // namespace stcomp

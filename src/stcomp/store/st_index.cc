@@ -1,8 +1,6 @@
 #include "stcomp/store/st_index.h"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "stcomp/store/serialization.h"
 #include "stcomp/store/varint.h"
@@ -18,46 +16,17 @@ constexpr double kCellSizeM = 250.0;
 
 }  // namespace
 
-std::pair<size_t, size_t> BlocksOverlappingTime(
-    const std::vector<BlockSummary>& blocks, double t0, double t1) {
-  const auto begin = std::partition_point(
-      blocks.begin(), blocks.end(),
-      [t0](const BlockSummary& block) { return block.t_max < t0; });
-  const auto end = std::partition_point(
-      begin, blocks.end(),
-      [t1](const BlockSummary& block) { return block.t_min <= t1; });
-  return {static_cast<size_t>(begin - blocks.begin()),
-          static_cast<size_t>(end - blocks.begin())};
-}
-
 SpatioTemporalIndex SpatioTemporalIndex::BuildFromStore(
     const TrajectoryStore& store) {
   SpatioTemporalIndex index;
-  index.store_ = &store;
-  index.stamp_ = store.stamp();
-  store.VisitBlocks([&index](const std::string& id,
-                             std::span<const TimedPoint> points,
-                             const std::vector<BlockSummary>& blocks,
-                             std::string_view payload) {
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    ObjectEntry entry{.id = id,
-                      .num_points = points.size(),
-                      .payload_crc = Crc32(payload),
-                      .blocks = blocks,
-                      .points = points,
-                      .t_min = kInf,
-                      .t_max = -kInf,
-                      .bounds = {{kInf, kInf}, {-kInf, -kInf}}};
-    for (const BlockSummary& block : blocks) {
-      entry.t_min = std::min(entry.t_min, block.t_min);
-      entry.t_max = std::max(entry.t_max, block.t_max);
-      entry.bounds.min = {std::min(entry.bounds.min.x, block.bounds.min.x),
-                          std::min(entry.bounds.min.y, block.bounds.min.y)};
-      entry.bounds.max = {std::max(entry.bounds.max.x, block.bounds.max.x),
-                          std::max(entry.bounds.max.y, block.bounds.max.y)};
-    }
-    index.objects_.push_back(std::move(entry));
-  });
+  index.objects_.reserve(store.object_count());
+  for (size_t rank = 0; rank < store.object_count(); ++rank) {
+    const TrajectoryStore::Entry& entry = store.EntryAt(rank);
+    index.objects_.push_back(ObjectEntry{.id = entry.id,
+                                         .num_points = entry.decoded.size(),
+                                         .payload_crc = Crc32(entry.encoded),
+                                         .blocks = entry.blocks});
+  }
   return index;
 }
 

@@ -1,7 +1,7 @@
 #include "stcomp/store/trajectory_store.h"
 
 #include <algorithm>
-#include <atomic>
+#include <utility>
 
 #include "stcomp/common/check.h"
 #include "stcomp/common/strings.h"
@@ -24,13 +24,6 @@ struct StoreMetrics {
   obs::Counter* inserts;
   obs::Histogram* append_seconds;
 };
-
-// The next store stamp: one counter for the process, so stamps are never
-// reused, whichever store draws them.
-uint64_t NextStamp() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1);
-}
 
 const StoreMetrics& Metrics() {
   static const StoreMetrics* const kMetrics = [] {
@@ -74,35 +67,31 @@ bool IsStoreBlocked(const std::vector<BlockSummary>& blocks,
   return first == num_points;
 }
 
+// Widens the entry's extents to cover [t_min, t_max] x `box`.
+void ExtendExtents(double t_min, double t_max, const BoundingBox& box,
+                   TrajectoryStore::Entry* entry) {
+  entry->t_min = std::min(entry->t_min, t_min);
+  entry->t_max = std::max(entry->t_max, t_max);
+  entry->bounds.min = {std::min(entry->bounds.min.x, box.min.x),
+                       std::min(entry->bounds.min.y, box.min.y)};
+  entry->bounds.max = {std::max(entry->bounds.max.x, box.max.x),
+                       std::max(entry->bounds.max.y, box.max.y)};
+}
+
+// Sets the entry's extents to the union of its block summaries.
+void SetExtents(TrajectoryStore::Entry* entry) {
+  const TrajectoryStore::Entry empty;
+  entry->t_min = empty.t_min;
+  entry->t_max = empty.t_max;
+  entry->bounds = empty.bounds;
+  for (const BlockSummary& block : entry->blocks) {
+    ExtendExtents(block.t_min, block.t_max, block.bounds, entry);
+  }
+}
+
 }  // namespace
 
-TrajectoryStore::TrajectoryStore(Codec codec)
-    : codec_(codec), stamp_(NextStamp()) {}
-
-TrajectoryStore::TrajectoryStore(const TrajectoryStore& other)
-    : codec_(other.codec_), entries_(other.entries_), stamp_(NextStamp()) {}
-
-TrajectoryStore::TrajectoryStore(TrajectoryStore&& other) noexcept
-    : codec_(other.codec_),
-      entries_(std::move(other.entries_)),
-      stamp_(NextStamp()) {
-  other.stamp_ = NextStamp();
-}
-
-TrajectoryStore& TrajectoryStore::operator=(const TrajectoryStore& other) {
-  codec_ = other.codec_;
-  entries_ = other.entries_;
-  stamp_ = NextStamp();
-  return *this;
-}
-
-TrajectoryStore& TrajectoryStore::operator=(TrajectoryStore&& other) noexcept {
-  codec_ = other.codec_;
-  entries_ = std::move(other.entries_);
-  stamp_ = NextStamp();
-  other.stamp_ = NextStamp();
-  return *this;
-}
+TrajectoryStore::TrajectoryStore(Codec codec) : codec_(codec) {}
 
 Status TrajectoryStore::EncodeInto(const Trajectory& trajectory,
                                    Entry* entry) const {
@@ -111,6 +100,7 @@ Status TrajectoryStore::EncodeInto(const Trajectory& trajectory,
       entry->blocks,
       EncodeBlocked(trajectory.points().data(), trajectory.size(), codec_,
                     kDefaultBlockPoints, &entry->encoded));
+  SetExtents(entry);
   return Status::Ok();
 }
 
@@ -125,6 +115,7 @@ Status TrajectoryStore::EntryFromFrame(Trajectory frame, FrameLayout layout,
       SetBlockExtents(frame.points(), Codec::kRaw, &block);
     }
     entry->decoded = std::move(frame);
+    SetExtents(entry);
     return Status::Ok();
   }
   STCOMP_RETURN_IF_ERROR(EncodeInto(frame, entry));
@@ -136,22 +127,39 @@ Status TrajectoryStore::EntryFromFrame(Trajectory frame, FrameLayout layout,
   return Status::Ok();
 }
 
+size_t TrajectoryStore::LowerBound(std::string_view object_id) const {
+  return static_cast<size_t>(
+      std::partition_point(order_.begin(), order_.end(),
+                           [this, object_id](uint32_t position) {
+                             return entries_[position].id < object_id;
+                           }) -
+      order_.begin());
+}
+
 const TrajectoryStore::Entry* TrajectoryStore::FindEntry(
     std::string_view object_id) const {
-  const auto it = entries_.find(object_id);
-  return it == entries_.end() ? nullptr : &it->second;
+  const size_t rank = LowerBound(object_id);
+  return HoldsAt(rank, object_id) ? &entries_[order_[rank]] : nullptr;
+}
+
+void TrajectoryStore::AddEntry(size_t rank, Entry entry) {
+  STCOMP_CHECK(entries_.size() < std::numeric_limits<uint32_t>::max());
+  order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(rank),
+                static_cast<uint32_t>(entries_.size()));
+  entries_.push_back(std::move(entry));
 }
 
 Status TrajectoryStore::Insert(const std::string& object_id,
                                const Trajectory& trajectory) {
-  if (entries_.contains(object_id)) {
+  const size_t rank = LowerBound(object_id);
+  if (HoldsAt(rank, object_id)) {
     return AlreadyExistsError("object '" + object_id + "' already stored");
   }
   Entry entry;
+  entry.id = object_id;
   STCOMP_RETURN_IF_ERROR(EncodeInto(trajectory, &entry));
   STCOMP_ASSIGN_OR_RETURN(entry.decoded, ToStorageValues(trajectory, codec_));
-  entries_.emplace(object_id, std::move(entry));
-  stamp_ = NextStamp();
+  AddEntry(rank, std::move(entry));
   Metrics().inserts->Increment();
   return Status::Ok();
 }
@@ -160,9 +168,10 @@ Status TrajectoryStore::Append(const std::string& object_id,
                                const TimedPoint& point) {
   STCOMP_SCOPED_TIMER_SAMPLED(Metrics().append_seconds);
   Metrics().appends->Increment();
-  const auto it = entries_.find(object_id);
+  const size_t rank = LowerBound(object_id);
+  const bool known = HoldsAt(rank, object_id);
   Entry fresh;
-  Entry& entry = it == entries_.end() ? fresh : it->second;
+  Entry& entry = known ? entries_[order_[rank]] : fresh;
   Trajectory& decoded = entry.decoded;
   const TimedPoint storage = StorageValue(point, codec_);
   if (!decoded.empty() && storage.t <= decoded.back().t) {
@@ -201,11 +210,14 @@ Status TrajectoryStore::Append(const std::string& object_id,
     ExtendBlockSummary(&block, storage);
   }
   STCOMP_CHECK_OK(decoded.Append(storage));
-  if (it == entries_.end()) {
+  // Every summary the point joined grew by the point alone.
+  ExtendExtents(storage.t, storage.t, {storage.position, storage.position},
+                &entry);
+  if (!known) {
+    fresh.id = object_id;
     decoded.set_name(object_id);
-    entries_.emplace(object_id, std::move(fresh));
+    AddEntry(rank, std::move(fresh));
   }
-  stamp_ = NextStamp();
   return Status::Ok();
 }
 
@@ -249,50 +261,49 @@ Result<std::span<const TimedPoint>> TrajectoryStore::StoragePoints(
   return std::span<const TimedPoint>(entry->decoded.points());
 }
 
-void TrajectoryStore::VisitBlocks(
-    const std::function<void(const std::string& id,
-                             std::span<const TimedPoint> points,
-                             const std::vector<BlockSummary>& blocks,
-                             std::string_view payload)>& fn) const {
-  for (const auto& [id, entry] : entries_) {
-    fn(id, entry.decoded.points(), entry.blocks, entry.encoded);
-  }
-}
-
 Status TrajectoryStore::Remove(const std::string& object_id) {
-  if (entries_.erase(object_id) == 0) {
+  const size_t rank = LowerBound(object_id);
+  if (!HoldsAt(rank, object_id)) {
     return NotFoundError("object '" + object_id + "' not in store");
   }
-  stamp_ = NextStamp();
+  const uint32_t hole = order_[rank];
+  order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(rank));
+  const auto last = static_cast<uint32_t>(entries_.size() - 1);
+  if (hole != last) {
+    // The last entry moves into the hole, and its rank follows it.
+    order_[LowerBound(entries_[last].id)] = hole;
+    entries_[hole] = std::move(entries_[last]);
+  }
+  entries_.pop_back();
   return Status::Ok();
 }
 
 std::vector<std::string> TrajectoryStore::ObjectIds() const {
   std::vector<std::string> ids;
-  ids.reserve(entries_.size());
-  for (const auto& [id, entry] : entries_) {
-    ids.push_back(id);
+  ids.reserve(order_.size());
+  for (const uint32_t position : order_) {
+    ids.push_back(entries_[position].id);
   }
   return ids;
 }
 
 Result<Vec2> TrajectoryStore::PositionAt(const std::string& object_id,
                                          double t) const {
-  const auto it = entries_.find(object_id);
-  if (it == entries_.end()) {
+  const Entry* entry = FindEntry(object_id);
+  if (entry == nullptr) {
     return NotFoundError("object '" + object_id + "' not in store");
   }
-  return it->second.decoded.PositionAt(t);
+  return entry->decoded.PositionAt(t);
 }
 
 Result<Trajectory> TrajectoryStore::TimeSlice(const std::string& object_id,
                                               double t0, double t1) const {
   STCOMP_CHECK(t0 <= t1);
-  const auto it = entries_.find(object_id);
-  if (it == entries_.end()) {
+  const Entry* entry = FindEntry(object_id);
+  if (entry == nullptr) {
     return NotFoundError("object '" + object_id + "' not in store");
   }
-  const Trajectory& decoded = it->second.decoded;
+  const Trajectory& decoded = entry->decoded;
   if (decoded.empty() || t1 < decoded.front().t || t0 > decoded.back().t) {
     return OutOfRangeError("time slice does not overlap the trajectory");
   }
@@ -320,10 +331,11 @@ Result<Trajectory> TrajectoryStore::TimeSlice(const std::string& object_id,
 std::vector<std::string> TrajectoryStore::ObjectsInBox(
     const BoundingBox& box) const {
   std::vector<std::string> hits;
-  for (const auto& [id, entry] : entries_) {
+  for (const uint32_t position : order_) {
+    const Entry& entry = entries_[position];
     for (const TimedPoint& point : entry.decoded.points()) {
       if (box.Contains(point.position)) {
-        hits.push_back(id);
+        hits.push_back(entry.id);
         break;
       }
     }
@@ -333,11 +345,12 @@ std::vector<std::string> TrajectoryStore::ObjectsInBox(
 
 Result<std::string> TrajectoryStore::SerializeToString() const {
   std::string image;
-  for (const auto& [id, entry] : entries_) {
+  for (const uint32_t position : order_) {
+    const Entry& entry = entries_[position];
     // v2 blocked frames, straight from the stored payload — no re-encode.
     STCOMP_ASSIGN_OR_RETURN(
         const std::string frame,
-        SerializeBlockedFrame(id, codec_, entry.blocks, entry.encoded));
+        SerializeBlockedFrame(entry.id, codec_, entry.blocks, entry.encoded));
     image += frame;
   }
   return image;
@@ -357,24 +370,26 @@ Status TrajectoryStore::LoadFromFile(const std::string& path) {
 
 Status TrajectoryStore::LoadFromBuffer(std::string_view data) {
   std::string_view cursor = data;
-  std::map<std::string, Entry, std::less<>> loaded;
+  TrajectoryStore loaded(codec_);
   while (!cursor.empty()) {
     FrameLayout layout;
     STCOMP_ASSIGN_OR_RETURN(Trajectory trajectory,
                             DeserializeTrajectory(&cursor, &layout));
-    std::string id = trajectory.name();
-    if (id.empty()) {
+    Entry entry;
+    entry.id = trajectory.name();
+    if (entry.id.empty()) {
       return DataLossError("stored trajectory frame without an object id");
     }
-    Entry entry;
     STCOMP_RETURN_IF_ERROR(
         EntryFromFrame(std::move(trajectory), std::move(layout), &entry));
-    if (!loaded.emplace(id, std::move(entry)).second) {
-      return DataLossError("duplicate object id '" + id + "' in store file");
+    const size_t rank = loaded.LowerBound(entry.id);
+    if (loaded.HoldsAt(rank, entry.id)) {
+      return DataLossError("duplicate object id '" + entry.id +
+                           "' in store file");
     }
+    loaded.AddEntry(rank, std::move(entry));
   }
-  entries_ = std::move(loaded);
-  stamp_ = NextStamp();
+  *this = std::move(loaded);
   return Status::Ok();
 }
 
@@ -384,30 +399,32 @@ Status TrajectoryStore::SalvageFromBuffer(std::string_view data,
   if (stats == nullptr) {
     stats = &local;
   }
-  std::map<std::string, Entry, std::less<>> loaded;
+  TrajectoryStore loaded(codec_);
   std::vector<FrameLayout> layouts;
   std::vector<Trajectory> frames = ScanTrajectoryFrames(data, stats, &layouts);
   for (size_t i = 0; i < frames.size(); ++i) {
-    std::string id = frames[i].name();
-    if (id.empty()) {
+    Entry entry;
+    entry.id = frames[i].name();
+    if (entry.id.empty()) {
       stats->log.push_back("dropped frame without an object id");
       continue;
     }
-    Entry entry;
     STCOMP_RETURN_IF_ERROR(
         EntryFromFrame(std::move(frames[i]), std::move(layouts[i]), &entry));
-    if (!loaded.emplace(id, std::move(entry)).second) {
-      stats->log.push_back("dropped duplicate object id '" + id + "'");
+    const size_t rank = loaded.LowerBound(entry.id);
+    if (loaded.HoldsAt(rank, entry.id)) {
+      stats->log.push_back("dropped duplicate object id '" + entry.id + "'");
+      continue;
     }
+    loaded.AddEntry(rank, std::move(entry));
   }
-  entries_ = std::move(loaded);
-  stamp_ = NextStamp();
+  *this = std::move(loaded);
   return Status::Ok();
 }
 
 size_t TrajectoryStore::StorageBytes() const {
   size_t total = 0;
-  for (const auto& [id, entry] : entries_) {
+  for (const Entry& entry : entries_) {
     total += entry.encoded.size();
   }
   return total;

@@ -11,8 +11,7 @@
 #define STCOMP_STORE_TRAJECTORY_STORE_H_
 
 #include <cstdint>
-#include <functional>
-#include <map>
+#include <limits>
 #include <span>
 #include <string>
 #include <string_view>
@@ -29,21 +28,33 @@ namespace stcomp {
 
 class TrajectoryStore {
  public:
+  // One stored object: the store's directory holds one entry per object,
+  // and the query engine reads each object's record from it (DESIGN.md
+  // §17). Every mutation keeps all of its fields in step. The fields a
+  // query walk reads for every object come first, so they share a cache
+  // line.
+  struct Entry {
+    // The extents of the whole table, the union of its block summaries:
+    // every block's time span lies in [t_min, t_max] and its box in
+    // `bounds`, so an object whose extents miss a query has no block that
+    // meets it. An object without blocks keeps t_min > t_max and an
+    // inverted box, which meet nothing.
+    double t_min = std::numeric_limits<double>::infinity();
+    double t_max = -std::numeric_limits<double>::infinity();
+    BoundingBox bounds = {{t_min, t_min}, {t_max, t_max}};  // Inverted.
+    std::vector<BlockSummary> blocks;  // The summary table.
+    // The points as storage values, named like the stored trajectory:
+    // exactly what decoding `encoded` yields. Insert and Append map their
+    // input through StorageValue(); a frame decoded in the store's codec
+    // already holds storage values and is moved in.
+    Trajectory decoded;
+    std::string id;
+    std::string encoded;  // Concatenated independently-coded block payloads.
+  };
+
   explicit TrajectoryStore(Codec codec = Codec::kDelta);
-  // Copies and moves draw fresh stamps, at both ends of a move.
-  TrajectoryStore(const TrajectoryStore& other);
-  TrajectoryStore(TrajectoryStore&& other) noexcept;
-  TrajectoryStore& operator=(const TrajectoryStore& other);
-  TrajectoryStore& operator=(TrajectoryStore&& other) noexcept;
 
   Codec codec() const { return codec_; }
-
-  // Changes on every successful Insert, Append, Remove, LoadFromBuffer and
-  // SalvageFromBuffer; a refused mutation leaves it as it was. Stamps come
-  // from one process-wide counter, so no two stores ever share one: the
-  // pair (store address, stamp) names one unchanged state of one store.
-  // An index built from the store is bound to that pair (st_index.h).
-  uint64_t stamp() const { return stamp_; }
 
   // Inserts a whole trajectory under `object_id`; kAlreadyExists if the id
   // is taken, kInvalidArgument if two fixes share a stored time (kDelta
@@ -61,6 +72,12 @@ class TrajectoryStore {
   Status Remove(const std::string& object_id);
   std::vector<std::string> ObjectIds() const;
   size_t object_count() const { return entries_.size(); }
+
+  // The directory in ascending id order: rank 0 holds the smallest id.
+  // A store loaded from an image holds its entries in id order already,
+  // so a walk over ranks 0 .. object_count() - 1 reads them one after the
+  // other. The reference stays valid until the next mutation.
+  const Entry& EntryAt(size_t rank) const { return entries_[order_[rank]]; }
 
   // Object position at time t (kOutOfRange outside its interval). This and
   // TimeSlice / ObjectsInBox read the storage values, so they answer the
@@ -94,15 +111,6 @@ class TrajectoryStore {
   Result<std::span<const TimedPoint>> StoragePoints(
       std::string_view object_id) const;
 
-  // Visits every object's id, resident storage values (StoragePoints),
-  // summary table and encoded payload in id order (the index builder's
-  // scan). The spans stay valid until the next mutation.
-  void VisitBlocks(
-      const std::function<void(const std::string& id,
-                               std::span<const TimedPoint> points,
-                               const std::vector<BlockSummary>& blocks,
-                               std::string_view payload)>& fn) const;
-
   // Total encoded payload bytes across objects (the store's memory story).
   size_t StorageBytes() const;
 
@@ -132,18 +140,8 @@ class TrajectoryStore {
   Status SalvageFromBuffer(std::string_view data, FrameScanStats* stats);
 
  private:
-  struct Entry {
-    std::string encoded;  // Concatenated independently-coded block payloads.
-    std::vector<BlockSummary> blocks;  // Parallel summary table.
-    // The points as storage values, named like the stored trajectory:
-    // exactly what decoding `encoded` yields. Insert and Append map their
-    // input through StorageValue(); a frame decoded in the store's codec
-    // already holds storage values and is moved in. Every mutation keeps
-    // it in step with `encoded` and `blocks`.
-    Trajectory decoded;
-  };
-
-  // Encodes `trajectory` into the entry's payload and summary table.
+  // Encodes `trajectory` into the entry's payload, summary table and
+  // extents.
   Status EncodeInto(const Trajectory& trajectory, Entry* entry) const;
   // The whole load step for one decoded frame. A frame in the store's
   // codec, cut into blocks the way the store cuts them, keeps its block
@@ -153,11 +151,22 @@ class TrajectoryStore {
   // computed from them, never taken from the frame's table.
   Status EntryFromFrame(Trajectory frame, FrameLayout layout,
                         Entry* entry) const;
+  // The first rank whose id is not less than `object_id`.
+  size_t LowerBound(std::string_view object_id) const;
+  // Whether `rank` (a LowerBound result) holds `object_id`.
+  bool HoldsAt(size_t rank, std::string_view object_id) const {
+    return rank < order_.size() && entries_[order_[rank]].id == object_id;
+  }
   const Entry* FindEntry(std::string_view object_id) const;
+  // Appends `entry`, whose id is new, to the directory at `rank`, its
+  // id's LowerBound.
+  void AddEntry(size_t rank, Entry entry);
 
   Codec codec_;
-  std::map<std::string, Entry, std::less<>> entries_;
-  uint64_t stamp_;
+  // The directory: entries in arrival order (Remove moves the last one
+  // into the hole), and their positions ascending by id.
+  std::vector<Entry> entries_;
+  std::vector<uint32_t> order_;
 };
 
 }  // namespace stcomp

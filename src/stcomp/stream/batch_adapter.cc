@@ -39,7 +39,8 @@ Status BatchAdapter::RestoreState(std::string_view state) {
         "checkpoint was taken by a differently configured compressor (" +
         std::string(saved_name) + ")");
   }
-  STCOMP_ASSIGN_OR_RETURN(finished_, GetBool(&state));
+  STCOMP_RETURN_IF_ERROR(GetUnfinished(&state));
+  finished_ = false;
   std::vector<TimedPoint> points;
   STCOMP_RETURN_IF_ERROR(GetPointVector(&state, &points));
   if (!state.empty()) {

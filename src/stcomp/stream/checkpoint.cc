@@ -23,6 +23,14 @@ Result<bool> GetBool(std::string_view* input) {
   return byte == '\1';
 }
 
+Status GetUnfinished(std::string_view* input) {
+  STCOMP_ASSIGN_OR_RETURN(const bool finished, GetBool(input));
+  if (finished) {
+    return DataLossError("checkpoint of a finished compressor");
+  }
+  return Status::Ok();
+}
+
 void PutPointVector(const std::vector<TimedPoint>& points, std::string* out) {
   PutVarint(points.size(), out);
   for (const TimedPoint& point : points) {

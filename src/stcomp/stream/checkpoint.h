@@ -35,6 +35,10 @@ namespace stcomp {
 // kDataLoss.
 void PutBool(bool value, std::string* out);
 Result<bool> GetBool(std::string_view* input);
+// Reads a compressor's saved `finished` flag. A finished compressor takes
+// no further fix, so a checkpoint with the flag set cannot be resumed: it
+// is refused here rather than aborting the next Push.
+Status GetUnfinished(std::string_view* input);
 void PutPointVector(const std::vector<TimedPoint>& points, std::string* out);
 Status GetPointVector(std::string_view* input, std::vector<TimedPoint>* out);
 

@@ -74,7 +74,8 @@ Status DeadReckoningStream::RestoreState(std::string_view state) {
     return InvalidArgumentError(
         "checkpoint was taken by a differently configured compressor");
   }
-  STCOMP_ASSIGN_OR_RETURN(finished_, GetBool(&state));
+  STCOMP_RETURN_IF_ERROR(GetUnfinished(&state));
+  finished_ = false;
   STCOMP_ASSIGN_OR_RETURN(bool present, GetBool(&state));
   last_committed_.reset();
   if (present) {

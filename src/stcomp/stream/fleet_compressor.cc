@@ -244,15 +244,8 @@ Status FleetCompressor::RestoreState(std::string_view image) {
     ObjectState state{factory_(),
                       IngestGate(policy_, ingest_counters_,
                                  std::string(object_id))};
-    // Counters were appended to the section after the first release of the
-    // format; accept their absence so pre-counter images still restore
-    // (those objects then report since-restore counts).
-    if (!body.empty()) {
-      STCOMP_ASSIGN_OR_RETURN(const uint64_t fixes_in, GetVarint(&body));
-      STCOMP_ASSIGN_OR_RETURN(const uint64_t fixes_out, GetVarint(&body));
-      state.fixes_in = fixes_in;
-      state.fixes_out = fixes_out;
-    }
+    STCOMP_ASSIGN_OR_RETURN(state.fixes_in, GetVarint(&body));
+    STCOMP_ASSIGN_OR_RETURN(state.fixes_out, GetVarint(&body));
     if (!body.empty()) {
       return DataLossError("trailing bytes in fleet object section");
     }

@@ -145,7 +145,8 @@ Status OpeningWindowStream::RestoreState(std::string_view state) {
   }
   STCOMP_ASSIGN_OR_RETURN(last_time_, GetDouble(&state));
   STCOMP_ASSIGN_OR_RETURN(any_pushed_, GetBool(&state));
-  STCOMP_ASSIGN_OR_RETURN(finished_, GetBool(&state));
+  STCOMP_RETURN_IF_ERROR(GetUnfinished(&state));
+  finished_ = false;
   window_.clear();
   STCOMP_RETURN_IF_ERROR(GetPointVector(&state, &window_));
   if (!state.empty()) {

@@ -75,7 +75,7 @@ Status SquishStream::RestoreState(std::string_view state) {
                           GetSignedVarint(&state));
   STCOMP_ASSIGN_OR_RETURN(const double last_time, GetDouble(&state));
   STCOMP_ASSIGN_OR_RETURN(const bool any_pushed, GetBool(&state));
-  STCOMP_ASSIGN_OR_RETURN(const bool finished, GetBool(&state));
+  STCOMP_RETURN_IF_ERROR(GetUnfinished(&state));
   // Each node and each free id takes at least one byte, so a count beyond
   // the bytes left is corruption, refused before reserve() (DESIGN.md §12).
   STCOMP_ASSIGN_OR_RETURN(const uint64_t node_count, GetVarint(&state));
@@ -117,7 +117,7 @@ Status SquishStream::RestoreState(std::string_view state) {
   next_index_ = static_cast<int>(next_index);
   last_time_ = last_time;
   any_pushed_ = any_pushed;
-  finished_ = finished;
+  finished_ = false;
   return Status::Ok();
 }
 

@@ -24,7 +24,6 @@
 #include "stcomp/obs/trace.h"
 #include "stcomp/store/query.h"
 #include "stcomp/store/segment_store.h"
-#include "stcomp/store/st_index.h"
 #include "stcomp/store/trajectory_store.h"
 #include "stcomp/stream/fleet_compressor.h"
 #include "stcomp/stream/opening_window_stream.h"
@@ -172,11 +171,10 @@ TEST(AdminServerTest, QueryzReportsQueryCounters) {
   ASSERT_TRUE(
       store.Insert("veh-1", Trajectory::FromPoints(std::move(points)).value())
           .ok());
-  const SpatioTemporalIndex index = SpatioTemporalIndex::BuildFromStore(store);
   QueryRequest request;
   request.type = QueryType::kRange;
   request.box = {{0.0, 0.0}, {500.0, 500.0}};
-  ASSERT_TRUE(RunQuery(store, index, request).ok());
+  ASSERT_TRUE(RunQuery(store, request).ok());
 
   AdminServer server;
   RegisterStandardEndpoints(server, nullptr,

@@ -62,23 +62,11 @@ TEST(BlockSummaryTest, IncrementalAppendMatchesBulkInsert) {
     for (const TimedPoint& point : walk.points()) {
       ASSERT_TRUE(incremental.Append("veh", point).ok());
     }
-    std::string bulk_payload;
-    std::string incremental_payload;
-    std::vector<BlockSummary> bulk_blocks;
-    std::vector<BlockSummary> incremental_blocks;
-    bulk.VisitBlocks([&](const std::string&, std::span<const TimedPoint>,
-                         const std::vector<BlockSummary>& blocks,
-                         std::string_view payload) {
-      bulk_blocks = blocks;
-      bulk_payload = std::string(payload);
-    });
-    incremental.VisitBlocks([&](const std::string&,
-                                std::span<const TimedPoint>,
-                                const std::vector<BlockSummary>& blocks,
-                                std::string_view payload) {
-      incremental_blocks = blocks;
-      incremental_payload = std::string(payload);
-    });
+    const std::string& bulk_payload = bulk.EntryAt(0).encoded;
+    const std::string& incremental_payload = incremental.EntryAt(0).encoded;
+    const std::vector<BlockSummary>& bulk_blocks = bulk.EntryAt(0).blocks;
+    const std::vector<BlockSummary>& incremental_blocks =
+        incremental.EntryAt(0).blocks;
     EXPECT_EQ(bulk_payload, incremental_payload);
     ASSERT_EQ(bulk_blocks.size(), incremental_blocks.size());
     for (size_t i = 0; i < bulk_blocks.size(); ++i) {

@@ -10,6 +10,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -394,6 +395,127 @@ TEST(CheckpointTest, FleetFinishRefusesOutOfOrderHeldFixes) {
   for (size_t i = 1; i < committed.size(); ++i) {
     EXPECT_LT(committed[i - 1].t, committed[i].t) << i;
   }
+}
+
+// A finished compressor takes no further fix, so each adapter refuses a
+// state saved after Finish with kDataLoss; before, the restore succeeded
+// and the next Push aborted the process.
+TEST(CheckpointTest, FinishedStateIsDataLoss) {
+  const std::vector<std::pair<std::string, CompressorFactory>> factories = {
+      {"opening-window", MakeOpwTr},
+      {"squish",
+       [] { return std::make_unique<SquishStream>(8, 0.0); }},
+      {"dead-reckoning",
+       [] { return std::make_unique<DeadReckoningStream>(30.0); }},
+      {"batch-adapter", [] {
+         const algo::AlgorithmInfo* info = algo::FindAlgorithm("td-tr").value();
+         algo::AlgorithmParams params;
+         params.epsilon_m = 40.0;
+         return std::make_unique<BatchAdapter>(*info, params);
+       }}};
+  const std::vector<TimedPoint> points = RandomWalk(12, 3).points();
+  for (const auto& [what, factory] : factories) {
+    std::unique_ptr<OnlineCompressor> first = factory();
+    std::vector<TimedPoint> out;
+    for (const TimedPoint& point : points) {
+      ASSERT_TRUE(first->Push(point, &out).ok()) << what;
+    }
+    std::string unfinished;
+    ASSERT_TRUE(first->SaveState(&unfinished).ok()) << what;
+    first->Finish(&out);
+    std::string finished;
+    ASSERT_TRUE(first->SaveState(&finished).ok()) << what;
+    EXPECT_EQ(factory()->RestoreState(finished).code(), StatusCode::kDataLoss)
+        << what;
+    EXPECT_TRUE(factory()->RestoreState(unfinished).ok()) << what;
+  }
+}
+
+// One object section of a one-object fleet image, split into its fields.
+struct ObjectSection {
+  std::string_view meta_tag;
+  std::string_view meta;
+  std::string_view tag;
+  std::string object_id;
+  std::string gate;
+  std::string compressor;
+  std::string counters;
+};
+
+ObjectSection SplitOneObjectImage(const std::string& image) {
+  CheckpointReader reader;
+  STCOMP_CHECK_OK(reader.Parse(image));
+  STCOMP_CHECK(reader.sections().size() == 2);
+  ObjectSection section;
+  section.meta_tag = reader.sections()[0].tag;
+  section.meta = reader.sections()[0].body;
+  section.tag = reader.sections()[1].tag;
+  std::string_view body = reader.sections()[1].body;
+  for (std::string* field :
+       {&section.object_id, &section.gate, &section.compressor}) {
+    const Result<std::string_view> value = GetString(&body);
+    STCOMP_CHECK_OK(value.status());
+    field->assign(*value);
+  }
+  section.counters.assign(body);
+  return section;
+}
+
+std::string JoinOneObjectImage(const ObjectSection& section) {
+  std::string body;
+  PutString(section.object_id, &body);
+  PutString(section.gate, &body);
+  PutString(section.compressor, &body);
+  body += section.counters;
+  CheckpointWriter writer;
+  writer.AddSection(section.meta_tag, section.meta);
+  writer.AddSection(section.tag, body);
+  return writer.Finish();
+}
+
+// A fleet image whose object section is corrupt in a way no writer
+// produces must not restore: neither with the OPW-TR stream's `finished`
+// byte set, nor without the object's two counters.
+TEST(CheckpointTest, FleetRefusesFinishedStreamAndMissingCounters) {
+  std::vector<TimedPoint> committed;
+  std::string image;
+  {
+    FleetCompressor fleet(MakeOpwTr, CollectInto(&committed),
+                          RepairPolicy(30.0), "ckpt-corrupt-section");
+    const Trajectory walk = RandomWalk(10, 8);
+    for (const TimedPoint& point : walk.points()) {
+      ASSERT_TRUE(fleet.Push("car", point).ok());
+    }
+    ASSERT_TRUE(fleet.SaveState(&image).ok());
+  }
+  const auto restore = [&committed](const std::string& candidate) {
+    FleetCompressor fleet(MakeOpwTr, CollectInto(&committed),
+                          RepairPolicy(30.0), "ckpt-corrupt-section");
+    return fleet.RestoreState(candidate);
+  };
+  const ObjectSection intact = SplitOneObjectImage(image);
+  ASSERT_EQ(JoinOneObjectImage(intact), image);
+  ASSERT_TRUE(restore(image).ok());
+
+  // The OPW-TR state: name, epsilon, speed threshold, last time and the
+  // any_pushed flag come before the finished flag.
+  ObjectSection finished = intact;
+  std::string_view cursor = finished.compressor;
+  ASSERT_TRUE(GetString(&cursor).ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(GetDouble(&cursor).ok());
+  }
+  ASSERT_TRUE(GetBool(&cursor).ok());
+  const size_t flag = finished.compressor.size() - cursor.size();
+  ASSERT_EQ(finished.compressor[flag], '\0');
+  finished.compressor[flag] = '\1';
+  EXPECT_EQ(restore(JoinOneObjectImage(finished)).code(),
+            StatusCode::kDataLoss);
+
+  ObjectSection counterless = intact;
+  counterless.counters.clear();
+  EXPECT_EQ(restore(JoinOneObjectImage(counterless)).code(),
+            StatusCode::kDataLoss);
 }
 
 // The checkpoint fuzz seeds that golden_gen writes with one count set to

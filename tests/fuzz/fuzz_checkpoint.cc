@@ -6,9 +6,8 @@
 // as ShardedFleetCompressor::RestoreState does, without its worker
 // threads. Every rejection must be a clean Status.
 //
-// Nothing is pushed after a restore: restored state is not validated yet
-// (a restored `finished` flag still makes the next Push fail its check),
-// so only the readers are under test here.
+// Nothing is pushed after a restore: only the readers are under test
+// here.
 
 #include <cstdlib>
 #include <memory>

@@ -213,13 +213,11 @@ uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
 // with the bits of first_hit_t and distance_m.
 std::string QueryAnswersText() {
   const stcomp::TrajectoryStore store = QueryFixtureStore();
-  const stcomp::SpatioTemporalIndex index =
-      stcomp::SpatioTemporalIndex::BuildFromStore(store);
   std::string out;
   char line[256];
   const std::vector<stcomp::QueryRequest> mix = QueryFixtureMix();
   for (size_t q = 0; q < mix.size(); ++q) {
-    const auto answer = stcomp::RunQuery(store, index, mix[q]);
+    const auto answer = stcomp::RunQuery(store, mix[q]);
     STCOMP_CHECK_OK(answer.status());
     const stcomp::QueryStats& stats = answer->stats;
     std::snprintf(line, sizeof(line),

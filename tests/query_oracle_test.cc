@@ -1,4 +1,4 @@
-// The query differential suite (DESIGN.md §17): index-accelerated
+// The query differential suite (DESIGN.md §17): summary-accelerated
 // RunQuery must produce BITWISE-identical answers to the brute-force
 // decode-everything oracle — across every query type, every registered
 // compression algorithm's output, both codecs, seeded uniform and Zipf
@@ -21,7 +21,6 @@
 #include "stcomp/sim/random.h"
 #include "stcomp/store/partitioned_store.h"
 #include "stcomp/store/segment_store.h"
-#include "stcomp/store/st_index.h"
 #include "stcomp/store/trajectory_store.h"
 #include "test_util.h"
 
@@ -202,15 +201,13 @@ void ExpectSameAnswer(const QueryAnswer& engine, const QueryAnswer& oracle,
     EXPECT_EQ(engine.hits[i].distance_m, oracle.hits[i].distance_m)
         << label << " hit " << i;
   }
-  // The index must never decode more blocks than a full scan holds.
+  // The engine must never decode more blocks than a full scan holds.
   EXPECT_LE(engine.stats.blocks_decoded, engine.stats.blocks_total) << label;
   EXPECT_LE(engine.stats.blocks_considered, engine.stats.blocks_total) << label;
 }
 
 void RunDifferential(const TrajectoryStore& store, uint64_t request_seed,
                      double declared_error_m, const std::string& label) {
-  const SpatioTemporalIndex index = SpatioTemporalIndex::BuildFromStore(store);
-  ASSERT_TRUE(index.BoundTo(store));
   std::vector<QueryRequest> requests =
       RequestMix(request_seed, declared_error_m);
   for (QueryRequest& request :
@@ -218,7 +215,7 @@ void RunDifferential(const TrajectoryStore& store, uint64_t request_seed,
     requests.push_back(std::move(request));
   }
   for (const QueryRequest& request : requests) {
-    const Result<QueryAnswer> engine = RunQuery(store, index, request);
+    const Result<QueryAnswer> engine = RunQuery(store, request);
     const Result<QueryAnswer> oracle = BruteForceQuery(store, request);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
@@ -319,8 +316,9 @@ TEST(QueryOracleTest, ShardedQueryMatchesUnshardedOracle) {
   }
 }
 
-// Mutations through the segment store must be visible to the next query —
-// the lazily-rebuilt index may never serve stale candidates.
+// Mutations through the segment store must be visible to the next query:
+// the engine reads the store's own directory, which every mutation keeps
+// current.
 TEST(QueryOracleTest, SegmentStoreQueryTracksMutations) {
   const std::string dir = FreshDir("mutations");
   SegmentStore store;
@@ -352,54 +350,6 @@ TEST(QueryOracleTest, SegmentStoreQueryTracksMutations) {
   std::filesystem::remove_all(dir);
 }
 
-// RunQuery reads points through the index's spans, valid only while the
-// index is bound to the store it is given. Any other pairing — another
-// store, no store contents at all, the same store after a mutation, an
-// index loaded from bytes — is kFailedPrecondition for every query type,
-// never a read of points that are gone.
-TEST(QueryOracleTest, StaleIndexIsAnError) {
-  TrajectoryStore longer;
-  ASSERT_TRUE(longer.Insert("veh", testutil::RandomWalk(200, 3)).ok());
-  const SpatioTemporalIndex index = SpatioTemporalIndex::BuildFromStore(longer);
-  TrajectoryStore shorter;
-  ASSERT_TRUE(shorter.Insert("veh", testutil::RandomWalk(10, 3)).ok());
-  const Result<SpatioTemporalIndex> loaded =
-      SpatioTemporalIndex::LoadFromBuffer(index.SerializeToString());
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  QueryRequest window;
-  window.type = QueryType::kTimeWindow;
-  QueryRequest range;
-  range.type = QueryType::kRange;
-  range.box = {{-1e7, -1e7}, {1e7, 1e7}};
-  QueryRequest corridor;
-  corridor.type = QueryType::kCorridor;
-  corridor.corridor = {{0.0, 0.0}, {500.0, 500.0}};
-  corridor.radius_m = 100.0;
-  QueryRequest nearest;
-  nearest.type = QueryType::kNearest;
-  const std::vector<QueryRequest> requests = {window, range, corridor,
-                                              nearest};
-  for (const QueryRequest& request : requests) {
-    const std::string type(QueryTypeName(request.type));
-    EXPECT_TRUE(RunQuery(longer, index, request).ok()) << type;
-    EXPECT_EQ(RunQuery(shorter, index, request).status().code(),
-              StatusCode::kFailedPrecondition)
-        << type;
-    EXPECT_EQ(RunQuery(TrajectoryStore(), index, request).status().code(),
-              StatusCode::kFailedPrecondition)
-        << type;
-    EXPECT_EQ(RunQuery(longer, *loaded, request).status().code(),
-              StatusCode::kFailedPrecondition)
-        << type;
-  }
-  ASSERT_TRUE(longer.Append("veh", {1e7, 0.0, 0.0}).ok());
-  for (const QueryRequest& request : requests) {
-    EXPECT_EQ(RunQuery(longer, index, request).status().code(),
-              StatusCode::kFailedPrecondition)
-        << QueryTypeName(request.type);
-  }
-}
-
 // k-nearest pops blocks in ascending (lower bound, object, block) order.
 // Here "a" and "b" tie on their blocks' lower bound and on distance, and
 // k = 2 cuts between them after the nearer "near". Worked by hand, from
@@ -425,12 +375,11 @@ TEST(QueryOracleTest, NearestTieBreaksByIdAndStopsAtTheBound) {
                   .Insert("far", testutil::Traj({{0.0, 100.0, 100.0},
                                                  {1.0, 101.0, 100.0}}))
                   .ok());
-  const SpatioTemporalIndex index = SpatioTemporalIndex::BuildFromStore(store);
   QueryRequest request;
   request.type = QueryType::kNearest;
   request.point = {0.0, 0.0};
   request.k = 2;
-  const Result<QueryAnswer> answer = RunQuery(store, index, request);
+  const Result<QueryAnswer> answer = RunQuery(store, request);
   ASSERT_TRUE(answer.ok()) << answer.status();
   ASSERT_EQ(answer->hits.size(), 2u);
   EXPECT_EQ(answer->hits[0].id, "near");
@@ -452,10 +401,9 @@ TEST(QueryOracleTest, ErrorBoundAccountsForCodecQuantisation) {
 
   TrajectoryStore store;  // kDelta
   ASSERT_TRUE(store.Insert("veh", testutil::RandomWalk(40, 4)).ok());
-  const SpatioTemporalIndex index = SpatioTemporalIndex::BuildFromStore(store);
   request.type = QueryType::kRange;
   request.box = {{-100.0, -100.0}, {100.0, 100.0}};
-  const Result<QueryAnswer> answer = RunQuery(store, index, request);
+  const Result<QueryAnswer> answer = RunQuery(store, request);
   ASSERT_TRUE(answer.ok());
   EXPECT_EQ(answer->error_bound_m, 30.0 + kCoordQuantumM);
 }
@@ -468,15 +416,14 @@ TEST(QueryOracleTest, DeclaredErrorWidensMatches) {
   ASSERT_TRUE(
       store.Insert("edge", testutil::Line(10, 10.0, 20.0, 0.0, 0.0, 105.0))
           .ok());
-  const SpatioTemporalIndex index = SpatioTemporalIndex::BuildFromStore(store);
   QueryRequest request;
   request.type = QueryType::kRange;
   request.box = {{0.0, 0.0}, {2000.0, 100.0}};
-  Result<QueryAnswer> answer = RunQuery(store, index, request);
+  Result<QueryAnswer> answer = RunQuery(store, request);
   ASSERT_TRUE(answer.ok());
   EXPECT_TRUE(answer->hits.empty());
   request.declared_error_m = 10.0;
-  answer = RunQuery(store, index, request);
+  answer = RunQuery(store, request);
   ASSERT_TRUE(answer.ok());
   ASSERT_EQ(answer->hits.size(), 1u);
   const Result<QueryAnswer> oracle = BruteForceQuery(store, request);
@@ -498,7 +445,6 @@ TEST(QueryOracleTest, FarApartNearlyCollinearSegmentIsNoCorridorHit) {
                                {10.0, -3837.8248405584513,
                                 1479.7326689710667}}))
                   .ok());
-  const SpatioTemporalIndex index = SpatioTemporalIndex::BuildFromStore(store);
   QueryRequest request;
   request.type = QueryType::kCorridor;
   request.t0 = 0.0;
@@ -506,7 +452,7 @@ TEST(QueryOracleTest, FarApartNearlyCollinearSegmentIsNoCorridorHit) {
   request.radius_m = 50.0;
   request.corridor = {{-2821.1565090990844, 4467.8455265710936},
                       {-1916.6883744880261, 7126.1882512247848}};
-  const Result<QueryAnswer> engine = RunQuery(store, index, request);
+  const Result<QueryAnswer> engine = RunQuery(store, request);
   const Result<QueryAnswer> oracle = BruteForceQuery(store, request);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
@@ -608,11 +554,10 @@ TEST(QueryJsonTest, RenderEscapesIdsAndReportsStats) {
   TrajectoryStore store(Codec::kRaw);
   const std::string hostile_id = "veh-\"quoted\"\nnon-ascii-\xc3\xa9";
   ASSERT_TRUE(store.Insert(hostile_id, testutil::RandomWalk(10, 6)).ok());
-  const SpatioTemporalIndex index = SpatioTemporalIndex::BuildFromStore(store);
   QueryRequest request;
   request.type = QueryType::kRange;
   request.box = {{-1e6, -1e6}, {1e6, 1e6}};
-  const Result<QueryAnswer> answer = RunQuery(store, index, request);
+  const Result<QueryAnswer> answer = RunQuery(store, request);
   ASSERT_TRUE(answer.ok());
   ASSERT_EQ(answer->hits.size(), 1u);
   const std::string json = RenderQueryAnswerJson(request, *answer);

@@ -11,6 +11,7 @@
 
 #include "stcomp/obs/metrics.h"
 #include "stcomp/store/durable_file.h"
+#include "stcomp/store/partitioned_store.h"
 #include "test_util.h"
 
 namespace stcomp {
@@ -171,6 +172,41 @@ TEST(SegmentStoreTest, FsckReportsFrameHealth) {
     EXPECT_FALSE(file.torn_tail) << file.file;
   }
   EXPECT_FALSE(SegmentStore::Fsck(dir + "/nonexistent").ok());
+}
+
+// A partitioned root keeps its files one level down, in shard-NNN
+// directories. SegmentStore::Fsck finds no store there (kNotFound, never a
+// clean report), not even with a shard's segment corrupt, while the
+// partitioned scan and the shard's own scan both flag the flipped byte.
+TEST(SegmentStoreTest, FsckOnAPartitionedRootIsNotFound) {
+  const std::string dir = FreshDir("partitioned_root");
+  {
+    PartitionedSegmentStore::Options options;
+    options.num_shards = 2;
+    PartitionedSegmentStore store(options);
+    ASSERT_TRUE(store.Open(dir).ok());
+    for (int i = 0; i < 16; ++i) {
+      ASSERT_TRUE(store
+                      .Append("veh-" + std::to_string(i),
+                              TimedPoint(1.0, 2.0 * i, -1.0 * i))
+                      .ok());
+    }
+    ASSERT_TRUE(store.Checkpoint().ok());
+    ASSERT_GT(store.shard(0).store().object_count(), 0u);
+  }
+  EXPECT_EQ(SegmentStore::Fsck(dir).status().code(), StatusCode::kNotFound);
+  const std::string segment = dir + "/shard-000/seg-00000000.stseg";
+  std::string bytes = ReadFileToString(segment).value();
+  bytes[bytes.size() / 2] ^= 0x01;
+  ASSERT_TRUE(AtomicWriteFile(segment, bytes).ok());
+  EXPECT_EQ(SegmentStore::Fsck(dir).status().code(), StatusCode::kNotFound);
+  const Result<FsckReport> partitioned = PartitionedSegmentStore::Fsck(dir);
+  ASSERT_TRUE(partitioned.ok()) << partitioned.status();
+  EXPECT_FALSE(partitioned->clean()) << partitioned->Describe();
+  const Result<FsckReport> shard = SegmentStore::Fsck(dir + "/shard-000");
+  ASSERT_TRUE(shard.ok()) << shard.status();
+  EXPECT_FALSE(shard->clean()) << shard->Describe();
+  std::filesystem::remove_all(dir);
 }
 
 #if STCOMP_METRICS_ENABLED

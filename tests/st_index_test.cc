@@ -1,20 +1,17 @@
-// SpatioTemporalIndex (DESIGN.md §17): the entry as the query's one
-// per-object record (its resident points and table extents), the binding
-// to the store it was built from, the candidate scan's exactness at
-// summary granularity (RunQuery's per-object bisection on time must
-// consider exactly the blocks a test of every summary finds, at unbounded
-// windows and at windows that start or end on a block boundary), the STIX
-// round trip, and corruption hardening — a full single-bit-flip sweep
-// over the serialized image must come back as kDataLoss, never a crash or
-// a silently-wrong index.
+// SpatioTemporalIndex (DESIGN.md §17): the STIX image's entries mirror the
+// store's directory, the candidate scan's exactness at summary
+// granularity (RunQuery's per-object bisection on time must consider
+// exactly the blocks a test of every summary finds, at unbounded windows
+// and at windows that start or end on a block boundary), the STIX round
+// trip, and corruption hardening — a full single-bit-flip sweep over the
+// serialized image must come back as kDataLoss, never a crash or a
+// silently-wrong index.
 
 #include "stcomp/store/st_index.h"
 
 #include <algorithm>
 #include <limits>
-#include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -69,7 +66,6 @@ size_t FirstBlockTMaxOffset(const SpatioTemporalIndex& index) {
 // blocks a test of every summary in `store` finds: those overlapping the
 // window whose box meets the query box inflated by the error bound.
 void ExpectConsideredMatchesSummaryScan(const TrajectoryStore& store,
-                                        const SpatioTemporalIndex& index,
                                         const BoundingBox& box, double t0,
                                         double t1, const std::string& label) {
   QueryRequest request;
@@ -88,35 +84,27 @@ void ExpectConsideredMatchesSummaryScan(const TrajectoryStore& store,
       }
     }
   }
-  const Result<QueryAnswer> answer = RunQuery(store, index, request);
+  const Result<QueryAnswer> answer = RunQuery(store, request);
   ASSERT_TRUE(answer.ok()) << label << ": " << answer.status();
   EXPECT_EQ(answer->stats.blocks_considered, expected) << label;
   EXPECT_LE(answer->stats.blocks_decoded, expected) << label;
 }
 
-// Each entry is the object's record: its table, its resident storage
-// values (the very span StoragePoints returns) and extents that cover
-// every block.
+// Each index entry mirrors the store's directory entry of the same rank:
+// its id, point count, payload CRC and whole summary table.
 TEST(StIndexTest, BuildCoversEveryBlock) {
   const TrajectoryStore store = FleetStore(6, 100);
   const SpatioTemporalIndex index = SpatioTemporalIndex::BuildFromStore(store);
-  ASSERT_TRUE(index.BoundTo(store));
   ASSERT_EQ(index.objects().size(), 6u);
   size_t blocks = 0;
-  for (const auto& object : index.objects()) {
+  for (size_t rank = 0; rank < index.objects().size(); ++rank) {
+    const auto& object = index.objects()[rank];
+    const TrajectoryStore::Entry& entry = store.EntryAt(rank);
+    EXPECT_EQ(object.id, entry.id);
     EXPECT_EQ(object.num_points, 120u);
+    EXPECT_EQ(object.payload_crc, Crc32(entry.encoded)) << object.id;
+    EXPECT_EQ(object.blocks, entry.blocks) << object.id;
     blocks += object.blocks.size();
-    const std::span<const TimedPoint> resident = *store.StoragePoints(object.id);
-    EXPECT_EQ(object.points.data(), resident.data()) << object.id;
-    EXPECT_EQ(object.points.size(), resident.size()) << object.id;
-    EXPECT_EQ(object.t_min, object.blocks.front().t_min) << object.id;
-    EXPECT_EQ(object.t_max, object.blocks.back().t_max) << object.id;
-    for (const BlockSummary& block : object.blocks) {
-      EXPECT_LE(object.bounds.min.x, block.bounds.min.x) << object.id;
-      EXPECT_LE(object.bounds.min.y, block.bounds.min.y) << object.id;
-      EXPECT_GE(object.bounds.max.x, block.bounds.max.x) << object.id;
-      EXPECT_GE(object.bounds.max.y, block.bounds.max.y) << object.id;
-    }
   }
   EXPECT_EQ(blocks, 12u);  // 120 points => 2 blocks of 64/56 per object.
   // An all-covering query considers every block exactly once.
@@ -125,7 +113,7 @@ TEST(StIndexTest, BuildCoversEveryBlock) {
   everything.box = {{-1e9, -1e9}, {1e9, 1e9}};
   everything.t0 = -1e18;
   everything.t1 = 1e18;
-  const Result<QueryAnswer> answer = RunQuery(store, index, everything);
+  const Result<QueryAnswer> answer = RunQuery(store, everything);
   ASSERT_TRUE(answer.ok()) << answer.status();
   EXPECT_EQ(answer->stats.blocks_total, blocks);
   EXPECT_EQ(answer->stats.blocks_considered, blocks);
@@ -142,10 +130,9 @@ TEST(StIndexTest, CandidatesMatchSummaryScan) {
                                                    {10.0, 100000.0, 100000.0}}))
                   .ok());
   ASSERT_TRUE(store.Insert("lone", testutil::Traj({{250.0, 40.0, -30.0}})).ok());
-  const SpatioTemporalIndex index = SpatioTemporalIndex::BuildFromStore(store);
   std::vector<double> edges;
-  for (const auto& object : index.objects()) {
-    for (const BlockSummary& block : object.blocks) {
+  for (size_t rank = 0; rank < store.object_count(); ++rank) {
+    for (const BlockSummary& block : store.EntryAt(rank).blocks) {
       edges.push_back(block.t_min);
       edges.push_back(block.t_max);
     }
@@ -184,7 +171,7 @@ TEST(StIndexTest, CandidatesMatchSummaryScan) {
         t0 = rng.NextBool(0.5) ? t1 : std::min(t0, t1);
         break;
     }
-    ExpectConsideredMatchesSummaryScan(store, index, box, t0, t1,
+    ExpectConsideredMatchesSummaryScan(store, box, t0, t1,
                                        "query " + std::to_string(q));
   }
 }
@@ -199,95 +186,20 @@ TEST(StIndexTest, OversizeBlocksStayExact) {
                                                    {10.0, 100000.0, 100000.0}}))
                   .ok());
   ASSERT_TRUE(store.Insert("near", testutil::RandomWalk(40, 8)).ok());
-  const SpatioTemporalIndex index = SpatioTemporalIndex::BuildFromStore(store);
-  ASSERT_EQ(index.objects().back().id, "wide");
-  ASSERT_EQ(index.objects().back().blocks.size(), 1u);
+  ASSERT_EQ(store.EntryAt(1).id, "wide");
+  ASSERT_EQ(store.EntryAt(1).blocks.size(), 1u);
   Rng rng(5);
   for (int q = 0; q < 20; ++q) {
     const Vec2 corner{rng.NextUniform(-1000.0, 100000.0),
                       rng.NextUniform(-1000.0, 100000.0)};
     const BoundingBox box{corner, corner + Vec2{500.0, 500.0}};
-    ExpectConsideredMatchesSummaryScan(store, index, box, -1e18, 1e18,
+    ExpectConsideredMatchesSummaryScan(store, box, -1e18, 1e18,
                                        "unbounded " + std::to_string(q));
     const double t0 = rng.NextUniform(-5.0, 15.0);
     const double t1 = t0 + rng.NextUniform(0.0, 10.0);
-    ExpectConsideredMatchesSummaryScan(store, index, box, t0, t1,
+    ExpectConsideredMatchesSummaryScan(store, box, t0, t1,
                                        "bounded " + std::to_string(q));
   }
-}
-
-// An index stays bound while its store is unchanged. Every successful
-// mutation unbinds it; a refused one leaves the store, and so the
-// binding, as it was.
-TEST(StIndexTest, BoundUntilTheStoreChanges) {
-  TrajectoryStore store = FleetStore(3, 40);
-  const std::string image = store.SerializeToString().value();
-  SpatioTemporalIndex index = SpatioTemporalIndex::BuildFromStore(store);
-  ASSERT_TRUE(index.BoundTo(store));
-  const auto expect_unbound_then_rebind = [&](const Status& status,
-                                              const std::string& what) {
-    ASSERT_TRUE(status.ok()) << what << ": " << status;
-    EXPECT_FALSE(index.BoundTo(store)) << what;
-    index = SpatioTemporalIndex::BuildFromStore(store);
-    ASSERT_TRUE(index.BoundTo(store)) << what;
-  };
-  const auto expect_still_bound = [&](const Status& status,
-                                      const std::string& what) {
-    ASSERT_FALSE(status.ok()) << what;
-    EXPECT_TRUE(index.BoundTo(store)) << what;
-  };
-
-  expect_unbound_then_rebind(
-      store.Insert("veh-9", testutil::RandomWalk(30, 1)), "insert");
-  expect_unbound_then_rebind(store.Append("veh-0", {1e7, 0.0, 0.0}),
-                             "append to an existing object");
-  expect_unbound_then_rebind(store.Append("veh-new", {5.0, 1.0, 2.0}),
-                             "append creating an object");
-  expect_unbound_then_rebind(store.Remove("veh-9"), "remove");
-  expect_unbound_then_rebind(store.LoadFromBuffer(image), "load");
-  expect_unbound_then_rebind(store.SalvageFromBuffer(image, nullptr),
-                             "salvage");
-
-  expect_still_bound(store.Append("veh-0", {0.0, 0.0, 0.0}),
-                     "refused append (time not after the last fix)");
-  expect_still_bound(store.Insert("veh-1", testutil::RandomWalk(5, 2)),
-                     "refused insert (duplicate id)");
-  expect_still_bound(store.Remove("ghost"), "refused remove (unknown id)");
-  expect_still_bound(store.LoadFromBuffer(image.substr(0, image.size() - 1)),
-                     "refused load (truncated image)");
-}
-
-// Copies and moves draw fresh stamps, at both ends of a move: no index is
-// bound to a copy, and none survives being moved from or assigned over.
-TEST(StIndexTest, CopiesAndMovesUnbind) {
-  const TrajectoryStore source = FleetStore(2, 50);
-  const SpatioTemporalIndex of_source =
-      SpatioTemporalIndex::BuildFromStore(source);
-
-  const TrajectoryStore copy(source);
-  EXPECT_FALSE(of_source.BoundTo(copy));
-  EXPECT_TRUE(of_source.BoundTo(source));  // Copying leaves the source be.
-
-  TrajectoryStore assigned = FleetStore(1, 60);
-  const SpatioTemporalIndex of_assigned =
-      SpatioTemporalIndex::BuildFromStore(assigned);
-  assigned = source;
-  EXPECT_FALSE(of_assigned.BoundTo(assigned));
-
-  TrajectoryStore from = FleetStore(2, 70);
-  const SpatioTemporalIndex of_from = SpatioTemporalIndex::BuildFromStore(from);
-  TrajectoryStore to(std::move(from));
-  EXPECT_FALSE(of_from.BoundTo(from));
-  EXPECT_FALSE(of_from.BoundTo(to));
-
-  const SpatioTemporalIndex of_to = SpatioTemporalIndex::BuildFromStore(to);
-  TrajectoryStore target = FleetStore(1, 80);
-  const SpatioTemporalIndex of_target =
-      SpatioTemporalIndex::BuildFromStore(target);
-  target = std::move(to);
-  EXPECT_FALSE(of_to.BoundTo(to));
-  EXPECT_FALSE(of_to.BoundTo(target));
-  EXPECT_FALSE(of_target.BoundTo(target));
 }
 
 TEST(StIndexTest, SerializeRoundTrips) {
@@ -304,10 +216,7 @@ TEST(StIndexTest, SerializeRoundTrips) {
     EXPECT_EQ(loaded->objects()[i].payload_crc,
               index.objects()[i].payload_crc);
     EXPECT_EQ(loaded->objects()[i].blocks, index.objects()[i].blocks);
-    EXPECT_TRUE(loaded->objects()[i].points.empty());
   }
-  // Bytes carry no points, so a loaded index is bound to no store.
-  EXPECT_FALSE(loaded->BoundTo(store));
   // Deterministic bytes for a given logical content.
   EXPECT_EQ(loaded->SerializeToString(), image);
 }
@@ -320,7 +229,6 @@ TEST(StIndexTest, EmptyIndexRoundTrips) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(loaded->objects().empty());
   EXPECT_EQ(loaded->SerializeToString(), index.SerializeToString());
-  EXPECT_FALSE(loaded->BoundTo(store));
 }
 
 // A table whose t_max decreases would break the bisection; no store

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -441,11 +442,11 @@ TEST(TrajectoryStoreTest, StoragePointsMatchDecodedPayload) {
 void ExpectEncodedFromStoragePoints(const TrajectoryStore& store,
                                     const std::string& label) {
   ASSERT_GT(store.object_count(), 0u) << label;
-  store.VisitBlocks([&](const std::string& id,
-                        std::span<const TimedPoint> points,
-                        const std::vector<BlockSummary>& blocks,
-                        std::string_view payload) {
-    // The visitor's span is StoragePoints' span.
+  for (size_t rank = 0; rank < store.object_count(); ++rank) {
+    const TrajectoryStore::Entry& entry = store.EntryAt(rank);
+    const std::string& id = entry.id;
+    // The entry's points are StoragePoints' span.
+    const std::span<const TimedPoint> points(entry.decoded.points());
     const std::span<const TimedPoint> resident = *store.StoragePoints(id);
     ASSERT_EQ(points.data(), resident.data()) << label << " " << id;
     ASSERT_EQ(points.size(), resident.size()) << label << " " << id;
@@ -455,9 +456,9 @@ void ExpectEncodedFromStoragePoints(const TrajectoryStore& store,
                       kDefaultBlockPoints, &encoded);
     ASSERT_TRUE(expected.ok()) << label << " " << id << ": "
                                << expected.status();
-    EXPECT_EQ(payload, encoded) << label << " " << id;
-    EXPECT_EQ(blocks, *expected) << label << " " << id;
-  });
+    EXPECT_EQ(entry.encoded, encoded) << label << " " << id;
+    EXPECT_EQ(entry.blocks, *expected) << label << " " << id;
+  }
 }
 
 std::string Image(const TrajectoryStore& store) {
@@ -688,6 +689,126 @@ TEST(TrajectoryStoreTest, RefusedAppendLeavesObjectUsable) {
             StatusCode::kOutOfRange);
   EXPECT_EQ(store.Get("ghost").status().code(), StatusCode::kNotFound);
   EXPECT_EQ(store.object_count(), 1u);
+}
+
+
+// The directory's two invariants: the walk over ranks runs in strictly
+// ascending id order, each rank reachable by a lookup of its id, and
+// every entry's extents are the union of its block summaries (inverted
+// for an entry without blocks).
+void ExpectDirectoryConsistent(const TrajectoryStore& store,
+                               const std::string& label) {
+  std::vector<std::string> walked;
+  for (size_t rank = 0; rank < store.object_count(); ++rank) {
+    const TrajectoryStore::Entry& entry = store.EntryAt(rank);
+    walked.push_back(entry.id);
+    if (rank > 0) {
+      EXPECT_LT(store.EntryAt(rank - 1).id, entry.id) << label;
+    }
+    const Result<const std::vector<BlockSummary>*> found =
+        store.BlockSummariesOf(entry.id);
+    ASSERT_TRUE(found.ok()) << label << " " << entry.id;
+    EXPECT_EQ(*found, &entry.blocks) << label << " " << entry.id;
+    TrajectoryStore::Entry expected;
+    BoundingBox& box = expected.bounds;
+    for (const BlockSummary& block : entry.blocks) {
+      expected.t_min = std::min(expected.t_min, block.t_min);
+      expected.t_max = std::max(expected.t_max, block.t_max);
+      box.min = {std::min(box.min.x, block.bounds.min.x),
+                 std::min(box.min.y, block.bounds.min.y)};
+      box.max = {std::max(box.max.x, block.bounds.max.x),
+                 std::max(box.max.y, block.bounds.max.y)};
+    }
+    EXPECT_EQ(entry.t_min, expected.t_min) << label << " " << entry.id;
+    EXPECT_EQ(entry.t_max, expected.t_max) << label << " " << entry.id;
+    EXPECT_EQ(entry.bounds, expected.bounds) << label << " " << entry.id;
+  }
+  EXPECT_EQ(walked, store.ObjectIds()) << label;
+}
+
+// Every mutation kind keeps the directory sorted and the extents exact,
+// with ids arriving out of order: insert (an empty trajectory too),
+// append (to a known object across a block boundary, and creating new
+// objects), remove (the newest, a middle and the smallest entry), load
+// and salvage of an image whose frames are not in id order, and WAL
+// replay.
+TEST(TrajectoryStoreTest, DirectoryStaysSortedWithExactExtents) {
+  TrajectoryStore store;
+  ExpectDirectoryConsistent(store, "empty");
+  uint64_t seed = 30;
+  for (const std::string id : {"m", "c", "x", "a", "q"}) {
+    ASSERT_TRUE(store.Insert(id, RandomWalk(40 + 20 * (seed % 5), seed)).ok());
+    ++seed;
+    ExpectDirectoryConsistent(store, "insert " + id);
+  }
+  ASSERT_TRUE(store.Insert("e", Trajectory()).ok());
+  ExpectDirectoryConsistent(store, "insert of an empty trajectory");
+  for (int i = 0; i < 70; ++i) {
+    ASSERT_TRUE(
+        store.Append("c", {1e4 + i, 3.0 * i, -2.0 * (i % 7)}).ok());
+    ExpectDirectoryConsistent(store, "append " + std::to_string(i) + " to c");
+  }
+  for (const std::string id : {"k", "b", "z", "d"}) {
+    ASSERT_TRUE(store.Append(id, {5.0, -10.0, 4.0}).ok());
+    ASSERT_TRUE(store.Append(id, {6.0, 12.0, -8.0}).ok());
+    ExpectDirectoryConsistent(store, "appends creating " + id);
+  }
+  for (const std::string id : {"d", "m", "a"}) {
+    ASSERT_TRUE(store.Remove(id).ok());
+    ExpectDirectoryConsistent(store, "remove " + id);
+  }
+  EXPECT_EQ(store.ObjectIds(),
+            (std::vector<std::string>{"b", "c", "e", "k", "q", "x", "z"}));
+
+  // The store's own frames in reverse id order: loading keeps their
+  // payloads.
+  std::string reversed;
+  for (size_t rank = 0; rank < store.object_count(); ++rank) {
+    const TrajectoryStore::Entry& entry = store.EntryAt(rank);
+    reversed.insert(0, *SerializeBlockedFrame(entry.id, Codec::kDelta,
+                                              entry.blocks, entry.encoded));
+  }
+  TrajectoryStore loaded;
+  ASSERT_TRUE(loaded.Insert("stale", RandomWalk(10, 1)).ok());
+  ASSERT_TRUE(loaded.LoadFromBuffer(reversed).ok());
+  ExpectDirectoryConsistent(loaded, "load");
+  EXPECT_EQ(loaded.ObjectIds(), store.ObjectIds());
+  // Then v1 frames, which loading re-encodes: a duplicate of "b" and a
+  // new id between the others.
+  Trajectory walk = RandomWalk(100, 2);
+  walk.set_name("n");
+  const std::string mixed =
+      reversed + *SerializeTrajectory(*store.Get("b"), Codec::kDelta) +
+      *SerializeTrajectory(walk, Codec::kDelta);
+  EXPECT_EQ(loaded.LoadFromBuffer(mixed).code(), StatusCode::kDataLoss);
+  ExpectDirectoryConsistent(loaded, "refused load");
+  FrameScanStats stats;
+  ASSERT_TRUE(loaded.SalvageFromBuffer(mixed, &stats).ok());
+  ExpectDirectoryConsistent(loaded, "salvage");
+  EXPECT_EQ(loaded.ObjectIds(), (std::vector<std::string>{
+                                    "b", "c", "e", "k", "n", "q", "x", "z"}));
+
+  const std::string dir = FreshDir("directory_replay");
+  {
+    SegmentStore durable;
+    ASSERT_TRUE(durable.Open(dir).ok());
+    for (const std::string id : {"t", "f", "w"}) {
+      ASSERT_TRUE(durable.Insert(id, RandomWalk(90, ++seed)).ok());
+    }
+    for (int i = 0; i < 80; ++i) {
+      ASSERT_TRUE(durable.Append("g", {1.0 * i, 1.0 * i, -1.0 * i}).ok());
+      ASSERT_TRUE(durable.Append("a", {2.0 * i, -3.0 * i, 0.5 * i}).ok());
+    }
+    ASSERT_TRUE(durable.Remove("t").ok());
+    ASSERT_TRUE(durable.Commit().ok());
+  }
+  SegmentStore replayed;
+  ASSERT_TRUE(replayed.Open(dir).ok());
+  EXPECT_EQ(replayed.last_recovery().wal_records_replayed, 164u);
+  ExpectDirectoryConsistent(replayed.store(), "wal replay");
+  EXPECT_EQ(replayed.store().ObjectIds(),
+            (std::vector<std::string>{"a", "f", "g", "w"}));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
