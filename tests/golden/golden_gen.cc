@@ -1,14 +1,17 @@
 // Regenerates the checked-in golden store-format blobs, the query-answer
 // lock (query_answers.txt: every hit and QueryStats count of a fixed query
-// mix on a fixed store) and the binary seed corpora for the fuzz targets.
-// Run manually only when a format or an answer changes *on purpose*:
+// mix on a fixed store), the kept-list lock (kept_lists.txt: the kept
+// indices of the compression algorithms on the same walks) and the binary
+// seed corpora for the fuzz targets. Run manually only when a format or an
+// answer changes *on purpose*:
 //
 //   ./golden_gen <tests/golden dir> <tests/fuzz/corpus dir>
 //
 // golden_format_test decodes the STCT blobs, and the golden_lock ctest
 // runs this tool into the build tree and byte-compares every file it
 // writes with the checked-in copy: if either fails after a code change,
-// the change broke format compatibility or moved a query answer —
+// the change broke format compatibility or moved a query answer or a kept
+// index —
 // regenerating the files is the last resort, not the first fix.
 
 #include <bit>
@@ -21,6 +24,13 @@
 #include <string_view>
 #include <vector>
 
+#include "stcomp/algo/bottom_up.h"
+#include "stcomp/algo/douglas_peucker.h"
+#include "stcomp/algo/registry.h"
+#include "stcomp/algo/sliding_window.h"
+#include "stcomp/algo/squish.h"
+#include "stcomp/algo/time_ratio.h"
+#include "stcomp/algo/visvalingam.h"
 #include "stcomp/common/check.h"
 #include "stcomp/net/frame.h"
 #include "stcomp/store/query.h"
@@ -116,38 +126,53 @@ int64_t Draw(uint32_t* state, int64_t lo, int64_t hi) {
   return lo + static_cast<int64_t>(*state >> 8) % (hi - lo + 1);
 }
 
-// The query-answer fixture: a kDelta store of integer-valued random walks.
-// Ids arrive out of order, half of the objects by Insert and half fix by
-// fix, with point counts around the 64-point block (0 and 1 included), and
-// one object is inserted and removed again.
-stcomp::TrajectoryStore QueryFixtureStore() {
+// One object of the fixtures: an id and an integer-valued random walk.
+struct Walk {
+  std::string id;
+  std::vector<stcomp::TimedPoint> points;
+};
+
+// The fixtures' walks: ids out of order, point counts around the 64-point
+// block (0 and 1 included), strictly increasing integer times.
+std::vector<Walk> RandomWalks() {
   constexpr std::string_view kIds[] = {"veh-07", "veh-02", "veh-11",
                                        "veh-00", "veh-05", "veh-09",
                                        "veh-01", "veh-10", "veh-04",
                                        "veh-08", "veh-03", "veh-06"};
   constexpr int64_t kCounts[] = {1, 2, 63, 64, 65, 129, 200, 40, 3, 130, 0, 90};
   uint32_t state = 20261019;
-  stcomp::TrajectoryStore store(stcomp::Codec::kDelta);
+  std::vector<Walk> walks;
   for (size_t o = 0; o < std::size(kIds); ++o) {
-    const std::string id(kIds[o]);
+    Walk walk{std::string(kIds[o]), {}};
     int64_t t = Draw(&state, 0, 100) * 10;
     int64_t x = Draw(&state, -1000, 1000);
     int64_t y = Draw(&state, -1000, 1000);
-    std::vector<stcomp::TimedPoint> points;
     for (int64_t i = 0; i < kCounts[o]; ++i) {
-      points.push_back({static_cast<double>(t), static_cast<double>(x),
-                        static_cast<double>(y)});
+      walk.points.push_back({static_cast<double>(t), static_cast<double>(x),
+                             static_cast<double>(y)});
       t += Draw(&state, 1, 20);
       x += Draw(&state, -20, 60);
       y += Draw(&state, -60, 20);
     }
+    walks.push_back(std::move(walk));
+  }
+  return walks;
+}
+
+// The query-answer fixture: a kDelta store of the walks. Half of the
+// objects arrive by Insert and half fix by fix, and one object is inserted
+// and removed again.
+stcomp::TrajectoryStore QueryFixtureStore() {
+  const std::vector<Walk> walks = RandomWalks();
+  stcomp::TrajectoryStore store(stcomp::Codec::kDelta);
+  for (size_t o = 0; o < walks.size(); ++o) {
     if (o % 2 == 0) {
-      auto trajectory = stcomp::Trajectory::FromPoints(std::move(points));
+      auto trajectory = stcomp::Trajectory::FromPoints(walks[o].points);
       STCOMP_CHECK_OK(trajectory.status());
-      STCOMP_CHECK_OK(store.Insert(id, *trajectory));
+      STCOMP_CHECK_OK(store.Insert(walks[o].id, *trajectory));
     } else {
-      for (const stcomp::TimedPoint& point : points) {
-        STCOMP_CHECK_OK(store.Append(id, point));
+      for (const stcomp::TimedPoint& point : walks[o].points) {
+        STCOMP_CHECK_OK(store.Append(walks[o].id, point));
       }
     }
     if (o == 5) {
@@ -240,6 +265,115 @@ std::string QueryAnswersText() {
   return out;
 }
 
+// Every kept list of the compression algorithms on the walks, one line
+// per run: the algorithm, its parameters, the walk's id and the kept
+// indices, ascending. The registered algorithms run through run_view at four
+// threshold levels; the unregistered budget and window forms run through
+// their in-place entry points. Left out: "angular" (acos) and the
+// perpendicular "bottom-up" (std::hypot), whose last bits may move with
+// the libm, while every other algorithm computes with +, -, *, / and sqrt
+// only, which IEEE 754 rounds exactly.
+std::string KeptListsText() {
+  const std::vector<Walk> walks = RandomWalks();
+  std::string out;
+  char line[256];
+  stcomp::algo::Workspace workspace;
+  stcomp::algo::IndexList kept;
+  const auto run_on_walks = [&](const char* label, const auto& run) {
+    for (const Walk& walk : walks) {
+      run(stcomp::TrajectoryView(walk.points));
+      std::snprintf(line, sizeof(line), "%s %s:", label, walk.id.c_str());
+      out += line;
+      // Runs of consecutive indices print as first-last.
+      for (size_t i = 0; i < kept.size(); ++i) {
+        size_t last = i;
+        while (last + 1 < kept.size() && kept[last + 1] == kept[last] + 1) {
+          ++last;
+        }
+        out += ' ' + std::to_string(kept[i]);
+        if (last > i) {
+          out += '-' + std::to_string(kept[last]);
+        }
+        i = last;
+      }
+      out += '\n';
+    }
+  };
+
+  struct Level {
+    double epsilon_m;
+    double speed_threshold_mps;
+    int keep_every;
+    double interval_s;
+    int max_window;
+    int budget;  // max_points and the Squish capacity.
+  };
+  constexpr Level kLevels[] = {{0.0, 0.0, 1, 1.0, 2, 2},
+                               {20.0, 2.0, 2, 15.0, 4, 3},
+                               {60.0, 8.0, 5, 60.0, 16, 8},
+                               {200.0, 30.0, 16, 240.0, 64, 32}};
+  for (const stcomp::algo::AlgorithmInfo& info :
+       stcomp::algo::AllAlgorithms()) {
+    if (info.name == "angular" || info.name == "bottom-up") {
+      continue;
+    }
+    for (const Level& level : kLevels) {
+      stcomp::algo::AlgorithmParams params;
+      params.epsilon_m = level.epsilon_m;
+      params.speed_threshold_mps = level.speed_threshold_mps;
+      params.keep_every = level.keep_every;
+      params.interval_s = level.interval_s;
+      params.max_window = level.max_window;
+      char label[160];
+      std::snprintf(label, sizeof(label),
+                    "%s eps=%g speed=%g every=%d interval=%g window=%d",
+                    info.name.c_str(), params.epsilon_m,
+                    params.speed_threshold_mps, params.keep_every,
+                    params.interval_s, params.max_window);
+      run_on_walks(label, [&](stcomp::TrajectoryView view) {
+        info.run_view(view, params, workspace, kept);
+      });
+    }
+  }
+
+  namespace algo = stcomp::algo;
+  for (const Level& level : kLevels) {
+    const int budget = level.budget;
+    char label[160];
+    std::snprintf(label, sizeof(label), "TdTrMaxPoints max_points=%d", budget);
+    run_on_walks(label, [&](stcomp::TrajectoryView view) {
+      algo::TdTrMaxPoints(view, budget, workspace, kept);
+    });
+    std::snprintf(label, sizeof(label), "DouglasPeuckerMaxPoints max_points=%d",
+                  budget);
+    run_on_walks(label, [&](stcomp::TrajectoryView view) {
+      algo::DouglasPeuckerMaxPoints(view, budget, workspace, kept);
+    });
+    std::snprintf(label, sizeof(label), "VisvalingamMaxPoints max_points=%d",
+                  budget);
+    run_on_walks(label, [&](stcomp::TrajectoryView view) {
+      algo::VisvalingamMaxPoints(view, budget, workspace, kept);
+    });
+    std::snprintf(label, sizeof(label),
+                  "BottomUpMaxPoints synchronized max_points=%d", budget);
+    run_on_walks(label, [&](stcomp::TrajectoryView view) {
+      algo::BottomUpMaxPoints(view, budget,
+                              algo::BottomUpMetric::kSynchronized, workspace,
+                              kept);
+    });
+    std::snprintf(label, sizeof(label), "Squish capacity=%d", budget);
+    run_on_walks(label, [&](stcomp::TrajectoryView view) {
+      algo::Squish(view, static_cast<size_t>(budget), kept);
+    });
+    std::snprintf(label, sizeof(label), "SlidingWindowTr eps=%g window=%d",
+                  level.epsilon_m, level.max_window);
+    run_on_walks(label, [&](stcomp::TrajectoryView view) {
+      algo::SlidingWindowTr(view, level.epsilon_m, level.max_window, kept);
+    });
+  }
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -268,6 +402,7 @@ int main(int argc, char** argv) {
           .value();
   WriteFile(golden_dir / "trajectory_v2.stct", raw_blocked + delta_blocked);
   WriteFile(golden_dir / "query_answers.txt", QueryAnswersText());
+  WriteFile(golden_dir / "kept_lists.txt", KeptListsText());
 
   WriteFile(corpus_dir / "serialization" / "raw_frame", raw);
   WriteFile(corpus_dir / "serialization" / "delta_frame", delta);

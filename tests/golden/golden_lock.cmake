@@ -2,9 +2,10 @@
 # every file it writes with the checked-in copy under tests/golden/ and
 # tests/fuzz/corpus/. golden_format_test decodes the STCT blobs; this
 # script also locks the bytes of the WAL (STWL), wire (STNI), index
-# (STIX) and checkpoint (STCK, STSM) seeds, the store images and the
-# query answers, so a writer change that moves any byte of any format, or
-# an engine change that moves any hit or QueryStats count, fails here.
+# (STIX) and checkpoint (STCK, STSM) seeds, the store images, the query
+# answers and the kept lists, so a writer change that moves any byte of
+# any format, an engine change that moves any hit or QueryStats count, or
+# an algorithm change that moves any kept index, fails here.
 #
 #   cmake -DGOLDEN_GEN=<golden_gen> -DSOURCE_DIR=<tests dir>
 #         -DOUT_DIR=<scratch dir> -P golden_lock.cmake
