@@ -22,7 +22,8 @@ int main() {
                        "rel_diff", "closed_us", "numeric_us", "speedup"});
   for (const stcomp::Trajectory& trajectory : dataset) {
     const stcomp::Trajectory approximation =
-        trajectory.Subset(stcomp::algo::TdTr(trajectory, 50.0));
+        trajectory.Subset(
+            stcomp::algo::Kept(stcomp::algo::TdTr, trajectory, 50.0));
     double closed = 0.0;
     double numeric = 0.0;
     const auto t0 = std::chrono::steady_clock::now();

@@ -29,7 +29,8 @@ int main() {
     double cubic_sum = 0.0;
     for (const stcomp::Trajectory& trajectory : dataset) {
       const stcomp::Trajectory approximation =
-          trajectory.Subset(stcomp::algo::TdTr(trajectory, epsilon));
+          trajectory.Subset(
+              stcomp::algo::Kept(stcomp::algo::TdTr, trajectory, epsilon));
       linear_sum +=
           stcomp::SynchronousError(trajectory, approximation).value();
       cubic_sum +=

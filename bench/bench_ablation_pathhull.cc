@@ -84,11 +84,15 @@ void RunWorkload(const char* name, Trajectory (*make)(int, uint64_t),
     std::vector<int> hull_kept;
     const int repetitions = n <= 2000 ? 5 : 2;
     const double naive_ms = TimeMs(
-        [&] { naive_kept = stcomp::algo::DouglasPeucker(trace, epsilon); },
+        [&] {
+          naive_kept =
+              stcomp::algo::Kept(stcomp::algo::DouglasPeucker, trace, epsilon);
+        },
         repetitions);
     const double hull_ms = TimeMs(
         [&] {
-          hull_kept = stcomp::algo::DouglasPeuckerHull(trace, epsilon);
+          hull_kept = stcomp::algo::Kept(stcomp::algo::DouglasPeuckerHull,
+                                         trace, epsilon);
         },
         repetitions);
     STCOMP_CHECK(naive_kept == hull_kept);

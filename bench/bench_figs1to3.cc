@@ -46,11 +46,11 @@ int main() {
       "%.0f m)\n\n",
       8.0);
   PrintKept("Fig.1 Douglas-Peucker (DP)",
-            stcomp::algo::DouglasPeucker(series, 8.0));
+            stcomp::algo::Kept(stcomp::algo::DouglasPeucker, series, 8.0));
   PrintKept("Fig.2 NOPW (break at excess)",
-            stcomp::algo::Nopw(series, 8.0));
+            stcomp::algo::Kept(stcomp::algo::Nopw, series, 8.0));
   PrintKept("Fig.3 BOPW (break before)",
-            stcomp::algo::Bopw(series, 8.0));
+            stcomp::algo::Kept(stcomp::algo::Bopw, series, 8.0));
   std::printf(
       "\nAs in the paper: DP picks the bend apices top-down; NOPW cuts at "
       "the first point violating the window; BOPW cuts one before the "

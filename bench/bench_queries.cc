@@ -102,7 +102,8 @@ int main(int argc, char** argv) {
     stcomp::TrajectoryStore store;
     for (const stcomp::Trajectory& trip : dataset) {
       STCOMP_CHECK_OK(store.Insert(
-          trip.name(), trip.Subset(stcomp::algo::TdTr(trip, epsilon))));
+          trip.name(),
+          trip.Subset(stcomp::algo::Kept(stcomp::algo::TdTr, trip, epsilon))));
     }
 
     for (const Shape& shape : shapes) {

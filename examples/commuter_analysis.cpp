@@ -101,7 +101,8 @@ int main(int argc, char** argv) {
   stcomp::TrajectoryStore store;
   for (const stcomp::Trajectory& trace : fleet_traces) {
     store.Insert(trace.name(),
-                 trace.Subset(stcomp::algo::TdTr(trace, epsilon)));
+                 trace.Subset(
+                     stcomp::algo::Kept(stcomp::algo::TdTr, trace, epsilon)));
   }
   // Who is inside the city-centre box at any point of their trip?
   const stcomp::BoundingBox centre{{5000.0, 5000.0}, {9000.0, 9000.0}};

@@ -68,7 +68,8 @@ int main(int argc, char** argv) {
   // same threshold compresses further at lower error vs ground truth.
   for (const auto& [label, source] :
        {std::pair{"observed", observed}, std::pair{"snapped", matched.snapped}}) {
-    const stcomp::algo::IndexList kept = stcomp::algo::TdTr(source, epsilon);
+    const stcomp::algo::IndexList kept =
+        stcomp::algo::Kept(stcomp::algo::TdTr, source, epsilon);
     const stcomp::Evaluation eval = stcomp::Evaluate(source, kept).value();
     std::printf(
         "TD-TR on %-8s kept %3zu/%3zu (%.1f%% compression), mean sync error "

@@ -29,9 +29,11 @@ int main(int argc, char** argv) {
               trip.name().c_str(), trip.size(), trip.Length() / 1000.0,
               trip.Duration());
 
-  // 2. Compress. Every algorithm returns the kept original indices.
-  const stcomp::algo::IndexList tdtr = stcomp::algo::TdTr(trip, epsilon);
-  const stcomp::algo::IndexList opwtr = stcomp::algo::OpwTr(trip, epsilon);
+  // 2. Compress. Kept() runs an algorithm and returns the kept original
+  //    indices.
+  namespace algo = stcomp::algo;
+  const algo::IndexList tdtr = algo::Kept(algo::TdTr, trip, epsilon);
+  const algo::IndexList opwtr = algo::Kept(algo::OpwTr, trip, epsilon);
 
   // 3. Evaluate with the paper's time-synchronous error notion.
   for (const auto& [name, kept] :

@@ -40,7 +40,8 @@ int main(int argc, char** argv) {
   trip = parsed.trajectory;
 
   // Compress.
-  const stcomp::algo::IndexList kept = stcomp::algo::TdTr(trip, epsilon);
+  const stcomp::algo::IndexList kept =
+      stcomp::algo::Kept(stcomp::algo::TdTr, trip, epsilon);
   const stcomp::Trajectory compressed = trip.Subset(kept);
   const stcomp::Evaluation eval = stcomp::Evaluate(trip, kept).value();
 

@@ -27,11 +27,4 @@ void AngularChange(TrajectoryView trajectory, double min_heading_change_rad,
   }
 }
 
-IndexList AngularChange(TrajectoryView trajectory,
-                        double min_heading_change_rad) {
-  IndexList kept;
-  AngularChange(trajectory, min_heading_change_rad, kept);
-  return kept;
-}
-
 }  // namespace stcomp::algo

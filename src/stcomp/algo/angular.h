@@ -15,8 +15,6 @@ namespace stcomp::algo {
 // original point). Precondition (checked): threshold in [0, pi].
 void AngularChange(TrajectoryView trajectory, double min_heading_change_rad,
                    IndexList& out);
-IndexList AngularChange(TrajectoryView trajectory,
-                        double min_heading_change_rad);
 
 }  // namespace stcomp::algo
 

@@ -44,14 +44,6 @@ void BottomUp(TrajectoryView trajectory, double epsilon, BottomUpMetric metric,
       workspace, out);
 }
 
-IndexList BottomUp(TrajectoryView trajectory, double epsilon,
-                   BottomUpMetric metric) {
-  Workspace workspace;
-  IndexList kept;
-  BottomUp(trajectory, epsilon, metric, workspace, kept);
-  return kept;
-}
-
 void BottomUpMaxPoints(TrajectoryView trajectory, int max_points,
                        BottomUpMetric metric, Workspace& workspace,
                        IndexList& out) {
@@ -60,14 +52,6 @@ void BottomUpMaxPoints(TrajectoryView trajectory, int max_points,
       trajectory, MergeCost(trajectory, metric),
       [max_points](double /*cost*/, int kept) { return kept > max_points; },
       workspace, out);
-}
-
-IndexList BottomUpMaxPoints(TrajectoryView trajectory, int max_points,
-                            BottomUpMetric metric) {
-  Workspace workspace;
-  IndexList kept;
-  BottomUpMaxPoints(trajectory, max_points, metric, workspace, kept);
-  return kept;
 }
 
 }  // namespace stcomp::algo

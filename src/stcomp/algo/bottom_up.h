@@ -116,16 +116,12 @@ enum class BottomUpMetric {
 // Precondition (checked): epsilon >= 0.
 void BottomUp(TrajectoryView trajectory, double epsilon, BottomUpMetric metric,
               Workspace& workspace, IndexList& out);
-IndexList BottomUp(TrajectoryView trajectory, double epsilon,
-                   BottomUpMetric metric);
 
 // Same greedy order, but halts when `max_points` kept points remain
 // (endpoints always kept). Precondition (checked): max_points >= 2.
 void BottomUpMaxPoints(TrajectoryView trajectory, int max_points,
                        BottomUpMetric metric, Workspace& workspace,
                        IndexList& out);
-IndexList BottomUpMaxPoints(TrajectoryView trajectory, int max_points,
-                            BottomUpMetric metric);
 
 }  // namespace stcomp::algo
 

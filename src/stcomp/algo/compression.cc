@@ -9,12 +9,6 @@ void KeepAll(TrajectoryView trajectory, IndexList& out) {
   std::iota(out.begin(), out.end(), 0);
 }
 
-IndexList KeepAll(TrajectoryView trajectory) {
-  IndexList all;
-  KeepAll(trajectory, all);
-  return all;
-}
-
 void CollectKept(const std::vector<char>& keep, int kept_count,
                  IndexList& out) {
   out.clear();

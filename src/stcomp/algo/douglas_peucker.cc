@@ -81,13 +81,6 @@ void DouglasPeucker(TrajectoryView trajectory, double epsilon_m,
           out);
 }
 
-IndexList DouglasPeucker(TrajectoryView trajectory, double epsilon_m) {
-  Workspace workspace;
-  IndexList kept;
-  DouglasPeucker(trajectory, epsilon_m, workspace, kept);
-  return kept;
-}
-
 void TopDownMaxPoints(TrajectoryView trajectory, int max_points,
                       SplitCriterion criterion, Workspace& workspace,
                       IndexList& out) {
@@ -137,13 +130,6 @@ void DouglasPeuckerMaxPoints(TrajectoryView trajectory, int max_points,
                              Workspace& workspace, IndexList& out) {
   TopDownMaxPoints(trajectory, max_points, SplitCriterion::kPerpendicular,
                    workspace, out);
-}
-
-IndexList DouglasPeuckerMaxPoints(TrajectoryView trajectory, int max_points) {
-  Workspace workspace;
-  IndexList kept;
-  DouglasPeuckerMaxPoints(trajectory, max_points, workspace, kept);
-  return kept;
 }
 
 }  // namespace stcomp::algo

@@ -76,7 +76,6 @@ void TopDown(TrajectoryView trajectory, double epsilon,
 // ("NDP" in the paper's experiments).
 void DouglasPeucker(TrajectoryView trajectory, double epsilon_m,
                     Workspace& workspace, IndexList& out);
-IndexList DouglasPeucker(TrajectoryView trajectory, double epsilon_m);
 
 // Best-first top-down refinement halting on output size instead of a
 // distance threshold (paper Sec. 2, halting condition "the number of data
@@ -89,7 +88,6 @@ void TopDownMaxPoints(TrajectoryView trajectory, int max_points,
 // The classic perpendicular-distance instance of TopDownMaxPoints.
 void DouglasPeuckerMaxPoints(TrajectoryView trajectory, int max_points,
                              Workspace& workspace, IndexList& out);
-IndexList DouglasPeuckerMaxPoints(TrajectoryView trajectory, int max_points);
 
 }  // namespace stcomp::algo
 

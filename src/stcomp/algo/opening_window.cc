@@ -101,21 +101,9 @@ void Nopw(TrajectoryView trajectory, double epsilon_m, IndexList& out) {
                 WindowCriterion::kPerpendicular, out);
 }
 
-IndexList Nopw(TrajectoryView trajectory, double epsilon_m) {
-  IndexList kept;
-  Nopw(trajectory, epsilon_m, kept);
-  return kept;
-}
-
 void Bopw(TrajectoryView trajectory, double epsilon_m, IndexList& out) {
   OpeningWindow(trajectory, epsilon_m, BreakPolicy::kBefore,
                 WindowCriterion::kPerpendicular, out);
-}
-
-IndexList Bopw(TrajectoryView trajectory, double epsilon_m) {
-  IndexList kept;
-  Bopw(trajectory, epsilon_m, kept);
-  return kept;
 }
 
 }  // namespace stcomp::algo

@@ -63,9 +63,7 @@ void OpeningWindow(TrajectoryView trajectory, double epsilon,
 
 // Classic spatial variants (perpendicular distance).
 void Nopw(TrajectoryView trajectory, double epsilon_m, IndexList& out);
-IndexList Nopw(TrajectoryView trajectory, double epsilon_m);
 void Bopw(TrajectoryView trajectory, double epsilon_m, IndexList& out);
-IndexList Bopw(TrajectoryView trajectory, double epsilon_m);
 
 }  // namespace stcomp::algo
 

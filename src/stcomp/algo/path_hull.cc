@@ -267,11 +267,4 @@ void DouglasPeuckerHull(TrajectoryView trajectory, double epsilon_m,
   dp.Run(out);
 }
 
-IndexList DouglasPeuckerHull(TrajectoryView trajectory, double epsilon_m) {
-  Workspace workspace;
-  IndexList kept;
-  DouglasPeuckerHull(trajectory, epsilon_m, workspace, kept);
-  return kept;
-}
-
 }  // namespace stcomp::algo

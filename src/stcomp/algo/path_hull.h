@@ -33,7 +33,6 @@ namespace stcomp::algo {
 // Precondition (checked): epsilon_m >= 0.
 void DouglasPeuckerHull(TrajectoryView trajectory, double epsilon_m,
                         Workspace& workspace, IndexList& out);
-IndexList DouglasPeuckerHull(TrajectoryView trajectory, double epsilon_m);
 
 }  // namespace stcomp::algo
 

@@ -26,10 +26,4 @@ void PerpendicularDistance(TrajectoryView trajectory, double epsilon_m,
   }
 }
 
-IndexList PerpendicularDistance(TrajectoryView trajectory, double epsilon_m) {
-  IndexList kept;
-  PerpendicularDistance(trajectory, epsilon_m, kept);
-  return kept;
-}
-
 }  // namespace stcomp::algo

@@ -15,7 +15,6 @@ namespace stcomp::algo {
 // `epsilon_m`. Precondition (checked): epsilon_m >= 0.
 void PerpendicularDistance(TrajectoryView trajectory, double epsilon_m,
                            IndexList& out);
-IndexList PerpendicularDistance(TrajectoryView trajectory, double epsilon_m);
 
 }  // namespace stcomp::algo
 

@@ -34,10 +34,4 @@ void RadialDistance(TrajectoryView trajectory, double epsilon_m,
   }
 }
 
-IndexList RadialDistance(TrajectoryView trajectory, double epsilon_m) {
-  IndexList kept;
-  RadialDistance(trajectory, epsilon_m, kept);
-  return kept;
-}
-
 }  // namespace stcomp::algo

@@ -13,7 +13,6 @@ namespace stcomp::algo {
 // The last point is always kept. Precondition (checked): epsilon_m >= 0.
 void RadialDistance(TrajectoryView trajectory, double epsilon_m,
                     IndexList& out);
-IndexList RadialDistance(TrajectoryView trajectory, double epsilon_m);
 
 }  // namespace stcomp::algo
 

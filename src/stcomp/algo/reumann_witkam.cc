@@ -33,10 +33,4 @@ void ReumannWitkam(TrajectoryView trajectory, double epsilon_m,
   }
 }
 
-IndexList ReumannWitkam(TrajectoryView trajectory, double epsilon_m) {
-  IndexList kept;
-  ReumannWitkam(trajectory, epsilon_m, kept);
-  return kept;
-}
-
 }  // namespace stcomp::algo

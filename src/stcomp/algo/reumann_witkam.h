@@ -14,7 +14,6 @@ namespace stcomp::algo {
 // successor. Precondition (checked): epsilon_m >= 0.
 void ReumannWitkam(TrajectoryView trajectory, double epsilon_m,
                    IndexList& out);
-IndexList ReumannWitkam(TrajectoryView trajectory, double epsilon_m);
 
 }  // namespace stcomp::algo
 

@@ -19,12 +19,6 @@ void UniformSampling(TrajectoryView trajectory, int keep_every,
   }
 }
 
-IndexList UniformSampling(TrajectoryView trajectory, int keep_every) {
-  IndexList kept;
-  UniformSampling(trajectory, keep_every, kept);
-  return kept;
-}
-
 void TemporalSampling(TrajectoryView trajectory, double interval_s,
                       IndexList& out) {
   STCOMP_CHECK(interval_s > 0.0);
@@ -48,12 +42,6 @@ void TemporalSampling(TrajectoryView trajectory, double interval_s,
   if (n > 1) {
     out.push_back(n - 1);
   }
-}
-
-IndexList TemporalSampling(TrajectoryView trajectory, double interval_s) {
-  IndexList kept;
-  TemporalSampling(trajectory, interval_s, kept);
-  return kept;
 }
 
 }  // namespace stcomp::algo

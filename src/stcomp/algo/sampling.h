@@ -13,13 +13,11 @@ namespace stcomp::algo {
 // Precondition (checked): keep_every >= 1.
 void UniformSampling(TrajectoryView trajectory, int keep_every,
                      IndexList& out);
-IndexList UniformSampling(TrajectoryView trajectory, int keep_every);
 
 // Keeps the first point of every `interval_s`-second time bucket (plus the
 // last point). Precondition (checked): interval_s > 0.
 void TemporalSampling(TrajectoryView trajectory, double interval_s,
                       IndexList& out);
-IndexList TemporalSampling(TrajectoryView trajectory, double interval_s);
 
 }  // namespace stcomp::algo
 

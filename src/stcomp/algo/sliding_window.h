@@ -18,14 +18,10 @@ namespace stcomp::algo {
 // Preconditions (checked): epsilon_m >= 0, max_window >= 2.
 void SlidingWindow(TrajectoryView trajectory, double epsilon_m,
                    int max_window, IndexList& out);
-IndexList SlidingWindow(TrajectoryView trajectory, double epsilon_m,
-                        int max_window);
 
 // Same, with the synchronized (time-ratio) distance criterion.
 void SlidingWindowTr(TrajectoryView trajectory, double epsilon_m,
                      int max_window, IndexList& out);
-IndexList SlidingWindowTr(TrajectoryView trajectory, double epsilon_m,
-                          int max_window);
 
 }  // namespace stcomp::algo
 

@@ -79,19 +79,6 @@ void OpwSp(TrajectoryView trajectory, double max_dist_error_m,
   }
 }
 
-void OpwSp(TrajectoryView trajectory, double max_dist_error_m,
-           double max_speed_error_mps, IndexList& out) {
-  Workspace workspace;
-  OpwSp(trajectory, max_dist_error_m, max_speed_error_mps, workspace, out);
-}
-
-IndexList OpwSp(TrajectoryView trajectory, double max_dist_error_m,
-                double max_speed_error_mps) {
-  IndexList kept;
-  OpwSp(trajectory, max_dist_error_m, max_speed_error_mps, kept);
-  return kept;
-}
-
 void TdSp(TrajectoryView trajectory, double max_dist_error_m,
           double max_speed_error_mps, Workspace& workspace, IndexList& out) {
   STCOMP_CHECK(max_dist_error_m >= 0.0);
@@ -134,14 +121,6 @@ void TdSp(TrajectoryView trajectory, double max_dist_error_m,
         return max_jump > max_speed_error_mps ? jump_index : -1;
       },
       workspace, out);
-}
-
-IndexList TdSp(TrajectoryView trajectory, double max_dist_error_m,
-               double max_speed_error_mps) {
-  Workspace workspace;
-  IndexList kept;
-  TdSp(trajectory, max_dist_error_m, max_speed_error_mps, workspace, kept);
-  return kept;
 }
 
 }  // namespace stcomp::algo

@@ -23,10 +23,6 @@ double SpeedJump(TrajectoryView trajectory, int i);
 // Preconditions (checked): both thresholds >= 0.
 void OpwSp(TrajectoryView trajectory, double max_dist_error_m,
            double max_speed_error_mps, Workspace& workspace, IndexList& out);
-void OpwSp(TrajectoryView trajectory, double max_dist_error_m,
-           double max_speed_error_mps, IndexList& out);
-IndexList OpwSp(TrajectoryView trajectory, double max_dist_error_m,
-                double max_speed_error_mps);
 
 // TD-SP: top-down; a range is split when max SED > max_dist_error_m or any
 // interior speed jump > max_speed_error_mps. The split point is the max-SED
@@ -34,8 +30,6 @@ IndexList OpwSp(TrajectoryView trajectory, double max_dist_error_m,
 // point. Preconditions (checked): both thresholds >= 0.
 void TdSp(TrajectoryView trajectory, double max_dist_error_m,
           double max_speed_error_mps, Workspace& workspace, IndexList& out);
-IndexList TdSp(TrajectoryView trajectory, double max_dist_error_m,
-               double max_speed_error_mps);
 
 }  // namespace stcomp::algo
 

@@ -182,12 +182,6 @@ Status SquishBuffer::ImportState(const SquishBufferState& state) {
   return Status::Ok();
 }
 
-IndexList SquishBuffer::Finalize() const {
-  IndexList kept;
-  Finalize(kept);
-  return kept;
-}
-
 void SquishBuffer::Finalize(IndexList& out) const {
   out.clear();
   out.reserve(nodes_alive_);
@@ -203,21 +197,9 @@ void Squish(TrajectoryView trajectory, size_t buffer_capacity,
   RunSquish(trajectory, buffer_capacity, 0.0, out);
 }
 
-IndexList Squish(TrajectoryView trajectory, size_t buffer_capacity) {
-  IndexList kept;
-  Squish(trajectory, buffer_capacity, kept);
-  return kept;
-}
-
 void SquishE(TrajectoryView trajectory, double mu_m, IndexList& out) {
   STCOMP_CHECK(mu_m >= 0.0);
   RunSquish(trajectory, 0, mu_m, out);
-}
-
-IndexList SquishE(TrajectoryView trajectory, double mu_m) {
-  IndexList kept;
-  SquishE(trajectory, mu_m, kept);
-  return kept;
 }
 
 }  // namespace stcomp::algo

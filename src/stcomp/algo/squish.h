@@ -49,7 +49,7 @@ struct SquishBufferState {
 };
 
 // The incremental engine, also used by stream/squish_stream.h. Feed points
-// in time order with their original indices; Finalize() returns the kept
+// in time order with their original indices; Finalize() lists the kept
 // indices in order.
 class SquishBuffer {
  public:
@@ -63,8 +63,8 @@ class SquishBuffer {
   // Number of currently buffered points.
   size_t size() const { return nodes_alive_; }
 
-  // Kept original indices (ascending). The buffer remains usable.
-  IndexList Finalize() const;
+  // Fills `out` with the kept original indices (ascending). The buffer
+  // remains usable.
   void Finalize(IndexList& out) const;
 
   // Applies `visit(original_index, point)` to every kept point in time
@@ -109,12 +109,10 @@ class SquishBuffer {
 // checked). The endpoints always survive.
 void Squish(TrajectoryView trajectory, size_t buffer_capacity,
             IndexList& out);
-IndexList Squish(TrajectoryView trajectory, size_t buffer_capacity);
 
 // Error-bound SQUISH-E(mu): removes points while the cheapest removal's
 // SED-error estimate stays <= mu_m. Precondition (checked): mu_m >= 0.
 void SquishE(TrajectoryView trajectory, double mu_m, IndexList& out);
-IndexList SquishE(TrajectoryView trajectory, double mu_m);
 
 }  // namespace stcomp::algo
 

@@ -51,13 +51,6 @@ void Visvalingam(TrajectoryView trajectory, double min_area_m2,
       workspace, out);
 }
 
-IndexList Visvalingam(TrajectoryView trajectory, double min_area_m2) {
-  Workspace workspace;
-  IndexList kept;
-  Visvalingam(trajectory, min_area_m2, workspace, kept);
-  return kept;
-}
-
 void VisvalingamMaxPoints(TrajectoryView trajectory, int max_points,
                           Workspace& workspace, IndexList& out) {
   STCOMP_CHECK(max_points >= 2);
@@ -65,13 +58,6 @@ void VisvalingamMaxPoints(TrajectoryView trajectory, int max_points,
       trajectory, PlanarArea(trajectory),
       [max_points](double /*area*/, int kept) { return kept > max_points; },
       workspace, out);
-}
-
-IndexList VisvalingamMaxPoints(TrajectoryView trajectory, int max_points) {
-  Workspace workspace;
-  IndexList kept;
-  VisvalingamMaxPoints(trajectory, max_points, workspace, kept);
-  return kept;
 }
 
 void VisvalingamTr(TrajectoryView trajectory, double min_area_m2,
@@ -83,14 +69,6 @@ void VisvalingamTr(TrajectoryView trajectory, double min_area_m2,
       trajectory, SpatiotemporalArea(trajectory, time_weight_mps),
       [min_area_m2](double area, int /*kept*/) { return area < min_area_m2; },
       workspace, out);
-}
-
-IndexList VisvalingamTr(TrajectoryView trajectory, double min_area_m2,
-                        double time_weight_mps) {
-  Workspace workspace;
-  IndexList kept;
-  VisvalingamTr(trajectory, min_area_m2, time_weight_mps, workspace, kept);
-  return kept;
 }
 
 }  // namespace stcomp::algo

@@ -18,13 +18,11 @@ namespace stcomp::algo {
 // `min_area_m2`. Precondition (checked): min_area_m2 >= 0.
 void Visvalingam(TrajectoryView trajectory, double min_area_m2,
                  Workspace& workspace, IndexList& out);
-IndexList Visvalingam(TrajectoryView trajectory, double min_area_m2);
 
 // Halts when `max_points` remain instead (endpoints always kept).
 // Precondition (checked): max_points >= 2.
 void VisvalingamMaxPoints(TrajectoryView trajectory, int max_points,
                           Workspace& workspace, IndexList& out);
-IndexList VisvalingamMaxPoints(TrajectoryView trajectory, int max_points);
 
 // Spatiotemporal variant: the triangle is taken in the 3-D space
 // (x, y, w*t) with w = `time_weight_mps` converting seconds to metres (a
@@ -35,8 +33,6 @@ IndexList VisvalingamMaxPoints(TrajectoryView trajectory, int max_points);
 void VisvalingamTr(TrajectoryView trajectory, double min_area_m2,
                    double time_weight_mps, Workspace& workspace,
                    IndexList& out);
-IndexList VisvalingamTr(TrajectoryView trajectory, double min_area_m2,
-                        double time_weight_mps);
 
 }  // namespace stcomp::algo
 

@@ -4,8 +4,7 @@
 
 #include "stcomp/common/check.h"
 #include "stcomp/common/strings.h"
-#include "stcomp/core/interpolation.h"
-#include "stcomp/geom/kernels.h"
+#include "stcomp/core/trajectory_view.h"
 
 namespace stcomp {
 
@@ -50,10 +49,7 @@ Status Trajectory::Append(const TimedPoint& point) {
 }
 
 double Trajectory::Duration() const {
-  if (points_.size() < 2) {
-    return 0.0;
-  }
-  return points_.back().t - points_.front().t;
+  return TrajectoryView(*this).Duration();
 }
 
 double Trajectory::Length() const {
@@ -80,24 +76,7 @@ double Trajectory::AverageSpeed() const {
 }
 
 Result<Vec2> Trajectory::PositionAt(double t) const {
-  if (points_.empty()) {
-    return OutOfRangeError("PositionAt on empty trajectory");
-  }
-  if (t < points_.front().t || t > points_.back().t) {
-    return OutOfRangeError(StrFormat(
-        "time %f outside trajectory interval [%f, %f]", t, points_.front().t,
-        points_.back().t));
-  }
-  // Find the first sample with timestamp >= t.
-  auto it = std::lower_bound(
-      points_.begin(), points_.end(), t,
-      [](const TimedPoint& point, double value) { return point.t < value; });
-  if (it->t == t) {
-    return it->position;
-  }
-  const TimedPoint& after = *it;
-  const TimedPoint& before = *(it - 1);
-  return InterpolatePosition(before, after, t);
+  return TrajectoryView(*this).PositionAt(t);
 }
 
 Trajectory Trajectory::Slice(size_t first, size_t last) const {
@@ -110,28 +89,13 @@ Trajectory Trajectory::Slice(size_t first, size_t last) const {
 }
 
 Trajectory Trajectory::Subset(const std::vector<int>& kept_indices) const {
-  Trajectory result;
-  result.points_.reserve(kept_indices.size());
-  int previous = -1;
-  for (int index : kept_indices) {
-    STCOMP_CHECK(index > previous &&
-                 static_cast<size_t>(index) < points_.size());
-    result.points_.push_back(points_[static_cast<size_t>(index)]);
-    previous = index;
-  }
+  Trajectory result = stcomp::Subset(*this, kept_indices);
   result.name_ = name_;
   return result;
 }
 
 double Trajectory::SegmentSpeed(size_t i) const {
-  STCOMP_CHECK(i + 1 < points_.size());
-  const double dt = points_[i + 1].t - points_[i].t;
-  STCOMP_DCHECK(dt > 0.0);
-  // Kernel norm (sqrt, not hypot), matching TrajectoryView::SegmentSpeed
-  // bit for bit.
-  return kernels::Norm2(points_[i + 1].position.x - points_[i].position.x,
-                        points_[i + 1].position.y - points_[i].position.y) /
-         dt;
+  return TrajectoryView(*this).SegmentSpeed(i);
 }
 
 std::vector<double> Trajectory::SegmentSpeeds() const {

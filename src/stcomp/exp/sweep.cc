@@ -11,17 +11,15 @@
 
 namespace stcomp {
 
-namespace {
-
-// One sweep cell: run the algorithm's zero-copy entry point over every
-// trajectory, scratching in the caller's workspace, and average the
-// evaluation metrics. Parameters are validated here so a bad threshold
-// surfaces as a Status instead of tripping the registry wrapper's check.
-Result<SweepPoint> EvaluateCell(const std::vector<Trajectory>& dataset,
-                                const algo::AlgorithmInfo& algorithm,
-                                const algo::AlgorithmParams& params,
-                                algo::Workspace& workspace,
-                                algo::IndexList& kept) {
+// One sweep cell: run the algorithm's run_view over every trajectory,
+// scratching in the caller's workspace, and average the evaluation
+// metrics. Parameters are validated here so a bad threshold surfaces as a
+// Status instead of tripping the registry wrapper's check.
+Result<SweepPoint> EvaluateAveraged(const std::vector<Trajectory>& dataset,
+                                    const algo::AlgorithmInfo& algorithm,
+                                    const algo::AlgorithmParams& params,
+                                    algo::Workspace& workspace,
+                                    algo::IndexList& kept) {
   if (dataset.empty()) {
     return InvalidArgumentError("empty dataset");
   }
@@ -48,8 +46,6 @@ Result<SweepPoint> EvaluateCell(const std::vector<Trajectory>& dataset,
   return point;
 }
 
-}  // namespace
-
 std::vector<double> PaperThresholds() {
   std::vector<double> thresholds;
   for (double epsilon = 30.0; epsilon <= 100.0; epsilon += 5.0) {
@@ -59,22 +55,6 @@ std::vector<double> PaperThresholds() {
 }
 
 std::vector<double> PaperSpeedThresholds() { return {5.0, 15.0, 25.0}; }
-
-Result<SweepPoint> EvaluateAveraged(const std::vector<Trajectory>& dataset,
-                                    const algo::AlgorithmInfo& algorithm,
-                                    const algo::AlgorithmParams& params,
-                                    algo::Workspace& workspace,
-                                    algo::IndexList& kept) {
-  return EvaluateCell(dataset, algorithm, params, workspace, kept);
-}
-
-Result<SweepPoint> EvaluateAveraged(const std::vector<Trajectory>& dataset,
-                                    const algo::AlgorithmInfo& algorithm,
-                                    const algo::AlgorithmParams& params) {
-  thread_local algo::Workspace workspace;
-  thread_local algo::IndexList kept;
-  return EvaluateCell(dataset, algorithm, params, workspace, kept);
-}
 
 Result<std::vector<SweepPoint>> SweepThresholds(
     const std::vector<Trajectory>& dataset, std::string_view name,
@@ -90,7 +70,7 @@ Result<std::vector<SweepPoint>> SweepThresholds(
     params.epsilon_m = epsilon;
     STCOMP_ASSIGN_OR_RETURN(
         const SweepPoint point,
-        EvaluateCell(dataset, *algorithm, params, workspace, kept));
+        EvaluateAveraged(dataset, *algorithm, params, workspace, kept));
     points.push_back(point);
   }
   return points;
@@ -153,7 +133,7 @@ Result<std::vector<std::vector<SweepPoint>>> SweepManyParallel(
       const Cell cell = cells[c];
       algo::AlgorithmParams params = requests[cell.request].base;
       params.epsilon_m = requests[cell.request].thresholds[cell.threshold];
-      Result<SweepPoint> point = EvaluateCell(
+      Result<SweepPoint> point = EvaluateAveraged(
           dataset, *algorithms[cell.request], params, workspace, kept);
       if (!point.ok()) {
         const std::lock_guard<std::mutex> lock(error_mutex);

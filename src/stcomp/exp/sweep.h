@@ -4,7 +4,7 @@
 // threshold values ranging from 30 to 100 m ... averages over ten
 // trajectories").
 //
-// Two drivers share one cell evaluator:
+// Two drivers share one cell evaluator, EvaluateAveraged:
 //   SweepThresholds          — serial, one reused workspace
 //   SweepThresholdsParallel / SweepManyParallel — a std::thread pool over
 //     (algorithm, threshold) cells, one workspace per thread. Cells are
@@ -50,13 +50,10 @@ std::vector<double> PaperThresholds();
 // The paper's speed-difference thresholds: 5, 15, 25 m/s.
 std::vector<double> PaperSpeedThresholds();
 
-// Averages Evaluate() over `dataset` for one algorithm + parameter set.
-// The workspace overload scratches in caller-owned buffers (zero
-// steady-state allocation); the two-argument form keeps a thread-local
-// workspace. kInvalidArgument on an empty dataset or invalid params.
-Result<SweepPoint> EvaluateAveraged(const std::vector<Trajectory>& dataset,
-                                    const algo::AlgorithmInfo& algorithm,
-                                    const algo::AlgorithmParams& params);
+// Averages Evaluate() over `dataset` for one algorithm + parameter set,
+// running the algorithm's run_view in the caller's `workspace` and `kept`
+// (zero steady-state allocation when they are reused). kInvalidArgument on
+// an empty dataset or invalid params.
 Result<SweepPoint> EvaluateAveraged(const std::vector<Trajectory>& dataset,
                                     const algo::AlgorithmInfo& algorithm,
                                     const algo::AlgorithmParams& params,

@@ -7,6 +7,7 @@
 
 #include "stcomp/common/check.h"
 #include "stcomp/common/strings.h"
+#include "stcomp/obs/exposition.h"
 #include "stcomp/obs/trace.h"
 
 // GCC's ThreadSanitizer cannot instrument atomic_thread_fence (it
@@ -374,13 +375,8 @@ std::string RenderFlightJson(const std::vector<FlightEvent>& events) {
   for (size_t i = 0; i < events.size(); ++i) {
     const FlightEvent& e = events[i];
     if (i > 0) out += ",";
-    // Tags are NUL-terminated ASCII identifiers (object ids, file stems);
-    // escape the two JSON-hostile characters they could plausibly hold.
-    std::string tag;
-    for (const char* p = e.tag; *p != '\0'; ++p) {
-      if (*p == '"' || *p == '\\') tag += '\\';
-      if (static_cast<unsigned char>(*p) >= 0x20) tag += *p;
-    }
+    // Tags are NUL-terminated (object ids, file stems).
+    const std::string tag = JsonEscape(e.tag);
     out += StrFormat(
         "\n  {\"seq\": %llu, \"t_us\": %llu, \"thread_id\": %u, "
         "\"code\": \"%s\", \"tag\": \"%s\", \"arg0\": %llu, \"arg1\": %llu}",

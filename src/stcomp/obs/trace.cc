@@ -1,7 +1,6 @@
 #include "stcomp/obs/trace.h"
 
 #include <atomic>
-#include <cstdlib>
 
 #include "stcomp/common/check.h"
 
@@ -35,34 +34,9 @@ thread_local constinit SpanStack tls_span_stack;
 
 std::atomic<uint64_t> g_next_span_id{1};
 
-uint64_t InitialSampledRootPeriod() {
-  const char* env = std::getenv("STCOMP_TRACE_SAMPLE_EVERY");
-  if (env != nullptr && env[0] != '\0') {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed >= 1) {
-      return static_cast<uint64_t>(parsed);
-    }
-  }
-  return TraceBuffer::kDefaultSampledRootPeriod;
-}
-
-// 0 means "not initialized yet" (valid periods are >= 1), so the common
-// read is one relaxed load + branch with no magic-static guard. The CAS
-// makes first-read/first-write races converge on a single value.
-constinit std::atomic<uint64_t> g_sampled_root_period{0};
-
-uint64_t EnsureSampledRootPeriod() {
-  uint64_t period = g_sampled_root_period.load(std::memory_order_relaxed);
-  if (period == 0) {
-    uint64_t expected = 0;
-    period = InitialSampledRootPeriod();
-    if (!g_sampled_root_period.compare_exchange_strong(
-            expected, period, std::memory_order_relaxed)) {
-      period = expected;
-    }
-  }
-  return period;
-}
+// Read on every sampled root, so one relaxed load with no init guard.
+constinit std::atomic<uint64_t> g_sampled_root_period{
+    TraceBuffer::kDefaultSampledRootPeriod};
 
 }  // namespace
 
@@ -128,14 +102,11 @@ uint64_t TraceBuffer::NowMicros() {
 
 uint64_t TraceBuffer::SetSampledRootPeriod(uint64_t period) {
   STCOMP_CHECK(period >= 1);
-  // Initialize first so the returned "previous" is the effective period
-  // (default or env), never the internal 0 sentinel.
-  EnsureSampledRootPeriod();
   return g_sampled_root_period.exchange(period, std::memory_order_relaxed);
 }
 
 uint64_t TraceBuffer::SampledRootPeriod() {
-  return EnsureSampledRootPeriod();
+  return g_sampled_root_period.load(std::memory_order_relaxed);
 }
 
 TraceSpan::TraceSpan(std::string_view name, std::string_view detail,

@@ -77,11 +77,10 @@ class TraceBuffer {
   static uint64_t NowMicros();
 
   // Head-sampling period for STCOMP_TRACE_SPAN_SAMPLED roots: 1 in
-  // `period` hot-path root spans records (per thread). The initial value
-  // comes from the STCOMP_TRACE_SAMPLE_EVERY environment variable when
-  // set, else kDefaultSampledRootPeriod. Setting 1 traces every push —
-  // the switch tests and the /tracez acceptance path flip. Returns the
-  // previous period; `period` must be >= 1.
+  // `period` hot-path root spans records (per thread), starting at
+  // kDefaultSampledRootPeriod. Setting 1 traces every push — the switch
+  // tests and the /tracez acceptance path flip. Returns the previous
+  // period; `period` must be >= 1.
   static constexpr uint64_t kDefaultSampledRootPeriod = 64;
   static uint64_t SetSampledRootPeriod(uint64_t period);
   static uint64_t SampledRootPeriod();

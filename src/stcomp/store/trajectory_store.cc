@@ -37,7 +37,7 @@ const StoreMetrics& Metrics() {
   return *kMetrics;
 }
 
-// `trajectory` mapped to storage values under the same name;
+// `trajectory`'s points mapped to storage values, unnamed;
 // kInvalidArgument when two fixes collapse onto one stored time.
 Result<Trajectory> ToStorageValues(const Trajectory& trajectory, Codec codec) {
   std::vector<TimedPoint> points;
@@ -45,10 +45,7 @@ Result<Trajectory> ToStorageValues(const Trajectory& trajectory, Codec codec) {
   for (const TimedPoint& point : trajectory.points()) {
     points.push_back(StorageValue(point, codec));
   }
-  STCOMP_ASSIGN_OR_RETURN(Trajectory mapped,
-                          Trajectory::FromPoints(std::move(points)));
-  mapped.set_name(trajectory.name());
-  return mapped;
+  return Trajectory::FromPoints(std::move(points));
 }
 
 // Whether `blocks` cut `num_points` points the way the store does: every
@@ -106,6 +103,7 @@ Status TrajectoryStore::EncodeInto(const Trajectory& trajectory,
 
 Status TrajectoryStore::EntryFromFrame(Trajectory frame, FrameLayout layout,
                                        Entry* entry) const {
+  frame.set_name({});  // The frame's name is the entry's id.
   if (layout.codec == codec_ && IsStoreBlocked(layout.blocks, frame.size())) {
     // Extents over the decoded points as they are (kRaw maps nothing):
     // they are this store's storage values, what Get() decodes.
@@ -215,7 +213,6 @@ Status TrajectoryStore::Append(const std::string& object_id,
                 &entry);
   if (!known) {
     fresh.id = object_id;
-    decoded.set_name(object_id);
     AddEntry(rank, std::move(fresh));
   }
   return Status::Ok();
@@ -236,8 +233,7 @@ Result<Trajectory> TrajectoryStore::Get(const std::string& object_id) const {
   }
   STCOMP_ASSIGN_OR_RETURN(Trajectory trajectory,
                           Trajectory::FromPoints(std::move(points)));
-  const std::string& name = entry->decoded.name();
-  trajectory.set_name(name.empty() ? object_id : name);
+  trajectory.set_name(entry->id);
   return trajectory;
 }
 

@@ -43,7 +43,7 @@ class TrajectoryStore {
     double t_max = -std::numeric_limits<double>::infinity();
     BoundingBox bounds = {{t_min, t_min}, {t_max, t_max}};  // Inverted.
     std::vector<BlockSummary> blocks;  // The summary table.
-    // The points as storage values, named like the stored trajectory:
+    // The points as storage values, unnamed (the object's name is `id`):
     // exactly what decoding `encoded` yields. Insert and Append map their
     // input through StorageValue(); a frame decoded in the store's codec
     // already holds storage values and is moved in.
@@ -67,7 +67,9 @@ class TrajectoryStore {
   // leaves the object unchanged.
   Status Append(const std::string& object_id, const TimedPoint& point);
 
-  // Decodes the object's payload.
+  // Decodes the object's payload into a trajectory named `object_id`,
+  // whatever the inserted trajectory was named, so the name is the same
+  // before and after a save and reload.
   Result<Trajectory> Get(const std::string& object_id) const;
   Status Remove(const std::string& object_id);
   std::vector<std::string> ObjectIds() const;

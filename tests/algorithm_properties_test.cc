@@ -154,11 +154,11 @@ TEST(LoopRuleTest, TiedCheapestRemovalDropsTheEarlierPoint) {
   const Trajectory zigzag = testutil::Traj(
       {{0, 0, 0}, {1, 1, 1}, {2, 2, 0}, {3, 3, 1}, {4, 4, 0}});
   const IndexList expected = {0, 2, 3, 4};
-  EXPECT_EQ(BottomUpMaxPoints(zigzag, 4, BottomUpMetric::kPerpendicular),
+  EXPECT_EQ(Kept(BottomUpMaxPoints, zigzag, 4, BottomUpMetric::kPerpendicular),
             expected);
-  EXPECT_EQ(BottomUpMaxPoints(zigzag, 4, BottomUpMetric::kSynchronized),
+  EXPECT_EQ(Kept(BottomUpMaxPoints, zigzag, 4, BottomUpMetric::kSynchronized),
             expected);
-  EXPECT_EQ(VisvalingamMaxPoints(zigzag, 4), expected);
+  EXPECT_EQ(Kept(VisvalingamMaxPoints, zigzag, 4), expected);
 }
 
 TEST(LoopRuleTest, ThresholdIsStrictAndRadialKeepIsInclusive) {

@@ -16,7 +16,7 @@ using testutil::Traj;
 
 TEST(BottomUpTest, CollinearCollapses) {
   const Trajectory trajectory = Line(25, 1.0, 3.0, 0.0);
-  EXPECT_EQ(BottomUp(trajectory, 0.5, BottomUpMetric::kPerpendicular),
+  EXPECT_EQ(Kept(BottomUp, trajectory, 0.5, BottomUpMetric::kPerpendicular),
             (IndexList{0, 24}));
 }
 
@@ -27,7 +27,7 @@ TEST(BottomUpTest, RespectsEpsilonGuarantee) {
   const Trajectory trajectory = RandomWalk(120, 3);
   const double epsilon = 30.0;
   const IndexList kept =
-      BottomUp(trajectory, epsilon, BottomUpMetric::kPerpendicular);
+      Kept(BottomUp, trajectory, epsilon, BottomUpMetric::kPerpendicular);
   EXPECT_TRUE(IsValidIndexList(trajectory, kept));
   EXPECT_LE(MaxPerpendicularError(trajectory, kept), epsilon);
 }
@@ -35,9 +35,11 @@ TEST(BottomUpTest, RespectsEpsilonGuarantee) {
 TEST(BottomUpTest, SynchronizedMetricSeesStops) {
   const Trajectory trajectory = LineWithStop(10, 8, 10);
   EXPECT_EQ(
-      BottomUp(trajectory, 10.0, BottomUpMetric::kPerpendicular).size(), 2u);
+      Kept(BottomUp, trajectory, 10.0, BottomUpMetric::kPerpendicular).size(),
+      2u);
   EXPECT_GT(
-      BottomUp(trajectory, 10.0, BottomUpMetric::kSynchronized).size(), 2u);
+      Kept(BottomUp, trajectory, 10.0, BottomUpMetric::kSynchronized).size(),
+      2u);
 }
 
 TEST(BottomUpTest, MonotoneInEpsilon) {
@@ -45,7 +47,8 @@ TEST(BottomUpTest, MonotoneInEpsilon) {
   size_t previous = trajectory.size() + 1;
   for (double epsilon : {2.0, 10.0, 50.0, 250.0}) {
     const size_t kept =
-        BottomUp(trajectory, epsilon, BottomUpMetric::kPerpendicular).size();
+        Kept(BottomUp, trajectory, epsilon, BottomUpMetric::kPerpendicular)
+            .size();
     EXPECT_LE(kept, previous);
     previous = kept;
   }
@@ -54,7 +57,7 @@ TEST(BottomUpTest, MonotoneInEpsilon) {
 TEST(BottomUpMaxPointsTest, HonoursBudget) {
   const Trajectory trajectory = RandomWalk(80, 11);
   for (int budget : {2, 5, 20, 79}) {
-    const IndexList kept = BottomUpMaxPoints(trajectory, budget,
+    const IndexList kept = Kept(BottomUpMaxPoints, trajectory, budget,
                                              BottomUpMetric::kPerpendicular);
     EXPECT_EQ(kept.size(), static_cast<size_t>(budget));
     EXPECT_TRUE(IsValidIndexList(trajectory, kept));
@@ -64,22 +67,23 @@ TEST(BottomUpMaxPointsTest, HonoursBudget) {
 TEST(BottomUpMaxPointsTest, BudgetBeyondSizeKeepsAll) {
   const Trajectory trajectory = RandomWalk(12, 13);
   EXPECT_EQ(
-      BottomUpMaxPoints(trajectory, 50, BottomUpMetric::kPerpendicular),
-      KeepAll(trajectory));
+      Kept(BottomUpMaxPoints, trajectory, 50, BottomUpMetric::kPerpendicular),
+      Kept(KeepAll, trajectory));
 }
 
 TEST(BottomUpTest, TinyInputs) {
   Trajectory empty;
-  EXPECT_TRUE(BottomUp(empty, 1.0, BottomUpMetric::kPerpendicular).empty());
+  EXPECT_TRUE(
+      Kept(BottomUp, empty, 1.0, BottomUpMetric::kPerpendicular).empty());
   const Trajectory two = Traj({{0, 0, 0}, {1, 1, 1}});
-  EXPECT_EQ(BottomUp(two, 1.0, BottomUpMetric::kPerpendicular),
+  EXPECT_EQ(Kept(BottomUp, two, 1.0, BottomUpMetric::kPerpendicular),
             (IndexList{0, 1}));
 }
 
 TEST(SlidingWindowTest, CapBoundsSegmentLength) {
   const Trajectory trajectory = Line(101, 1.0, 5.0, 0.0);
   const int cap = 10;
-  const IndexList kept = SlidingWindow(trajectory, 1.0, cap);
+  const IndexList kept = Kept(SlidingWindow, trajectory, 1.0, cap);
   EXPECT_TRUE(IsValidIndexList(trajectory, kept));
   for (size_t s = 1; s < kept.size(); ++s) {
     EXPECT_LE(kept[s] - kept[s - 1], cap);
@@ -90,16 +94,16 @@ TEST(SlidingWindowTest, CapBoundsSegmentLength) {
 
 TEST(SlidingWindowTest, MatchesOpeningWindowWhenCapIsHuge) {
   const Trajectory trajectory = RandomWalk(100, 17);
-  EXPECT_EQ(SlidingWindow(trajectory, 30.0, 1000000),
-            Nopw(trajectory, 30.0));
-  EXPECT_EQ(SlidingWindowTr(trajectory, 30.0, 1000000),
-            OpwTr(trajectory, 30.0));
+  EXPECT_EQ(Kept(SlidingWindow, trajectory, 30.0, 1000000),
+            Kept(Nopw, trajectory, 30.0));
+  EXPECT_EQ(Kept(SlidingWindowTr, trajectory, 30.0, 1000000),
+            Kept(OpwTr, trajectory, 30.0));
 }
 
 TEST(SlidingWindowTest, ViolationStillCutsInsideCap) {
   const Trajectory trajectory = RandomWalk(100, 19);
   const double epsilon = 25.0;
-  const IndexList kept = SlidingWindow(trajectory, epsilon, 15);
+  const IndexList kept = Kept(SlidingWindow, trajectory, epsilon, 15);
   // Committed segments (except the forced last) satisfy the line bound.
   for (size_t s = 1; s + 1 < kept.size(); ++s) {
     for (int i = kept[s - 1] + 1; i < kept[s]; ++i) {

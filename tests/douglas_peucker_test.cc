@@ -15,26 +15,26 @@ using testutil::Traj;
 
 TEST(DouglasPeuckerTest, CollinearCollapsesToEndpoints) {
   const Trajectory trajectory = Line(50, 1.0, 4.0, 4.0);
-  EXPECT_EQ(DouglasPeucker(trajectory, 0.5), (IndexList{0, 49}));
+  EXPECT_EQ(Kept(DouglasPeucker, trajectory, 0.5), (IndexList{0, 49}));
 }
 
 TEST(DouglasPeuckerTest, KeepsTheCorner) {
   const Trajectory trajectory =
       Traj({{0, 0, 0}, {1, 50, 0}, {2, 100, 0}, {3, 100, 50}, {4, 100, 100}});
-  EXPECT_EQ(DouglasPeucker(trajectory, 5.0), (IndexList{0, 2, 4}));
+  EXPECT_EQ(Kept(DouglasPeucker, trajectory, 5.0), (IndexList{0, 2, 4}));
 }
 
 TEST(DouglasPeuckerTest, ThresholdIsStrict) {
   // Interior point exactly at distance 10 from the baseline: max == eps is
   // NOT a split ("greater than a pre-defined threshold").
   const Trajectory trajectory = Traj({{0, 0, 0}, {1, 50, 10}, {2, 100, 0}});
-  EXPECT_EQ(DouglasPeucker(trajectory, 10.0), (IndexList{0, 2}));
-  EXPECT_EQ(DouglasPeucker(trajectory, 9.999), (IndexList{0, 1, 2}));
+  EXPECT_EQ(Kept(DouglasPeucker, trajectory, 10.0), (IndexList{0, 2}));
+  EXPECT_EQ(Kept(DouglasPeucker, trajectory, 9.999), (IndexList{0, 1, 2}));
 }
 
 TEST(DouglasPeuckerTest, ZeroEpsilonKeepsAllNonCollinear) {
   const Trajectory trajectory = RandomWalk(40, 7);
-  const IndexList kept = DouglasPeucker(trajectory, 0.0);
+  const IndexList kept = Kept(DouglasPeucker, trajectory, 0.0);
   // Generic-position points: nothing is exactly collinear, everything kept.
   EXPECT_EQ(kept.size(), trajectory.size());
 }
@@ -43,7 +43,7 @@ TEST(DouglasPeuckerTest, OutputIsValidAndMonotoneInEpsilon) {
   const Trajectory trajectory = RandomWalk(200, 11);
   size_t previous_kept = trajectory.size() + 1;
   for (double epsilon : {1.0, 5.0, 20.0, 80.0, 320.0}) {
-    const IndexList kept = DouglasPeucker(trajectory, epsilon);
+    const IndexList kept = Kept(DouglasPeucker, trajectory, epsilon);
     EXPECT_TRUE(IsValidIndexList(trajectory, kept));
     // Compression never decreases as the threshold grows.
     EXPECT_LE(kept.size(), previous_kept);
@@ -56,7 +56,7 @@ TEST(DouglasPeuckerTest, GuaranteesMaxLineDeviation) {
   // through its covering segment's endpoints.
   const Trajectory trajectory = RandomWalk(300, 13);
   const double epsilon = 40.0;
-  const IndexList kept = DouglasPeucker(trajectory, epsilon);
+  const IndexList kept = Kept(DouglasPeucker, trajectory, epsilon);
   for (size_t s = 1; s < kept.size(); ++s) {
     for (int i = kept[s - 1] + 1; i < kept[s]; ++i) {
       EXPECT_LE(
@@ -70,11 +70,11 @@ TEST(DouglasPeuckerTest, GuaranteesMaxLineDeviation) {
 
 TEST(DouglasPeuckerTest, TinyInputs) {
   Trajectory empty;
-  EXPECT_TRUE(DouglasPeucker(empty, 1.0).empty());
+  EXPECT_TRUE(Kept(DouglasPeucker, empty, 1.0).empty());
   const Trajectory one = Traj({{0, 0, 0}});
-  EXPECT_EQ(DouglasPeucker(one, 1.0), (IndexList{0}));
+  EXPECT_EQ(Kept(DouglasPeucker, one, 1.0), (IndexList{0}));
   const Trajectory two = Traj({{0, 0, 0}, {1, 9, 9}});
-  EXPECT_EQ(DouglasPeucker(two, 1.0), (IndexList{0, 1}));
+  EXPECT_EQ(Kept(DouglasPeucker, two, 1.0), (IndexList{0, 1}));
 }
 
 struct HullCase {
@@ -90,8 +90,8 @@ TEST_P(PathHullEquivalence, MatchesNaiveDouglasPeucker) {
   // guaranteed correct (see path_hull.h).
   const HullCase& param = GetParam();
   const Trajectory trajectory = testutil::MonotoneWalk(param.n, param.seed);
-  EXPECT_EQ(DouglasPeuckerHull(trajectory, param.epsilon),
-            DouglasPeucker(trajectory, param.epsilon));
+  EXPECT_EQ(Kept(DouglasPeuckerHull, trajectory, param.epsilon),
+            Kept(DouglasPeucker, trajectory, param.epsilon));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -104,9 +104,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(PathHullTest, CollinearInput) {
   const Trajectory trajectory = Line(30, 1.0, 2.0, 1.0);
-  EXPECT_EQ(DouglasPeuckerHull(trajectory, 0.5), (IndexList{0, 29}));
-  EXPECT_EQ(DouglasPeuckerHull(trajectory, 0.0),
-            DouglasPeucker(trajectory, 0.0));
+  EXPECT_EQ(Kept(DouglasPeuckerHull, trajectory, 0.5), (IndexList{0, 29}));
+  EXPECT_EQ(Kept(DouglasPeuckerHull, trajectory, 0.0),
+            Kept(DouglasPeucker, trajectory, 0.0));
 }
 
 TEST(PathHullTest, ConsecutiveDuplicatePositions) {
@@ -119,8 +119,8 @@ TEST(PathHullTest, ConsecutiveDuplicatePositions) {
                                       {4, 200, 80},
                                       {5, 310, 70}});
   for (double epsilon : {1.0, 30.0, 1000.0}) {
-    EXPECT_EQ(DouglasPeuckerHull(trajectory, epsilon),
-              DouglasPeucker(trajectory, epsilon))
+    EXPECT_EQ(Kept(DouglasPeuckerHull, trajectory, epsilon),
+              Kept(DouglasPeucker, trajectory, epsilon))
         << "epsilon=" << epsilon;
   }
 }
@@ -131,7 +131,7 @@ TEST(PathHullTest, EpsilonGuaranteeOnSimpleChains) {
   for (uint64_t seed : {100u, 101u, 102u}) {
     const Trajectory trajectory = testutil::MonotoneWalk(400, seed);
     const double epsilon = 35.0;
-    const IndexList kept = DouglasPeuckerHull(trajectory, epsilon);
+    const IndexList kept = Kept(DouglasPeuckerHull, trajectory, epsilon);
     EXPECT_TRUE(IsValidIndexList(trajectory, kept));
     for (size_t s = 1; s < kept.size(); ++s) {
       for (int i = kept[s - 1] + 1; i < kept[s]; ++i) {
@@ -148,7 +148,7 @@ TEST(PathHullTest, EpsilonGuaranteeOnSimpleChains) {
 TEST(MaxPointsTest, HonoursBudget) {
   const Trajectory trajectory = RandomWalk(100, 17);
   for (int budget : {2, 3, 5, 10, 50}) {
-    const IndexList kept = DouglasPeuckerMaxPoints(trajectory, budget);
+    const IndexList kept = Kept(DouglasPeuckerMaxPoints, trajectory, budget);
     EXPECT_EQ(kept.size(), static_cast<size_t>(budget));
     EXPECT_TRUE(IsValidIndexList(trajectory, kept));
   }
@@ -156,7 +156,8 @@ TEST(MaxPointsTest, HonoursBudget) {
 
 TEST(MaxPointsTest, BudgetBeyondSizeKeepsAll) {
   const Trajectory trajectory = RandomWalk(10, 19);
-  EXPECT_EQ(DouglasPeuckerMaxPoints(trajectory, 100), KeepAll(trajectory));
+  EXPECT_EQ(Kept(DouglasPeuckerMaxPoints, trajectory, 100),
+            Kept(KeepAll, trajectory));
 }
 
 TEST(MaxPointsTest, GreedyOrderReducesErrorMonotonically) {
@@ -164,7 +165,7 @@ TEST(MaxPointsTest, GreedyOrderReducesErrorMonotonically) {
   const Trajectory trajectory = RandomWalk(150, 23);
   double previous = 1e300;
   for (int budget : {2, 4, 8, 16, 32, 64, 128}) {
-    const IndexList kept = DouglasPeuckerMaxPoints(trajectory, budget);
+    const IndexList kept = Kept(DouglasPeuckerMaxPoints, trajectory, budget);
     const double worst = MaxPerpendicularError(trajectory, kept);
     EXPECT_LE(worst, previous + 1e-9) << "budget=" << budget;
     previous = worst;

@@ -49,12 +49,14 @@ TEST(SweepTest, EvaluateAveragedAggregates) {
   const algo::AlgorithmInfo* ndp = algo::FindAlgorithm("ndp").value();
   algo::AlgorithmParams params;
   params.epsilon_m = 50.0;
+  algo::Workspace workspace;
+  algo::IndexList kept;
   const SweepPoint point =
-      EvaluateAveraged(SmallDataset(), *ndp, params).value();
+      EvaluateAveraged(SmallDataset(), *ndp, params, workspace, kept).value();
   EXPECT_GT(point.compression_percent, 0.0);
   EXPECT_LT(point.compression_percent, 100.0);
   EXPECT_GT(point.sync_error_mean_m, 0.0);
-  EXPECT_FALSE(EvaluateAveraged({}, *ndp, params).ok());
+  EXPECT_FALSE(EvaluateAveraged({}, *ndp, params, workspace, kept).ok());
 }
 
 TEST(SweepTest, SweepProducesOnePointPerThreshold) {

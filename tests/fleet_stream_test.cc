@@ -25,7 +25,7 @@ TEST(SquishStreamTest, MatchesBatchSquishE) {
     SquishStream stream(0, mu);
     const Trajectory streamed = CompressStream(trajectory, &stream).value();
     const Trajectory batch =
-        trajectory.Subset(algo::SquishE(trajectory, mu));
+        trajectory.Subset(algo::Kept(algo::SquishE, trajectory, mu));
     EXPECT_EQ(streamed.points(), batch.points()) << "mu=" << mu;
   }
 }
@@ -36,7 +36,7 @@ TEST(SquishStreamTest, MatchesBatchSquishCapacity) {
     SquishStream stream(capacity, 0.0);
     const Trajectory streamed = CompressStream(trajectory, &stream).value();
     const Trajectory batch =
-        trajectory.Subset(algo::Squish(trajectory, capacity));
+        trajectory.Subset(algo::Kept(algo::Squish, trajectory, capacity));
     EXPECT_EQ(streamed.points(), batch.points()) << "capacity=" << capacity;
   }
 }

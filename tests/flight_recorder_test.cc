@@ -198,7 +198,8 @@ TEST(FlightRenderTest, JsonEscapesHostileTagBytes) {
   FlightRecorder recorder(8, 1);
   recorder.Record(FlightCode::kProbe, "a\"b\\c\x01" "d");
   const std::string json = RenderFlightJson(recorder.Snapshot());
-  EXPECT_NE(json.find("\"tag\": \"a\\\"b\\\\cd\""), std::string::npos)
+  EXPECT_NE(json.find("\"tag\": \"a\\\"b\\\\c\\u0001d\""),
+            std::string::npos)
       << json;
 }
 

@@ -25,8 +25,8 @@ Trajectory SpikeAt(int n, int spike, double height) {
 
 TEST(OpeningWindowTest, FlatLineKeepsEndpoints) {
   const Trajectory trajectory = Line(30, 1.0, 5.0, 0.0);
-  EXPECT_EQ(Nopw(trajectory, 1.0), (IndexList{0, 29}));
-  EXPECT_EQ(Bopw(trajectory, 1.0), (IndexList{0, 29}));
+  EXPECT_EQ(Kept(Nopw, trajectory, 1.0), (IndexList{0, 29}));
+  EXPECT_EQ(Kept(Bopw, trajectory, 1.0), (IndexList{0, 29}));
 }
 
 TEST(OpeningWindowTest, NopwBreaksAtViolatingPoint) {
@@ -34,7 +34,7 @@ TEST(OpeningWindowTest, NopwBreaksAtViolatingPoint) {
   // As the float approaches and passes the spike the chord rotates, so the
   // first violation is at interior 2 when the float reaches the spike
   // (hand-traced); the spike itself is retained two cuts later.
-  const IndexList kept = Nopw(trajectory, 10.0);
+  const IndexList kept = Kept(Nopw, trajectory, 10.0);
   ASSERT_GE(kept.size(), 3u);
   EXPECT_EQ(kept[1], 2);
   EXPECT_NE(std::find(kept.begin(), kept.end(), 4), kept.end());
@@ -58,8 +58,8 @@ TEST(OpeningWindowTest, BopwBreaksJustBeforeTheFloat) {
   // distance ~12 -> violation. NOPW cuts at 1, BOPW cuts at float-1 = 1 as
   // well; grow further. For float=3 after anchor=1 etc. Assert both
   // produce valid output and BOPW compresses at least as much as NOPW.
-  const IndexList nopw = Nopw(zigzag, 5.0);
-  const IndexList bopw = Bopw(zigzag, 5.0);
+  const IndexList nopw = Kept(Nopw, zigzag, 5.0);
+  const IndexList bopw = Kept(Bopw, zigzag, 5.0);
   EXPECT_TRUE(IsValidIndexList(zigzag, nopw));
   EXPECT_TRUE(IsValidIndexList(zigzag, bopw));
   EXPECT_LE(bopw.size(), nopw.size());
@@ -75,8 +75,8 @@ TEST(OpeningWindowTest, BopwCompressesMoreInAggregate) {
   for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     const Trajectory trajectory = RandomWalk(150, seed);
     for (double epsilon : {20.0, 40.0, 80.0}) {
-      bopw_total += Bopw(trajectory, epsilon).size();
-      nopw_total += Nopw(trajectory, epsilon).size();
+      bopw_total += Kept(Bopw, trajectory, epsilon).size();
+      nopw_total += Kept(Nopw, trajectory, epsilon).size();
     }
   }
   EXPECT_LT(bopw_total, nopw_total);
@@ -87,7 +87,7 @@ TEST(OpeningWindowTest, CommittedSegmentsRespectThreshold) {
   // window check: all interiors within eps of the segment's line.
   const Trajectory trajectory = RandomWalk(200, 9);
   const double epsilon = 30.0;
-  const IndexList kept = Nopw(trajectory, epsilon);
+  const IndexList kept = Kept(Nopw, trajectory, epsilon);
   for (size_t s = 1; s + 1 < kept.size(); ++s) {
     for (int i = kept[s - 1] + 1; i < kept[s]; ++i) {
       EXPECT_LE(PointToLineDistance(
@@ -104,8 +104,8 @@ TEST(OpeningWindowTest, LastPointAlwaysKept) {
   for (uint64_t seed : {11u, 12u, 13u}) {
     const Trajectory trajectory = RandomWalk(57, seed);
     for (double epsilon : {5.0, 50.0, 500.0}) {
-      const IndexList nopw = Nopw(trajectory, epsilon);
-      const IndexList bopw = Bopw(trajectory, epsilon);
+      const IndexList nopw = Kept(Nopw, trajectory, epsilon);
+      const IndexList bopw = Kept(Bopw, trajectory, epsilon);
       EXPECT_EQ(nopw.back(), 56);
       EXPECT_EQ(bopw.back(), 56);
     }
@@ -114,10 +114,10 @@ TEST(OpeningWindowTest, LastPointAlwaysKept) {
 
 TEST(OpeningWindowTest, TinyInputs) {
   Trajectory empty;
-  EXPECT_TRUE(Nopw(empty, 1.0).empty());
+  EXPECT_TRUE(Kept(Nopw, empty, 1.0).empty());
   const Trajectory two = Traj({{0, 0, 0}, {1, 100, 100}});
-  EXPECT_EQ(Nopw(two, 0.0), (IndexList{0, 1}));
-  EXPECT_EQ(Bopw(two, 0.0), (IndexList{0, 1}));
+  EXPECT_EQ(Kept(Nopw, two, 0.0), (IndexList{0, 1}));
+  EXPECT_EQ(Kept(Bopw, two, 0.0), (IndexList{0, 1}));
 }
 
 }  // namespace

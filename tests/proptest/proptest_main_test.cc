@@ -158,8 +158,8 @@ TEST(ProptestDifferential, PathHullMatchesNaiveDouglasPeuckerOnSimpleChains) {
   for (uint64_t seed = kBaseSeed; seed < kBaseSeed + 8; ++seed) {
     const Trajectory trajectory = Generate("monotone", seed);
     for (double epsilon : EpsilonLadder()) {
-      EXPECT_EQ(algo::DouglasPeuckerHull(trajectory, epsilon),
-                algo::DouglasPeucker(trajectory, epsilon))
+      EXPECT_EQ(algo::Kept(algo::DouglasPeuckerHull, trajectory, epsilon),
+                algo::Kept(algo::DouglasPeucker, trajectory, epsilon))
           << "repro: family=monotone seed=" << seed << " eps=" << epsilon;
     }
   }

@@ -15,7 +15,7 @@ using testutil::Traj;
 
 TEST(PerpendicularErrorTest, ZeroWhenNothingDiscarded) {
   const Trajectory trajectory = RandomWalk(20, 1);
-  const algo::IndexList all = algo::KeepAll(trajectory);
+  const algo::IndexList all = algo::Kept(algo::KeepAll, trajectory);
   EXPECT_DOUBLE_EQ(MeanPerpendicularError(trajectory, all), 0.0);
   EXPECT_DOUBLE_EQ(MaxPerpendicularError(trajectory, all), 0.0);
 }
@@ -109,7 +109,8 @@ TEST(EvaluationTest, SyncDominatesOrEqualsAreaOnDpOutput) {
   // the active segment's line, so the averaged errors order the same way.
   for (uint64_t seed : {4u, 5u, 6u}) {
     const Trajectory trajectory = RandomWalk(100, seed);
-    const algo::IndexList kept = algo::DouglasPeucker(trajectory, 40.0);
+    const algo::IndexList kept =
+        algo::Kept(algo::DouglasPeucker, trajectory, 40.0);
     const Evaluation evaluation = Evaluate(trajectory, kept).value();
     EXPECT_GE(evaluation.sync_error_mean_m, evaluation.area_error_m - 1e-9);
   }

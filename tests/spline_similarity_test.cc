@@ -79,7 +79,7 @@ TEST(CubicErrorTest, CloseToLinearErrorOnSmoothTraces) {
   // the spline's overshoot between samples).
   const Trajectory trajectory = RandomWalk(60, 3);
   const Trajectory approximation =
-      trajectory.Subset(algo::TdTr(trajectory, 40.0));
+      trajectory.Subset(algo::Kept(algo::TdTr, trajectory, 40.0));
   const double linear =
       SynchronousError(trajectory, approximation).value();
   const double cubic =
@@ -118,7 +118,7 @@ TEST(FrechetTest, CompressionBoundedByVertexCoupling) {
   // segment is a valid monotone coupling; the discrete Frechet distance is
   // bounded by that coupling's worst pair.
   const Trajectory trajectory = RandomWalk(100, 7);
-  const algo::IndexList kept = algo::TdTr(trajectory, 30.0);
+  const algo::IndexList kept = algo::Kept(algo::TdTr, trajectory, 30.0);
   const Trajectory approximation = trajectory.Subset(kept);
   double coupling_bound = 0.0;
   for (size_t s = 1; s < kept.size(); ++s) {
@@ -177,7 +177,7 @@ TEST(DtwTest, RobustToResampling) {
 TEST(TimeShiftedTest, ZeroShiftMatchesMaxSync) {
   const Trajectory trajectory = RandomWalk(60, 11);
   const Trajectory approximation =
-      trajectory.Subset(algo::TdTr(trajectory, 50.0));
+      trajectory.Subset(algo::Kept(algo::TdTr, trajectory, 50.0));
   EXPECT_NEAR(
       TimeShiftedMaxDistance(trajectory, approximation, 0.0).value(),
       MaxSynchronousError(trajectory, approximation).value(), 1e-9);

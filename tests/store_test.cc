@@ -621,6 +621,44 @@ TEST(TrajectoryStoreTest, PositionAtAndTimeSliceSurviveReload) {
   std::filesystem::remove_all(dir);
 }
 
+// Get names its result after the object id, whatever the inserted
+// trajectory was called, so the name reads the same after a reload, a
+// salvage and a WAL replay as it did after the insert.
+TEST(TrajectoryStoreTest, GetNamesTheResultAfterItsId) {
+  Trajectory trip = RandomWalk(20, 31);
+  trip.set_name("trip-7");
+  const auto expect_named = [](const TrajectoryStore& store,
+                               const std::string& label) {
+    const Result<Trajectory> got = store.Get("bus-1");
+    ASSERT_TRUE(got.ok()) << label << ": " << got.status();
+    EXPECT_EQ(got->name(), "bus-1") << label;
+  };
+  TrajectoryStore store;
+  ASSERT_TRUE(store.Insert("bus-1", trip).ok());
+  expect_named(store, "insert");
+  const std::string image = store.SerializeToString().value();
+  TrajectoryStore reloaded;
+  ASSERT_TRUE(reloaded.LoadFromBuffer(image).ok());
+  expect_named(reloaded, "reload");
+  TrajectoryStore salvaged;
+  ASSERT_TRUE(salvaged.SalvageFromBuffer(image, nullptr).ok());
+  expect_named(salvaged, "salvage");
+
+  const std::string dir = FreshDir("get_names");
+  {
+    SegmentStore durable;
+    ASSERT_TRUE(durable.Open(dir).ok());
+    ASSERT_TRUE(durable.Insert("bus-1", trip).ok());
+    ASSERT_TRUE(durable.Commit().ok());
+    expect_named(durable.store(), "segment store insert");
+  }
+  // No checkpoint was taken: the reopen replays the insert from the WAL.
+  SegmentStore reopened;
+  ASSERT_TRUE(reopened.Open(dir).ok());
+  expect_named(reopened.store(), "WAL replay");
+  std::filesystem::remove_all(dir);
+}
+
 // kDelta keeps time to 1 ms: two fixes inside one quantum would share a
 // stored time, leaving the object undecodable. Both write paths refuse the
 // second one up front, and the object then survives a checkpoint.

@@ -31,7 +31,7 @@ TEST_P(StreamBatchEquivalence, NopwStreamMatchesBatch) {
                              StreamCriterion::kPerpendicular);
   const Trajectory streamed = CompressStream(trajectory, &stream).value();
   const Trajectory batch =
-      trajectory.Subset(algo::Nopw(trajectory, GetParam().epsilon));
+      trajectory.Subset(algo::Kept(algo::Nopw, trajectory, GetParam().epsilon));
   EXPECT_EQ(streamed.points(), batch.points());
 }
 
@@ -41,7 +41,7 @@ TEST_P(StreamBatchEquivalence, BopwStreamMatchesBatch) {
                              StreamCriterion::kPerpendicular);
   const Trajectory streamed = CompressStream(trajectory, &stream).value();
   const Trajectory batch =
-      trajectory.Subset(algo::Bopw(trajectory, GetParam().epsilon));
+      trajectory.Subset(algo::Kept(algo::Bopw, trajectory, GetParam().epsilon));
   EXPECT_EQ(streamed.points(), batch.points());
 }
 
@@ -50,8 +50,8 @@ TEST_P(StreamBatchEquivalence, OpwTrStreamMatchesBatch) {
   OpeningWindowStream stream(GetParam().epsilon, BreakPolicy::kNormal,
                              StreamCriterion::kSynchronized);
   const Trajectory streamed = CompressStream(trajectory, &stream).value();
-  const Trajectory batch =
-      trajectory.Subset(algo::OpwTr(trajectory, GetParam().epsilon));
+  const Trajectory batch = trajectory.Subset(
+      algo::Kept(algo::OpwTr, trajectory, GetParam().epsilon));
   EXPECT_EQ(streamed.points(), batch.points());
 }
 
@@ -62,7 +62,7 @@ TEST_P(StreamBatchEquivalence, OpwSpStreamMatchesBatch) {
                                StreamCriterion::kSpatiotemporal, speed);
     const Trajectory streamed = CompressStream(trajectory, &stream).value();
     const Trajectory batch = trajectory.Subset(
-        algo::OpwSp(trajectory, GetParam().epsilon, speed));
+        algo::Kept(algo::OpwSp, trajectory, GetParam().epsilon, speed));
     EXPECT_EQ(streamed.points(), batch.points()) << "speed=" << speed;
   }
 }
@@ -176,7 +176,7 @@ TEST(BatchAdapterTest, MatchesDirectBatchRun) {
   BatchAdapter adapter(*info, params);
   const Trajectory streamed = CompressStream(trajectory, &adapter).value();
   const Trajectory direct =
-      trajectory.Subset(algo::TdTr(trajectory, 40.0));
+      trajectory.Subset(algo::Kept(algo::TdTr, trajectory, 40.0));
   EXPECT_EQ(streamed.points(), direct.points());
   EXPECT_EQ(adapter.name(), "td-tr-batch");
 }

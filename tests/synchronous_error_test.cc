@@ -142,7 +142,7 @@ TEST_P(ClosedFormVsNumeric, AgreeOnCompressedRandomWalks) {
   const Trajectory trajectory = RandomWalk(120, GetParam());
   for (double epsilon : {10.0, 40.0, 120.0}) {
     const Trajectory approximation =
-        trajectory.Subset(algo::TdTr(trajectory, epsilon));
+        trajectory.Subset(algo::Kept(algo::TdTr, trajectory, epsilon));
     const double closed =
         SynchronousError(trajectory, approximation).value();
     const double numeric =
@@ -159,7 +159,7 @@ TEST(SynchronousErrorTest, MaxAttainedAtGridVertex) {
   // The max over the union grid must dominate dense sampling.
   const Trajectory trajectory = RandomWalk(60, 12);
   const Trajectory approximation =
-      trajectory.Subset(algo::DouglasPeucker(trajectory, 50.0));
+      trajectory.Subset(algo::Kept(algo::DouglasPeucker, trajectory, 50.0));
   const double reported =
       MaxSynchronousError(trajectory, approximation).value();
   double dense = 0.0;

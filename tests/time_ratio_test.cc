@@ -18,15 +18,15 @@ using testutil::Traj;
 TEST(TdTrTest, ConstantSpeedLineCollapses) {
   // Constant speed on a straight line: SED of every interior point is 0.
   const Trajectory trajectory = Line(40, 10.0, 12.0, 5.0);
-  EXPECT_EQ(TdTr(trajectory, 1.0), (IndexList{0, 39}));
+  EXPECT_EQ(Kept(TdTr, trajectory, 1.0), (IndexList{0, 39}));
 }
 
 TEST(TdTrTest, StopIsInvisibleToNdpButNotToTdTr) {
   // A 10-sample stop in the middle of a straight drive: spatially collinear
   // (NDP collapses everything), but temporally a huge deviation.
   const Trajectory trajectory = LineWithStop(10, 10, 10);
-  EXPECT_EQ(DouglasPeucker(trajectory, 10.0).size(), 2u);
-  EXPECT_GT(TdTr(trajectory, 10.0).size(), 2u);
+  EXPECT_EQ(Kept(DouglasPeucker, trajectory, 10.0).size(), 2u);
+  EXPECT_GT(Kept(TdTr, trajectory, 10.0).size(), 2u);
 }
 
 TEST(TdTrTest, GuaranteesMaxSynchronousError) {
@@ -35,7 +35,7 @@ TEST(TdTrTest, GuaranteesMaxSynchronousError) {
   for (uint64_t seed : {1u, 2u, 3u, 4u}) {
     const Trajectory trajectory = RandomWalk(250, seed);
     for (double epsilon : {15.0, 40.0, 90.0}) {
-      const IndexList kept = TdTr(trajectory, epsilon);
+      const IndexList kept = Kept(TdTr, trajectory, epsilon);
       const Trajectory approximation = trajectory.Subset(kept);
       const double max_error =
           MaxSynchronousError(trajectory, approximation).value();
@@ -50,8 +50,8 @@ TEST(TdTrTest, MeanSyncErrorBelowNdpOnStopHeavyTraces) {
   const Trajectory trajectory = LineWithStop(15, 12, 15);
   const double epsilon = 30.0;
   const Trajectory ndp =
-      trajectory.Subset(DouglasPeucker(trajectory, epsilon));
-  const Trajectory tdtr = trajectory.Subset(TdTr(trajectory, epsilon));
+      trajectory.Subset(Kept(DouglasPeucker, trajectory, epsilon));
+  const Trajectory tdtr = trajectory.Subset(Kept(TdTr, trajectory, epsilon));
   EXPECT_LT(SynchronousError(trajectory, tdtr).value(),
             SynchronousError(trajectory, ndp).value());
 }
@@ -60,7 +60,7 @@ TEST(TdTrTest, MonotoneCompressionInThreshold) {
   const Trajectory trajectory = RandomWalk(200, 5);
   size_t previous = trajectory.size() + 1;
   for (double epsilon : {5.0, 15.0, 45.0, 135.0}) {
-    const IndexList kept = TdTr(trajectory, epsilon);
+    const IndexList kept = Kept(TdTr, trajectory, epsilon);
     EXPECT_TRUE(IsValidIndexList(trajectory, kept));
     EXPECT_LE(kept.size(), previous);
     previous = kept.size();
@@ -69,13 +69,13 @@ TEST(TdTrTest, MonotoneCompressionInThreshold) {
 
 TEST(OpwTrTest, ConstantSpeedLineCollapses) {
   const Trajectory trajectory = Line(40, 10.0, 12.0, 5.0);
-  EXPECT_EQ(OpwTr(trajectory, 1.0), (IndexList{0, 39}));
+  EXPECT_EQ(Kept(OpwTr, trajectory, 1.0), (IndexList{0, 39}));
 }
 
 TEST(OpwTrTest, CommittedSegmentsRespectSedThreshold) {
   const Trajectory trajectory = RandomWalk(180, 21);
   const double epsilon = 35.0;
-  const IndexList kept = OpwTr(trajectory, epsilon);
+  const IndexList kept = Kept(OpwTr, trajectory, epsilon);
   // All but the final forced segment honour the SED bound at interiors.
   for (size_t s = 1; s + 1 < kept.size(); ++s) {
     const TimedPoint& anchor = trajectory[static_cast<size_t>(kept[s - 1])];
@@ -90,13 +90,13 @@ TEST(OpwTrTest, CommittedSegmentsRespectSedThreshold) {
 
 TEST(OpwTrTest, DetectsTemporalDeviationOnCollinearPath) {
   const Trajectory trajectory = LineWithStop(10, 10, 10);
-  EXPECT_GT(OpwTr(trajectory, 10.0).size(), 2u);
+  EXPECT_GT(Kept(OpwTr, trajectory, 10.0).size(), 2u);
 }
 
 TEST(TdTrMaxPointsTest, HonoursBudgetAndUsesSed) {
   const Trajectory trajectory = RandomWalk(100, 41);
   for (int budget : {2, 5, 20}) {
-    const IndexList kept = TdTrMaxPoints(trajectory, budget);
+    const IndexList kept = Kept(TdTrMaxPoints, trajectory, budget);
     EXPECT_EQ(kept.size(), static_cast<size_t>(budget));
     EXPECT_TRUE(IsValidIndexList(trajectory, kept));
   }
@@ -104,7 +104,7 @@ TEST(TdTrMaxPointsTest, HonoursBudgetAndUsesSed) {
   // spends must land inside the stop region — perpendicular DP would see
   // nothing there.
   const Trajectory with_stop = LineWithStop(10, 10, 10);
-  const IndexList kept = TdTrMaxPoints(with_stop, 3);
+  const IndexList kept = Kept(TdTrMaxPoints, with_stop, 3);
   ASSERT_EQ(kept.size(), 3u);
   EXPECT_GT(kept[1], 9);
   EXPECT_LT(kept[1], 22);
