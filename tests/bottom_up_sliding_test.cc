@@ -58,7 +58,7 @@ TEST(BottomUpMaxPointsTest, HonoursBudget) {
   const Trajectory trajectory = RandomWalk(80, 11);
   for (int budget : {2, 5, 20, 79}) {
     const IndexList kept = Kept(BottomUpMaxPoints, trajectory, budget,
-                                             BottomUpMetric::kPerpendicular);
+                                BottomUpMetric::kPerpendicular);
     EXPECT_EQ(kept.size(), static_cast<size_t>(budget));
     EXPECT_TRUE(IsValidIndexList(trajectory, kept));
   }

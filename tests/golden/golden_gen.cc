@@ -274,11 +274,12 @@ std::string QueryAnswersText() {
 // the libm, while every other algorithm computes with +, -, *, / and sqrt
 // only, which IEEE 754 rounds exactly.
 std::string KeptListsText() {
+  namespace algo = stcomp::algo;
   const std::vector<Walk> walks = RandomWalks();
   std::string out;
   char line[256];
-  stcomp::algo::Workspace workspace;
-  stcomp::algo::IndexList kept;
+  algo::Workspace workspace;
+  algo::IndexList kept;
   const auto run_on_walks = [&](const char* label, const auto& run) {
     for (const Walk& walk : walks) {
       run(stcomp::TrajectoryView(walk.points));
@@ -312,13 +313,12 @@ std::string KeptListsText() {
                                {20.0, 2.0, 2, 15.0, 4, 3},
                                {60.0, 8.0, 5, 60.0, 16, 8},
                                {200.0, 30.0, 16, 240.0, 64, 32}};
-  for (const stcomp::algo::AlgorithmInfo& info :
-       stcomp::algo::AllAlgorithms()) {
+  for (const algo::AlgorithmInfo& info : algo::AllAlgorithms()) {
     if (info.name == "angular" || info.name == "bottom-up") {
       continue;
     }
     for (const Level& level : kLevels) {
-      stcomp::algo::AlgorithmParams params;
+      algo::AlgorithmParams params;
       params.epsilon_m = level.epsilon_m;
       params.speed_threshold_mps = level.speed_threshold_mps;
       params.keep_every = level.keep_every;
@@ -336,7 +336,6 @@ std::string KeptListsText() {
     }
   }
 
-  namespace algo = stcomp::algo;
   for (const Level& level : kLevels) {
     const int budget = level.budget;
     char label[160];
